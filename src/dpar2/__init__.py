@@ -21,7 +21,7 @@ from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, 
 from .linalg import RsvdParams, SvdTriple, pinv_small, randomized_svd, truncated_svd
 from .scheduler import PartitionPlan, greedy_partition, parallel_slice_map, resolve_threads
 from .solver import (
-    SliceRotation,
+    RotationStack,
     convergence_metric,
     fit_dpar2,
     mttkrp_mode1,
@@ -47,10 +47,10 @@ __all__ = [
     "IrregularTensor",
     "Parafac2Factors",
     "PartitionPlan",
+    "RotationStack",
     "RsvdParams",
     "RwrParams",
     "SimilarityGraph",
-    "SliceRotation",
     "SolverOptions",
     "SvdTriple",
     "SyntheticSpec",

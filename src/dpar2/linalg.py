@@ -59,15 +59,15 @@ def _as_matrix(a, name="input"):
     return a
 
 
-def _fix_signs(u, v):
-    # Convention: the largest-magnitude entry of each left column is
-    # nonnegative; the matching right column flips with it, so the
-    # product U S V^T is untouched.
-    idx = np.abs(u).argmax(axis=0)
-    flip = u[idx, np.arange(u.shape[1])] < 0.0
-    u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
-    return u, v
+def fix_signs(u, v):
+    """Make the largest-magnitude entry of each column of ``u`` nonnegative.
+
+    The matching column of ``v`` flips with it, so U S V^T is untouched.
+    Works on single matrices and on (..., m, r) stacks alike.
+    """
+    lead = np.take_along_axis(u, np.abs(u).argmax(axis=-2)[..., None, :], axis=-2)
+    signs = np.where(lead < 0.0, -1.0, 1.0)
+    return u * signs, v * signs
 
 
 def truncated_svd(a, rank):
@@ -90,7 +90,7 @@ def truncated_svd(a, rank):
     u = np.ascontiguousarray(u[:, :rank])
     s = np.ascontiguousarray(s[:rank])
     v = np.ascontiguousarray(vt[:rank].T)
-    u, v = _fix_signs(u, v)
+    u, v = fix_signs(u, v)
     return SvdTriple(u, s, v)
 
 
@@ -124,11 +124,13 @@ def randomized_svd(a, params: RsvdParams):
     y = a @ omega
     for _ in range(params.power_iters):
         y = a @ (a.T @ y)
+    if not np.isfinite(y).all():
+        raise NumericFailure("range sketch overflowed; input magnitude too large")
     q, _ = np.linalg.qr(y)
     b = q.T @ a
     small = truncated_svd(b, r)
     u = q @ small.U
-    u, v = _fix_signs(u, small.V)
+    u, v = fix_signs(u, small.V)
     return SvdTriple(u, small.S, v)
 
 

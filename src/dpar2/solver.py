@@ -1,7 +1,8 @@
 """Alternating updates that never leave the compressed space.
 
 After compression every slice is A_k F_k diag(E) D^T with A_k and D
-column-orthonormal, so the whole fit runs on R x R blocks:
+column-orthonormal, so the whole fit runs on R x R blocks, each step one
+batched array operation over the (K, R, R) stack of slices:
 
 * Rotations: the Procrustes factor for slice k needs the truncated SVD of
   X_k V S_k H^T = A_k T_k with T_k = F_k (E D^T V) S_k H^T.  Since A_k has
@@ -17,9 +18,7 @@ column-orthonormal, so the whole fit runs on R x R blocks:
   which equals the residual against the compressed slices because the
   Frobenius norm ignores the orthonormal left factors A_k Z_k.
 
-Per-slice work runs on worker threads into per-slice slots; reductions
-happen in ascending slice order, so results are identical for any thread
-count.
+No step depends on a thread count: only compression runs on worker threads.
 """
 from __future__ import annotations
 
@@ -31,81 +30,86 @@ import numpy as np
 from .compress import CompressedTensor, compress
 from .errors import NumericFailure
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, push_col_norms
-from .linalg import RsvdParams, gram, hadamard, pinv_small, truncated_svd
-from .scheduler import parallel_slice_map, resolve_threads
+from .linalg import RsvdParams, fix_signs, gram, hadamard, pinv_small
 from .tensor import IrregularTensor
 
 
 @dataclass
-class SliceRotation:
-    """Per-slice Procrustes pieces: T_k = Z Sig P^T with Z, P orthogonal."""
+class RotationStack:
+    """Procrustes pieces of all slices, T_k = Z[k] diag(Sig[k]) P[k]^T.
+
+    ``Z``, ``P`` are (K, R, R) orthogonal stacks and ``Sig`` is (K, R);
+    ``rots[k]`` and iteration yield each slice's own Z, P and Sig.
+    """
 
     Z: np.ndarray
     P: np.ndarray
     Sig: np.ndarray
 
+    def __getitem__(self, k):
+        return RotationStack(self.Z[k], self.P[k], self.Sig[k])
+
+    def __iter__(self):
+        return map(RotationStack, self.Z, self.P, self.Sig)
+
 
 def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
-    """Solve every slice's orthogonal Procrustes problem in R x R space."""
+    """Solve every slice's orthogonal Procrustes problem in R x R space.
+
+    ``threads`` is accepted for call compatibility and unused.
+    """
     # E D^T V is shared by all slices.
     core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)
-    ht = h.T
-    rank = comp.rank
-
-    def rotate(k):
-        t = (comp.core_block(k) @ core_cols) * w[k]
-        t = t @ ht
-        try:
-            trip = truncated_svd(t, rank)
-        except NumericFailure as exc:
-            raise NumericFailure(str(exc), slice_index=k) from exc
-        return SliceRotation(Z=trip.U, P=trip.V, Sig=trip.S)
-
-    return parallel_slice_map(rotate, comp.num_slices, threads=threads)
+    t = ((comp.core_stack() @ core_cols) * w[:, None, :]) @ h.T
+    finite = np.isfinite(t).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericFailure("rotation target is not finite",
+                             slice_index=int(np.argmin(finite)))
+    try:
+        z, sig, pt = np.linalg.svd(t, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure("rotation SVD did not converge") from exc
+    z, p = fix_signs(z, np.ascontiguousarray(pt.transpose(0, 2, 1)))
+    return RotationStack(Z=z, P=p, Sig=sig)
 
 
-def rotated_cores(comp: CompressedTensor, rotations, threads=None):
+def rotated_cores(comp: CompressedTensor, rotations):
     """Stack of Theta_k = P_k Z_k^T F_k, shape (K, R, R).
 
     Theta_k E D^T is the projected core slice Y_k; every kernel below
     contracts against this stack instead of the J-sized cores.
     """
-    def build(k):
-        rot = rotations[k]
-        return (rot.P @ rot.Z.T) @ comp.core_block(k)
-
-    parts = parallel_slice_map(build, comp.num_slices, threads=threads)
-    return np.stack(parts)
+    return (rotations.P @ rotations.Z.transpose(0, 2, 1)) @ comp.core_stack()
 
 
-def mttkrp_mode1(comp, rotations, w, v, threads=None):
+def mttkrp_mode1(comp, rotations, w, v):
     """R x R right-hand side for the H solve: Y_(1) (W kr V).
 
     Column r reduces to (sum_k W[k, r] Theta_k) (E D^T V)[:, r].
     """
-    theta = rotated_cores(comp, rotations, threads=threads)
+    theta = rotated_cores(comp, rotations)
     core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)
     weighted = np.einsum("kr,kij->rij", w, theta)
     return np.einsum("rij,jr->ir", weighted, core_cols)
 
 
-def mttkrp_mode2(comp, rotations, w, h, threads=None):
+def mttkrp_mode2(comp, rotations, w, h):
     """J x R right-hand side for the V solve: Y_(2) (W kr H).
 
     Column r reduces to D E sum_k W[k, r] Theta_k^T H[:, r].
     """
-    theta = rotated_cores(comp, rotations, threads=threads)
+    theta = rotated_cores(comp, rotations)
     projected = np.einsum("kba,br->kar", theta, h)
     summed = np.einsum("kr,kar->ar", w, projected)
     return comp.col_basis @ (comp.weights[:, None] * summed)
 
 
-def mttkrp_mode3(comp, rotations, v, h, threads=None):
+def mttkrp_mode3(comp, rotations, v, h):
     """K x R right-hand side for the W solve: Y_(3) (V kr H).
 
     Entry (k, r) is the bilinear form H[:, r]^T Theta_k (E D^T V)[:, r].
     """
-    theta = rotated_cores(comp, rotations, threads=threads)
+    theta = rotated_cores(comp, rotations)
     core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)
     half = np.einsum("kij,jr->kir", theta, core_cols)
     return np.einsum("ir,kir->kr", h, half)
@@ -116,37 +120,35 @@ def update_factors(comp, rotations, h, v, w, normalize=True, threads=None):
 
     Each right-hand side is rebuilt after the factors it depends on change,
     so the sweep matches a Gauss-Seidel pass over the projected cores.
+    ``threads`` is accepted for call compatibility and unused.
     """
-    g1 = mttkrp_mode1(comp, rotations, w, v, threads=threads)
+    g1 = mttkrp_mode1(comp, rotations, w, v)
     h = g1 @ pinv_small(hadamard(gram(w), gram(v)))
     if normalize:
         h, w = push_col_norms(h, w)
-    g2 = mttkrp_mode2(comp, rotations, w, h, threads=threads)
+    g2 = mttkrp_mode2(comp, rotations, w, h)
     v = g2 @ pinv_small(hadamard(gram(w), gram(h)))
     if normalize:
         v, w = push_col_norms(v, w)
-    g3 = mttkrp_mode3(comp, rotations, v, h, threads=threads)
+    g3 = mttkrp_mode3(comp, rotations, v, h)
     w = g3 @ pinv_small(hadamard(gram(v), gram(h)))
     return h, v, w
 
 
 def convergence_metric(comp, rotations, h, v, w, threads=None):
-    """e = sum_k ||Theta_k E D^T - H S_k V^T||_F^2.
+    """e = sum_k ||Theta_k E D^T - H S_k V^T||_F^2, computed in R x R.
 
-    Works on R x J buffers per slice (never I_k rows) and reduces the
-    per-slice squares in ascending slice order.
+    Splitting V = D C + V_perp with C = D^T V splits each residual into
+    orthogonal parts, so e = sum_k ||Theta_k E - H S_k C^T||^2 plus
+    sum(H^T H o G_perp o W^T W) with G_perp = V_perp^T V_perp.
+    ``threads`` is accepted for call compatibility and unused.
     """
-    weighted_basis = comp.weights[:, None] * comp.col_basis.T
-    vt = v.T
-
-    def residual(k):
-        rot = rotations[k]
-        buf = ((rot.P @ rot.Z.T) @ comp.core_block(k)) @ weighted_basis
-        buf -= (h * w[k]) @ vt
-        return float(np.dot(buf.ravel(), buf.ravel()))
-
-    parts = parallel_slice_map(residual, comp.num_slices, threads=threads)
-    return float(np.add.reduce(np.asarray(parts)))
+    c = comp.col_basis.T @ v
+    v_perp = v - comp.col_basis @ c
+    resid = rotated_cores(comp, rotations) * comp.weights
+    resid -= (h * w[:, None, :]) @ c.T
+    outside = gram(h) * gram(v_perp) * gram(w)
+    return float(np.sum(resid * resid)) + float(np.sum(outside))
 
 
 def fit_dpar2(tensor: IrregularTensor, rank, opts: SolverOptions | None = None):
@@ -159,32 +161,27 @@ def fit_dpar2(tensor: IrregularTensor, rank, opts: SolverOptions | None = None):
     opts = opts or SolverOptions()
     if opts.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    threads = resolve_threads(opts.threads)
     normalize = bool(opts.normalize) if opts.normalize is not None else True
 
     started = time.perf_counter()
-    comp = compress(tensor, rank, rsvd=RsvdParams(rank=rank, seed=opts.seed), threads=threads)
+    comp = compress(tensor, rank, rsvd=RsvdParams(rank=rank, seed=opts.seed),
+                    threads=opts.threads)
     trace = FitTrace(preprocess_seconds=time.perf_counter() - started,
                      compressed_float_count=comp.float_count())
 
     h, v, w = initial_factors(tensor.num_cols, tensor.num_slices, rank, opts.seed)
-    rotations = None
     prev = None
     for _ in range(opts.max_iters):
         tick = time.perf_counter()
-        rotations = update_rotations(comp, h, v, w, threads=threads)
-        h, v, w = update_factors(comp, rotations, h, v, w, normalize=normalize, threads=threads)
-        e = convergence_metric(comp, rotations, h, v, w, threads=threads)
+        rotations = update_rotations(comp, h, v, w)
+        h, v, w = update_factors(comp, rotations, h, v, w, normalize=normalize)
+        e = convergence_metric(comp, rotations, h, v, w)
         trace.objective.append(e)
         trace.seconds.append(time.perf_counter() - tick)
-        if prev is not None:
-            if prev == 0.0 or abs(prev - e) <= opts.tol * prev:
-                trace.converged = True
-                break
+        if prev is not None and (prev == 0.0 or abs(prev - e) <= opts.tol * prev):
+            trace.converged = True
+            break
         prev = e
 
-    q = parallel_slice_map(
-        lambda k: comp.slice_bases[k] @ (rotations[k].Z @ rotations[k].P.T),
-        comp.num_slices, threads=threads,
-    )
+    q = [a @ (rot.Z @ rot.P.T) for a, rot in zip(comp.slice_bases, rotations)]
     return Parafac2Factors(H=h, V=v, W=w, Q=q), trace

@@ -9,7 +9,15 @@ import pytest
 from dpar2 import cli
 from dpar2.analysis import knn
 from dpar2.errors import NumericFailure
-from dpar2.tensor import MODE_PLANTED, MODE_UNIFORM, SyntheticSpec, generate, load_archive
+from dpar2.tensor import (
+    MODE_PLANTED,
+    MODE_UNIFORM,
+    IrregularTensor,
+    SyntheticSpec,
+    generate,
+    load_archive,
+    save_archive,
+)
 
 
 def read_csv(path):
@@ -162,6 +170,15 @@ class TestDecompose:
         monkeypatch.setattr(cli, "fit_dpar2", explode)
         assert cli.main(["decompose", str(path), "--rank", "2"]) == 4
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_in_compression_exits_4(self, tmp_path, capsys):
+        tensor = load_archive(make_archive(tmp_path))
+        scaled = [x * 1e150 if k == 1 else x for k, x in enumerate(tensor.slices)]
+        path = tmp_path / "huge.irt"
+        save_archive(IrregularTensor(scaled), path)
+        assert cli.main(["decompose", str(path), "--rank", "2"]) == 4
+        assert "(slice 1)" in capsys.readouterr().err
+
 
 class TestBench:
     def test_grid_rows_and_float_counts(self, tmp_path):
@@ -207,7 +224,6 @@ class TestBench:
 class TestAnalyze:
     def fitted_dir(self, tmp_path):
         # the similarity tooling needs same-height slices, so pin the rows
-        from dpar2.tensor import save_archive
         spec = SyntheticSpec(rows=(10,) * 6, cols=8, num_slices=6,
                              mode=MODE_PLANTED, true_rank=2, noise_level=0.3, seed=3)
         path = tmp_path / "equal.irt"

@@ -9,7 +9,7 @@ from dpar2.compress import (
     reconstruct_slice,
     save_compressed,
 )
-from dpar2.errors import ArchiveFormatError, RankTooLargeError
+from dpar2.errors import ArchiveFormatError, NumericFailure, RankTooLargeError
 from dpar2.linalg import RsvdParams
 from dpar2.scheduler import greedy_partition
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
@@ -137,6 +137,15 @@ class TestErrorsAndEdges:
         comp = compress(t, 2, threads=1)
         with pytest.raises(IndexError):
             reconstruct_slice(comp, 99)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_slice_is_a_numeric_failure_naming_it(self):
+        # Finite input, but squaring 1e150 in the power iteration overflows.
+        t = planted(seed=14)
+        huge = IrregularTensor([x * 1e150 if k == 2 else x for k, x in enumerate(t.slices)])
+        with pytest.raises(NumericFailure, match="slice 2") as err:
+            compress(huge, 2, threads=1)
+        assert err.value.slice_index == 2
 
     def test_core_block_layout(self):
         t = planted(seed=11, k=4, rank=3)
