@@ -50,11 +50,11 @@ class SvdTriple:
         return (self.U * self.S) @ self.V.T
 
 
-def _as_matrix(a, name="input"):
+def _as_matrix(a, name="input", check_finite=True):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
+    if check_finite and not np.isfinite(a).all():
         raise NonFiniteInputError(f"{name} contains non-finite values")
     return a
 
@@ -103,8 +103,13 @@ def randomized_svd(a, params: RsvdParams):
     it with a thin QR, and takes the exact truncated SVD of the small
     projected matrix.  The result is truncated to ``params.rank`` columns
     even when oversampling is positive.
+
+    The input is not scanned for NaN or infinity up front: any such value
+    makes the sketch non-finite, and only then is ``a`` checked, to tell
+    :class:`NonFiniteInputError` (bad input) from :class:`NumericFailure`
+    (finite input whose sketch overflowed).
     """
-    a = _as_matrix(a)
+    a = _as_matrix(a, check_finite=False)
     m, n = a.shape
     r = params.rank
     if r < 1:
@@ -121,10 +126,12 @@ def randomized_svd(a, params: RsvdParams):
 
     rng = np.random.Generator(np.random.PCG64(params.seed & _MASK64))
     omega = rng.standard_normal((n, r + over))
-    y = a @ omega
-    for _ in range(params.power_iters):
-        y = a @ (a.T @ y)
+    with np.errstate(over="ignore", invalid="ignore"):  # both are handled below
+        y = a @ omega
+        for _ in range(params.power_iters):
+            y = a @ (a.T @ y)
     if not np.isfinite(y).all():
+        _as_matrix(a)  # NonFiniteInputError when the input itself is bad
         raise NumericFailure("range sketch overflowed; input magnitude too large")
     q, _ = np.linalg.qr(y)
     b = q.T @ a

@@ -5,13 +5,22 @@ chunking can leave one worker with most of the rows.  ``greedy_partition``
 balances load with longest-processing-time-first assignment.  All parallel
 loops write results into per-slice slots and reduce in ascending slice
 order afterwards, so the outcome is bit-identical for any thread count.
+
+These worker threads are the package's only parallelism: importing the
+package sets numpy's bundled OpenBLAS to one thread for the whole process
+(``pin_blas_threads``), so BLAS calls never start threads of their own on
+top of the workers, and results do not depend on ``OPENBLAS_NUM_THREADS``.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -120,3 +129,42 @@ def parallel_slice_map(fn, num_slices, threads=None, groups=None):
         failures.sort(key=lambda pair: pair[0])
         raise failures[0][1]
     return results
+
+
+def _openblas_libraries():
+    """Paths of the OpenBLAS libraries bundled with the numpy wheel."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    return sorted(glob.glob(os.path.join(libs, "*openblas*")))
+
+
+def openblas_function(name):
+    """The C function ``name`` of numpy's bundled OpenBLAS, or None if absent."""
+    for path in _openblas_libraries():
+        try:
+            fn = getattr(ctypes.CDLL(path), name, None)
+        except OSError:
+            continue
+        if fn is not None:
+            return fn
+    return None
+
+
+def pin_blas_threads():
+    """Set numpy's bundled OpenBLAS to one thread; False when it is not found.
+
+    Runs once, when the package is imported.  The pin is process-wide on
+    purpose: scoping it to parallel regions leaves BLAS threads spinning
+    between them, and the thread count changes the bits some BLAS calls
+    return, so every entry point and direct kernel call must see the same
+    count.
+    """
+    setter = openblas_function("scipy_openblas_set_num_threads64_")
+    if setter is None:
+        return False
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
+    return True
+
+
+pin_blas_threads()

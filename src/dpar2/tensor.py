@@ -11,6 +11,7 @@ alternative.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,32 +181,43 @@ def save_archive(tensor: IrregularTensor, path):
 
 
 def load_archive(path):
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != _MAGIC:
-        raise ArchiveFormatError(f"{path}: bad magic, not an IRT1 archive")
-    off = 4
-    if len(data) < off + 8:
-        raise ArchiveFormatError(f"{path}: truncated header")
-    num_slices, cols = struct.unpack_from("<II", data, off)
-    off += 8
-    if num_slices < 1 or cols < 1:
-        raise ArchiveFormatError(f"{path}: invalid dimensions K={num_slices}, J={cols}")
-    slices = []
-    for k in range(num_slices):
-        if len(data) < off + 4:
-            raise ArchiveFormatError(f"{path}: truncated at slice {k} header")
-        (rows,) = struct.unpack_from("<I", data, off)
-        off += 4
-        if rows < 1:
-            raise ArchiveFormatError(f"{path}: slice {k} has zero rows")
-        nbytes = rows * cols * 8
-        if len(data) < off + nbytes:
-            raise ArchiveFormatError(f"{path}: truncated payload in slice {k}")
-        arr = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=off)
-        slices.append(arr.reshape(rows, cols).copy())
-        off += nbytes
-    if off != len(data):
-        raise ArchiveFormatError(f"{path}: {len(data) - off} trailing bytes after last slice")
+    """Read an IRT1 archive.
+
+    Each slice is read straight from the file into its own array, so the
+    payload is copied once and peak memory is the tensor's size.  Reading
+    into one buffer and viewing it would not do: the 4-byte row-count
+    headers leave every other slice misaligned for float64, and numpy copies
+    misaligned operands on every matrix product.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 4 or head[:4] != _MAGIC:
+            raise ArchiveFormatError(f"{path}: bad magic, not an IRT1 archive")
+        if len(head) < 12:
+            raise ArchiveFormatError(f"{path}: truncated header")
+        num_slices, cols = struct.unpack_from("<II", head, 4)
+        off = 12
+        if num_slices < 1 or cols < 1:
+            raise ArchiveFormatError(f"{path}: invalid dimensions K={num_slices}, J={cols}")
+        slices = []
+        for k in range(num_slices):
+            if size < off + 4:
+                raise ArchiveFormatError(f"{path}: truncated at slice {k} header")
+            (rows,) = struct.unpack("<I", fh.read(4))
+            off += 4
+            if rows < 1:
+                raise ArchiveFormatError(f"{path}: slice {k} has zero rows")
+            nbytes = rows * cols * 8
+            if size < off + nbytes:
+                raise ArchiveFormatError(f"{path}: truncated payload in slice {k}")
+            arr = np.empty((rows, cols), dtype="<f8")
+            if fh.readinto(arr) != nbytes:
+                raise ArchiveFormatError(f"{path}: truncated payload in slice {k}")
+            slices.append(arr)
+            off += nbytes
+    if off != size:
+        raise ArchiveFormatError(f"{path}: {size - off} trailing bytes after last slice")
     try:
         return IrregularTensor(slices)
     except NonFiniteInputError as exc:

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpar2.errors import NonFiniteInputError, RankTooLargeError, ShapeMismatchError
+from dpar2.errors import (
+    NonFiniteInputError,
+    NumericFailure,
+    RankTooLargeError,
+    ShapeMismatchError,
+)
 from dpar2.linalg import (
     RsvdParams,
     derived_seed,
@@ -145,6 +150,21 @@ class TestRandomizedSvd:
     def test_rank_too_large(self):
         with pytest.raises(RankTooLargeError):
             randomized_svd(np.ones((4, 3)), RsvdParams(rank=4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        a = np.random.Generator(np.random.PCG64(8)).standard_normal((12, 9))
+        a[7, 4] = bad
+        for power_iters in (0, 1):
+            with pytest.raises(NonFiniteInputError):
+                randomized_svd(a, RsvdParams(rank=3, power_iters=power_iters))
+
+    def test_overflowing_finite_input_is_a_numeric_failure(self):
+        # finite, but A A^T A overflows in the power iteration
+        a = 1e200 * np.random.Generator(np.random.PCG64(8)).standard_normal((12, 9))
+        assert np.isfinite(a).all()
+        with pytest.raises(NumericFailure, match="overflowed"):
+            randomized_svd(a, RsvdParams(rank=3))
 
     def test_oversampling_clamps_to_short_dim(self):
         # default oversampling never makes the sketch wider than min(m, n)

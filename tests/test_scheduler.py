@@ -1,15 +1,35 @@
-"""Partitioning and parallel-loop determinism checks."""
+"""Partitioning, parallel-loop determinism and BLAS thread pin checks."""
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpar2
+from dpar2 import cli
 from dpar2.scheduler import (
     contiguous_chunks,
     greedy_partition,
+    openblas_function,
     parallel_slice_map,
     resolve_threads,
 )
+
+SRC = str(Path(dpar2.__file__).resolve().parents[1])
+
+
+def run_python(args, blas_threads):
+    """Run ``python args`` with the package importable and OpenBLAS at ``blas_threads``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestGreedyPartition:
@@ -125,3 +145,74 @@ class TestResolveThreads:
         monkeypatch.setenv("DPAR2_THREADS", "0")
         with pytest.raises(ValueError):
             resolve_threads(None)
+
+
+# Child script: replace the OpenBLAS library lookup, then import the package,
+# pin and fit.  Prints the BLAS thread count, read through the real library,
+# before and after.
+NO_PIN_CHILD = """
+import _ctypes, ctypes, glob, sys
+import numpy as np
+real = glob.glob(sys.argv[2])
+getter = getattr(ctypes.CDLL(real[0]), "scipy_openblas_get_num_threads64_", None) if real else None
+count = getter if getter else (lambda: "absent")
+before = count()
+found = {"none": [], "no_symbol": [_ctypes.__file__],
+         "missing": ["/nonexistent/libopenblas.so"]}[sys.argv[1]]
+glob.glob = lambda *args, **kwargs: list(found)
+import dpar2
+from dpar2.tensor import SyntheticSpec, generate
+assert dpar2.scheduler.pin_blas_threads() is False
+tensor = generate(SyntheticSpec(rows=12, cols=8, num_slices=4, mode="planted_parafac2",
+                                true_rank=2, seed=1))
+factors, _ = dpar2.fit_dpar2(tensor, 2, dpar2.SolverOptions(max_iters=5, threads=2))
+assert all(np.isfinite(q).all() for q in factors.Q)
+print(before, count())
+"""
+
+
+class TestBlasPin:
+    def blas_threads(self):
+        getter = openblas_function("scipy_openblas_get_num_threads64_")
+        if getter is None:
+            pytest.skip("numpy's OpenBLAS exposes no scipy_openblas_get_num_threads64_")
+        getter.restype = ctypes.c_int
+        return getter()
+
+    def test_import_pins_blas_to_one_thread(self):
+        self.blas_threads()  # skips when the symbol is absent
+        out = run_python(["-c", "import ctypes, dpar2; "
+                          "g = dpar2.scheduler.openblas_function("
+                          "'scipy_openblas_get_num_threads64_'); "
+                          "g.restype = ctypes.c_int; print(g())"], blas_threads=2)
+        assert out.strip() == "1"
+        assert self.blas_threads() == 1
+
+    @pytest.mark.parametrize("lookup", ["none", "no_symbol", "missing"])
+    def test_pin_is_a_no_op_without_library_or_symbol(self, lookup):
+        pattern = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                               "numpy.libs", "*openblas*")
+        before, after = run_python(["-c", NO_PIN_CHILD, lookup, pattern],
+                                   blas_threads=2).split()
+        assert after == before  # nothing was pinned
+
+    def test_output_bytes_independent_of_blas_threads(self, tmp_path):
+        # Large enough that OpenBLAS splits some products across threads
+        # when it is allowed more than one.
+        archive = tmp_path / "blas.irt"
+        assert cli.main(["generate", "--I", "400", "--J", "200", "--K", "12",
+                         "--mode", "planted", "--rank", "10", "--noise", "0.2",
+                         "--seed", "5", "--out", str(archive)]) == 0
+        dirs = []
+        for blas in (1, 2):
+            for threads in (1, 2):
+                outdir = tmp_path / f"b{blas}t{threads}"
+                run_python(["-m", "dpar2.cli", "decompose", str(archive), "--rank", "10",
+                            "--tol", "0", "--max-iters", "10", "--threads", str(threads),
+                            "--out-factors", str(outdir)], blas_threads=blas)
+                dirs.append(outdir)
+        names = sorted(p.name for p in dirs[0].iterdir() if p.name != "manifest.json")
+        assert names
+        for d in dirs[1:]:
+            for name in names:
+                assert (d / name).read_bytes() == (dirs[0] / name).read_bytes(), (d.name, name)
