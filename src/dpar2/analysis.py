@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baseline import residual_terms, slice_projections
 from .errors import DegenerateInputError, IsolatedNodeError, ShapeMismatchError
 from .factors import Parafac2Factors
 from .scheduler import parallel_slice_map
@@ -24,22 +25,18 @@ def fitness(tensor: IrregularTensor, factors: Parafac2Factors, threads=None):
     """1 - sum_k ||X_k - Xhat_k||_F^2 / sum_k ||X_k||_F^2.
 
     1 is a perfect fit; 0 means no better than predicting zero.  Raises on
-    an all-zero tensor, where the ratio is undefined.
+    an all-zero tensor, where the ratio is undefined.  The residual is
+    expanded over Q_k^T X_k (see :func:`~dpar2.baseline.residual_terms`),
+    so no I_k x J array is formed.
     """
     if factors.num_slices != tensor.num_slices:
         raise ShapeMismatchError(
             f"factors cover {factors.num_slices} slices, tensor has {tensor.num_slices}"
         )
-    vt = factors.V.T
-
-    def pair(k):
-        x = tensor.slices[k]
-        diff = x - (factors.Q[k] @ (factors.H * factors.W[k])) @ vt
-        return float(np.dot(x.ravel(), x.ravel())), float(np.dot(diff.ravel(), diff.ravel()))
-
-    parts = parallel_slice_map(pair, tensor.num_slices, threads=threads)
-    total = float(np.add.reduce(np.asarray([p[0] for p in parts])))
-    resid = float(np.add.reduce(np.asarray([p[1] for p in parts])))
+    x_sq, cores, grams = slice_projections(tensor, factors.Q, threads)
+    total = float(np.add.reduce(x_sq))
+    resid = float(np.add.reduce(
+        residual_terms(x_sq, cores, grams, factors.H, factors.V, factors.W)))
     if total == 0.0:
         raise DegenerateInputError("fitness undefined for an all-zero tensor")
     return 1.0 - resid / total

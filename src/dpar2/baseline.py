@@ -4,8 +4,10 @@ Each iteration first solves the per-slice orthogonal Procrustes problems
 (Q_k from the truncated SVD of X_k V S_k H^T), projects the slices to the
 small core stack Y_k = Q_k^T X_k, and then runs one alternating sweep over
 H, V, W on that stack.  The reconstruction error sum_k ||X_k - Q_k H S_k
-V^T||_F^2 is tracked every iteration and drives the stopping rule, which
-makes this solver exact but slow: it touches all of X every pass.
+V^T||_F^2 is tracked every iteration and drives the stopping rule; it is
+expanded over ||X_k||^2, Y_k and Q_k^T Q_k, so it costs no pass over X of
+its own.  The solver is still exact but slow: the Procrustes step and the
+projection touch all of X every pass.
 """
 from __future__ import annotations
 
@@ -87,6 +89,7 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
     normalize = bool(opts.normalize) if opts.normalize is not None else False
     num = tensor.num_slices
     h, v, w = initial_factors(tensor.num_cols, num, rank, opts.seed)
+    x_sq = np.array(parallel_slice_map(lambda k: _sq_norm(tensor.slices[k]), num, threads=threads))
     q = None
     trace = FitTrace()
     prev = None
@@ -99,7 +102,8 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
         )
         cores = parallel_slice_map(lambda k: q[k].T @ tensor.slices[k], num, threads=threads)
         h, v, w = cp_als_step(cores, h, v, w, normalize=normalize)
-        objective = reconstruction_error(tensor, q, h, v, w, threads=threads)
+        grams = [qk.T @ qk for qk in q]
+        objective = float(np.add.reduce(residual_terms(x_sq, cores, grams, h, v, w)))
         trace.objective.append(objective)
         trace.seconds.append(time.perf_counter() - started)
         if prev is not None:
@@ -110,13 +114,42 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
     return Parafac2Factors(H=h, V=v, W=w, Q=q), trace
 
 
+def _sq_norm(x):
+    return float(np.dot(x.ravel(), x.ravel()))
+
+
+def residual_terms(x_sq, cores, grams, h, v, w):
+    """||X_k - Q_k H S_k V^T||_F^2 of every slice, from R-sized pieces only.
+
+    With Y_k = Q_k^T X_k and M_k = H S_k V^T each term expands to
+    ||X_k||^2 - 2 <Y_k, M_k> + <Q_k^T Q_k, M_k M_k^T>, which holds for any
+    Q_k, orthonormal or not.  ``x_sq`` holds the ||X_k||^2, ``cores`` the
+    Y_k and ``grams`` the Q_k^T Q_k.  Near an exact fit the expansion
+    cancels to rounding error, so each term is clamped at 0.
+    """
+    hs = h * w[:, None, :]  # H S_k, (K, R, R)
+    cross = np.sum((np.stack(cores) @ v) * hs, axis=(1, 2))  # <Y_k V, H S_k>
+    model_gram = hs @ gram(v) @ hs.transpose(0, 2, 1)  # M_k M_k^T
+    quad = np.sum(np.stack(grams) * model_gram, axis=(1, 2))
+    return np.maximum(x_sq - 2.0 * cross + quad, 0.0)
+
+
+def slice_projections(tensor, q, threads=None):
+    """||X_k||^2, Y_k = Q_k^T X_k and Q_k^T Q_k of every slice, as the
+    first three arguments of :func:`residual_terms`."""
+
+    def project(k):
+        x = tensor.slices[k]
+        return _sq_norm(x), q[k].T @ x, q[k].T @ q[k]
+
+    x_sq, cores, grams = zip(*parallel_slice_map(project, tensor.num_slices, threads=threads))
+    return np.array(x_sq), cores, grams
+
+
 def reconstruction_error(tensor, q, h, v, w, threads=None):
-    """sum_k ||X_k - Q_k (H S_k) V^T||_F^2, reduced in slice order."""
-    vt = v.T
+    """sum_k ||X_k - Q_k (H S_k) V^T||_F^2, reduced in slice order.
 
-    def residual(k):
-        diff = tensor.slices[k] - (q[k] @ (h * w[k])) @ vt
-        return float(np.dot(diff.ravel(), diff.ravel()))
-
-    parts = parallel_slice_map(residual, tensor.num_slices, threads=threads)
-    return float(np.add.reduce(np.asarray(parts)))
+    No I_k x J residual is formed: see :func:`residual_terms`.
+    """
+    terms = residual_terms(*slice_projections(tensor, q, threads), h, v, w)
+    return float(np.add.reduce(terms))

@@ -10,8 +10,16 @@ M ~ D diag(E) F^T, leaving
 where F_k is the k-th (R x R) block of F (KR x R).  Only A_k, D, E, F are
 kept: sum(I_k) R + K R^2 + J R + R floats in total.
 
-Per-slice sketch seeds derive from (seed, k) only, so results never depend
-on the work partition or thread count.  The archive format ("IRC1"):
+Each worker sketches the slices it owns as stacks of equal row count, one
+batched randomized SVD per stack.  NumPy's linalg gufuncs and the Python
+overhead of every call hold the GIL; only the BLAS products release it.
+Stacking turns thousands of tiny calls into a few large ones, so one
+worker's products overlap another's factorizations: it is what lets a
+second worker add speed on many small slices.  Per-slice
+sketch seeds derive from (seed, k) only, and a stack factorizes each matrix
+as it would alone, so the bits never depend on the work partition or thread
+count and equal per-slice ``randomized_svd`` calls.  The archive format
+("IRC1"):
 
     magic | u32 K | u32 J | u32 R | D | E | F | K * ( u32 I_k | A_k )
 
@@ -72,6 +80,33 @@ class CompressedTensor:
         )
 
 
+# Stage-1 stacks hold at most this many floats: enough slices to amortize
+# NumPy's per-call overhead on small slices, few enough that copying them
+# into the stack stays cheap.  A larger slice is a stack of one, a view.
+_STACK_FLOATS = 1 << 18
+
+
+def _stage1_stacks(plan, row_counts, cols):
+    """Each worker's slices grouped by row count into stacks.
+
+    Returns the stacks (lists of slice indices) and, per worker, the
+    indices of its stacks.
+    """
+    stacks, groups = [], []
+    for owned in plan.sets:
+        by_rows = {}
+        for k in owned:
+            by_rows.setdefault(row_counts[k], []).append(k)
+        mine = []
+        for rows, ks in by_rows.items():
+            size = max(1, _STACK_FLOATS // (rows * cols))
+            for start in range(0, len(ks), size):
+                mine.append(len(stacks))
+                stacks.append(ks[start : start + size])
+        groups.append(mine)
+    return stacks, groups
+
+
 def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None,
              stage2: RsvdParams | None = None, plan=None, threads=None):
     """Compress ``tensor`` at ``rank`` with two randomized-SVD stages.
@@ -79,40 +114,58 @@ def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None,
     ``rsvd`` supplies oversampling / power-iteration / seed settings for the
     per-slice stage (its rank field is overridden by ``rank``); ``stage2``
     optionally overrides them for the concatenated stage.  ``plan`` chooses
-    which worker sketches which slice and has no effect on the values.
+    which worker sketches which slice; each worker sketches its slices as
+    stacks of equal row count, because the linalg gufuncs hold the GIL and
+    only a few large calls leave a second worker room to overlap.  Neither
+    the plan nor the thread count changes the values: every slice gets the
+    bits of ``randomized_svd(x_k, seed=derived_seed(seed, k))``.
     """
+    row_counts = tensor.row_counts
     if rank < 1:
         raise RankTooLargeError(f"rank must be >= 1, got {rank}")
     if rank > tensor.num_cols:
         raise RankTooLargeError(f"rank {rank} exceeds column count {tensor.num_cols}")
-    for k, rows in enumerate(tensor.row_counts):
+    for k, rows in enumerate(row_counts):
         if rank > rows:
             raise RankTooLargeError(f"rank {rank} exceeds row count {rows} of slice {k}")
     base = rsvd if rsvd is not None else RsvdParams(rank=rank)
+    params = replace(base, rank=rank)
     threads = resolve_threads(threads)
     if plan is None:
-        plan = greedy_partition(tensor.row_counts, threads)
+        plan = greedy_partition(row_counts, threads)
+    stacks, groups = _stage1_stacks(plan, row_counts, tensor.num_cols)
 
-    def sketch(k):
-        params = replace(base, rank=rank, seed=derived_seed(base.seed, k))
+    def sketch(i):
+        ks = stacks[i]
+        if len(ks) == 1:
+            x = tensor.slices[ks[0]][None]
+        else:
+            x = np.stack([tensor.slices[k] for k in ks])
         try:
-            return randomized_svd(tensor.slices[k], params)
+            return randomized_svd(x, params, seeds=[derived_seed(base.seed, k) for k in ks])
         except NumericFailure as exc:
-            raise NumericFailure(str(exc), slice_index=k) from exc
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailure("sketch factorization failed", slice_index=k) from exc
+            if exc.slice_index is None:  # the factorization does not say which matrix
+                raise NumericFailure(f"{exc.reason} in the stack of slices {ks}") from exc
+            raise NumericFailure(exc.reason, slice_index=ks[exc.slice_index]) from exc
 
-    stage1 = parallel_slice_map(sketch, tensor.num_slices, threads=threads, groups=plan.sets)
+    stage1 = parallel_slice_map(sketch, len(stacks), threads=threads, groups=groups)
 
+    bases = [None] * tensor.num_slices
+    rights = [None] * tensor.num_slices
+    for ks, trip in zip(stacks, stage1):
+        right = trip.V * trip.S[:, None, :]
+        for g, k in enumerate(ks):
+            bases[k] = trip.U[g]
+            rights[k] = right[g]
     # J x KR concatenation of the slice right parts C_k B_k, in slice order.
-    merged = np.concatenate([trip.V * trip.S for trip in stage1], axis=1)
+    merged = np.concatenate(rights, axis=1)
     second = stage2 if stage2 is not None else base
     second = replace(second, rank=rank, seed=derived_seed(second.seed, tensor.num_slices))
     shared = randomized_svd(merged, second)
 
     return CompressedTensor(
         rank=rank,
-        slice_bases=[trip.U for trip in stage1],
+        slice_bases=bases,
         col_basis=shared.U,
         weights=shared.S,
         cores=np.ascontiguousarray(shared.V),

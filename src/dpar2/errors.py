@@ -34,9 +34,14 @@ class IsolatedNodeError(DecompositionError):
 
 
 class NumericFailure(DecompositionError):
-    """A numeric kernel failed; carries the offending slice index when known."""
+    """A numeric kernel failed; carries the offending slice index when known.
+
+    ``reason`` is the message without the slice suffix, so a caller that
+    knows the slice's index in a larger collection can re-raise with it.
+    """
 
     def __init__(self, message, slice_index=None):
+        self.reason = message
         if slice_index is not None:
             message = f"{message} (slice {slice_index})"
         super().__init__(message)

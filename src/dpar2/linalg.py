@@ -36,7 +36,8 @@ class RsvdParams:
 @dataclass
 class SvdTriple:
     """Truncated SVD factors: U (m x r) and V (n x r) column-orthonormal,
-    S the leading r singular values in descending order."""
+    S the leading r singular values in descending order.  Stacked factors,
+    U (G, m, r), S (G, r) and V (G, n, r), hold one triple per matrix."""
 
     U: np.ndarray
     S: np.ndarray
@@ -44,17 +45,17 @@ class SvdTriple:
 
     @property
     def rank(self):
-        return self.S.shape[0]
+        return self.S.shape[-1]
 
     def reconstruct(self):
-        return (self.U * self.S) @ self.V.T
+        return (self.U * self.S[..., None, :]) @ np.swapaxes(self.V, -1, -2)
 
 
-def _as_matrix(a, name="input", check_finite=True):
+def _as_matrix(a, name="input"):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got ndim={a.ndim}")
-    if check_finite and not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         raise NonFiniteInputError(f"{name} contains non-finite values")
     return a
 
@@ -94,28 +95,42 @@ def truncated_svd(a, rank):
     return SvdTriple(u, s, v)
 
 
-def randomized_svd(a, params: RsvdParams):
+def randomized_svd(a, params: RsvdParams, seeds=None):
     """Gaussian-sketch randomized SVD (range finder with power iterations).
 
-    Draws a test matrix from a PCG64 stream seeded with ``params.seed``
-    (standard normals via numpy's ziggurat sampler, so the sketch is
-    platform-independent), forms ``Y = (A A^T)^q A Omega``, orthonormalizes
-    it with a thin QR, and takes the exact truncated SVD of the small
-    projected matrix.  The result is truncated to ``params.rank`` columns
-    even when oversampling is positive.
+    ``a`` is one (m, n) matrix or a (G, m, n) stack of them.  Each matrix
+    draws its test matrix from a PCG64 stream of its own seed: ``params.seed``
+    for a single matrix, ``seeds[g]`` for matrix g of a stack (standard
+    normals via numpy's ziggurat sampler, so the sketch is
+    platform-independent).  It forms ``Y = (A A^T)^q A Omega``,
+    orthonormalizes it with a thin QR, and takes the exact SVD of the small
+    projected matrix ``Q^T A``.  The result is truncated to ``params.rank``
+    columns even when oversampling is positive.  A stack returns U (G, m, R),
+    S (G, R) and V (G, n, R), and every matrix gets the same bits as it would
+    alone: the linalg gufuncs and matmul factorize a stack one matrix at a
+    time.
 
     The input is not scanned for NaN or infinity up front: any such value
-    makes the sketch non-finite, and only then is ``a`` checked, to tell
-    :class:`NonFiniteInputError` (bad input) from :class:`NumericFailure`
-    (finite input whose sketch overflowed).
+    makes the sketch non-finite, and only then is the matrix checked, to
+    tell :class:`NonFiniteInputError` (bad input) from
+    :class:`NumericFailure` (finite input whose sketch overflowed).  For a
+    stack, the error's ``slice_index`` is the position of the first such
+    matrix in the stack.
     """
-    a = _as_matrix(a, check_finite=False)
-    m, n = a.shape
+    a = np.asarray(a, dtype=np.float64)
+    single = a.ndim == 2
+    if single:
+        a, seeds = a[None], [params.seed]
+    elif a.ndim != 3:
+        raise ShapeMismatchError(f"input must be 2-D or a 3-D stack, got ndim={a.ndim}")
+    elif seeds is None or len(seeds) != a.shape[0]:
+        raise ValueError("a stack needs one seed per matrix")
+    count, m, n = a.shape
     r = params.rank
     if r < 1:
         raise RankTooLargeError(f"rank must be >= 1, got {r}")
     if r > min(m, n):
-        raise RankTooLargeError(f"rank {r} exceeds min of matrix shape {a.shape}")
+        raise RankTooLargeError(f"rank {r} exceeds min of matrix shape {(m, n)}")
     if params.power_iters < 0:
         raise ValueError("power_iters must be >= 0")
     over = params.oversampling
@@ -124,21 +139,30 @@ def randomized_svd(a, params: RsvdParams):
     if over < 0:
         raise ValueError("oversampling must be >= 0")
 
-    rng = np.random.Generator(np.random.PCG64(params.seed & _MASK64))
-    omega = rng.standard_normal((n, r + over))
+    omega = np.empty((count, n, r + over))
+    for g, seed in enumerate(seeds):
+        np.random.Generator(np.random.PCG64(seed & _MASK64)).standard_normal(out=omega[g])
+    at = np.swapaxes(a, -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):  # both are handled below
         y = a @ omega
         for _ in range(params.power_iters):
-            y = a @ (a.T @ y)
-    if not np.isfinite(y).all():
-        _as_matrix(a)  # NonFiniteInputError when the input itself is bad
-        raise NumericFailure("range sketch overflowed; input magnitude too large")
-    q, _ = np.linalg.qr(y)
-    b = q.T @ a
-    small = truncated_svd(b, r)
-    u = q @ small.U
-    u, v = fix_signs(u, small.V)
-    return SvdTriple(u, small.S, v)
+            y = a @ (at @ y)
+    finite = np.isfinite(y).all(axis=(-2, -1))
+    if not finite.all():
+        g = int(np.argmin(finite))
+        _as_matrix(a[g])  # NonFiniteInputError when the input itself is bad
+        raise NumericFailure("range sketch overflowed; input magnitude too large",
+                             slice_index=None if single else g)
+    try:
+        q, _ = np.linalg.qr(y)
+        small_u, s, small_vt = np.linalg.svd(np.swapaxes(q, -1, -2) @ a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure("sketch factorization failed") from exc
+    u, v = fix_signs(q @ small_u[..., :r], np.swapaxes(small_vt[..., :r, :], -1, -2).copy())
+    s = s[..., :r].copy()
+    if single:
+        return SvdTriple(u[0], s[0], v[0])
+    return SvdTriple(u, s, v)
 
 
 def pinv_small(a):

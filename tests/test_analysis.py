@@ -73,6 +73,33 @@ class TestFitness:
             fitness(short, factors)
 
 
+def non_orthonormal_case():
+    rng = np.random.Generator(np.random.PCG64(9))
+    rows, cols, rank = (8, 3, 11), 6, 2
+    factors = Parafac2Factors(H=rng.standard_normal((rank, rank)),
+                              V=rng.standard_normal((cols, rank)),
+                              W=rng.standard_normal((len(rows), rank)),
+                              Q=[rng.standard_normal((r, rank)) for r in rows])
+    return IrregularTensor([rng.standard_normal((r, cols)) for r in rows]), factors
+
+
+def noisy_fit_case():
+    t = generate(SyntheticSpec(rows=12, cols=8, num_slices=4, mode=MODE_PLANTED,
+                               true_rank=2, noise_level=0.4, seed=2))
+    return t, fit_baseline(t, 2, SolverOptions(max_iters=4))[0]
+
+
+@pytest.mark.parametrize("case", [non_orthonormal_case, exact_factors_for, noisy_fit_case],
+                         ids=["non_orthonormal_q", "exact_fit", "noisy_fit"])
+def test_fitness_matches_materialized_residual(case):
+    t, factors = case()
+    direct = sum(np.linalg.norm(x - factors.reconstruct_slice(k)) ** 2
+                 for k, x in enumerate(t.slices))
+    got = fitness(t, factors, threads=2)
+    assert got <= 1.0
+    assert abs(got - (1.0 - direct / t.total_sq_norm())) <= 1e-9
+
+
 class TestSimilarity:
     def test_identical_factors_score_one(self):
         u = np.arange(12.0).reshape(4, 3)

@@ -178,3 +178,31 @@ class TestFitBaseline:
             for k in range(3)
         )
         assert abs(trace.objective[-1] - direct) <= 1e-9 * max(direct, 1.0)
+
+
+def residual_case(name):
+    """A tensor and factors for checking the residual expansion against a
+    materialized sum: random non-orthonormal Q, an exact fit, or a noisy fit."""
+    rng = np.random.Generator(np.random.PCG64(10))
+    rows, cols, rank = (9, 4, 13, 6), 7, 3
+    if name == "noisy_fit":
+        t = generate(SyntheticSpec(rows=14, cols=cols, num_slices=5, mode=MODE_PLANTED,
+                                   true_rank=rank, noise_level=0.3, seed=11))
+        f, _ = fit_baseline(t, rank, SolverOptions(max_iters=4, tol=0.0))
+        return t, f.Q, f.H, f.V, f.W
+    h, v, w = random_factors(12, rank, cols, len(rows))
+    if name == "non_orthonormal_q":
+        q = [rng.standard_normal((r, rank)) for r in rows]
+        return IrregularTensor([rng.standard_normal((r, cols)) for r in rows]), q, h, v, w
+    q = [np.linalg.qr(rng.standard_normal((r, rank)))[0] for r in rows]
+    return IrregularTensor([(qk @ (h * w[k])) @ v.T for k, qk in enumerate(q)]), q, h, v, w
+
+
+@pytest.mark.parametrize("name", ["non_orthonormal_q", "exact_fit", "noisy_fit"])
+def test_reconstruction_error_expansion_matches_materialized_sum(name):
+    t, q, h, v, w = residual_case(name)
+    direct = sum(np.linalg.norm(x - (q[k] @ (h * w[k])) @ v.T) ** 2
+                 for k, x in enumerate(t.slices))
+    got = reconstruction_error(t, q, h, v, w, threads=2)
+    assert got >= 0.0
+    assert abs(got - direct) <= 1e-9 * t.total_sq_norm()

@@ -10,7 +10,7 @@ from dpar2.compress import (
     save_compressed,
 )
 from dpar2.errors import ArchiveFormatError, NumericFailure, RankTooLargeError
-from dpar2.linalg import RsvdParams
+from dpar2.linalg import RsvdParams, derived_seed, randomized_svd
 from dpar2.scheduler import greedy_partition
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
 
@@ -51,8 +51,6 @@ class TestAccuracy:
     def test_stage2_near_optimal(self):
         # the concatenated sketch stays within 1.5x of the best rank-R error
         # for the actual stage-2 input, rebuilt here with the same seeds
-        from dpar2.linalg import derived_seed, randomized_svd
-
         t = planted(seed=4, rank=4, noise=0.3)
         rank = 2
         comp = compress(t, rank, threads=1)
@@ -114,6 +112,30 @@ class TestDeterminism:
             for a, b in zip(other.slice_bases, ref.slice_bases):
                 assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("plan_workers", [None, 4])
+    def test_stacks_match_per_slice_sketches(self, threads, plan_workers):
+        # Repeated and mixed row counts; at 4000 columns the 30-row slices
+        # split into several stacks and the 70-row slice alone exceeds a
+        # stack's size.
+        rows = [30, 7, 70, 30, 30, 12, 7, 30]
+        rng = np.random.Generator(np.random.PCG64(15))
+        t = IrregularTensor([rng.standard_normal((r, 4000)) for r in rows])
+        params = RsvdParams(rank=3, power_iters=2, seed=21)
+        plan = None if plan_workers is None else greedy_partition(rows, plan_workers)
+        comp = compress(t, 3, rsvd=params, plan=plan, threads=threads)
+
+        stage1 = [randomized_svd(x, RsvdParams(rank=3, power_iters=2, seed=derived_seed(21, k)))
+                  for k, x in enumerate(t.slices)]
+        merged = np.concatenate([trip.V * trip.S for trip in stage1], axis=1)
+        shared = randomized_svd(merged, RsvdParams(rank=3, power_iters=2,
+                                                   seed=derived_seed(21, len(rows))))
+        for got, trip in zip(comp.slice_bases, stage1):
+            assert got.tobytes() == trip.U.tobytes()
+        assert comp.col_basis.tobytes() == shared.U.tobytes()
+        assert comp.weights.tobytes() == shared.S.tobytes()
+        assert comp.cores.tobytes() == shared.V.tobytes()
+
     def test_seed_changes_bits(self):
         t = planted(seed=9, noise=0.2)
         a = compress(t, 2, rsvd=RsvdParams(rank=2, seed=0), threads=1)
@@ -146,6 +168,27 @@ class TestErrorsAndEdges:
         with pytest.raises(NumericFailure, match="slice 2") as err:
             compress(huge, 2, threads=1)
         assert err.value.slice_index == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflow_inside_a_stack_names_the_slice(self, threads):
+        # Five equal-height slices: one stack at threads=1, stacks [0, 2, 4]
+        # and [1, 3] at threads=2; slice 2 is in the middle of either.
+        rng = np.random.Generator(np.random.PCG64(16))
+        slices = [rng.standard_normal((10, 6)) for _ in range(5)]
+        slices[2] = slices[2] * 1e150
+        with pytest.raises(NumericFailure, match="slice 2") as err:
+            compress(IrregularTensor(slices), 2, threads=threads)
+        assert err.value.slice_index == 2
+
+    def test_failed_factorization_names_the_stack(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        t = IrregularTensor([np.eye(6)[:, :4] + k for k in range(3)])
+        stack = r"factorization failed in the stack of slices \[0, 1, 2\]"
+        with pytest.raises(NumericFailure, match=stack):
+            compress(t, 2, threads=1)
 
     def test_core_block_layout(self):
         t = planted(seed=11, k=4, rank=3)

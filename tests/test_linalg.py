@@ -4,6 +4,8 @@ Oracles here are deliberately independent of the implementations under
 test: a Gauss-elimination inverse, triple-loop Gram products, and
 per-column Kronecker products.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from dpar2.errors import (
 from dpar2.linalg import (
     RsvdParams,
     derived_seed,
+    fix_signs,
     gram,
     hadamard,
     khatri_rao,
@@ -101,7 +104,65 @@ class TestTruncatedSvd:
         assert (np.diff(trip.S) <= 1e-12).all()
 
 
+def per_matrix_rsvd(a, params):
+    """Reference randomized SVD of one matrix built on ``truncated_svd``:
+    Gaussian sketch, power iterations, QR, ``truncated_svd`` of Q^T A (with
+    its own sign fix), then U = Q U_small and a second sign fix."""
+    m, n = a.shape
+    over = params.oversampling
+    if over is None:
+        over = min(10, min(m, n) - params.rank)
+    rng = np.random.Generator(np.random.PCG64(params.seed & (2**64 - 1)))
+    y = a @ rng.standard_normal((n, params.rank + over))
+    for _ in range(params.power_iters):
+        y = a @ (a.T @ y)
+    q, _ = np.linalg.qr(y)
+    small = truncated_svd(q.T @ a, params.rank)
+    u, v = fix_signs(q @ small.U, small.V)
+    return u, small.S, v
+
+
 class TestRandomizedSvd:
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("oversampling", [None, 0])
+    @pytest.mark.parametrize("power_iters", [0, 1, 2])
+    def test_stack_matches_per_matrix_recipe_bitwise(self, shape, oversampling, power_iters):
+        rng = np.random.Generator(np.random.PCG64(12))
+        stack = rng.standard_normal((3, *shape))
+        params = RsvdParams(rank=4, oversampling=oversampling, power_iters=power_iters)
+        seeds = [derived_seed(5, g) for g in range(3)]
+        stacked = randomized_svd(stack, params, seeds=seeds)
+        assert stacked.U.shape == (3, shape[0], 4)
+        assert stacked.S.shape == (3, 4)
+        assert stacked.V.shape == (3, shape[1], 4)
+        for g, seed in enumerate(seeds):
+            own = replace(params, seed=seed)
+            alone = randomized_svd(stack[g], own)
+            want = per_matrix_rsvd(stack[g], own)
+            for got_alone, got_stacked, ref in zip(
+                    (alone.U, alone.S, alone.V),
+                    (stacked.U[g], stacked.S[g], stacked.V[g]), want):
+                assert got_alone.shape == ref.shape
+                assert got_alone.tobytes() == ref.tobytes()
+                assert got_stacked.tobytes() == ref.tobytes()
+
+    def test_stack_needs_one_seed_per_matrix(self):
+        stack = np.ones((2, 5, 4))
+        with pytest.raises(ValueError, match="one seed per matrix"):
+            randomized_svd(stack, RsvdParams(rank=2))
+        with pytest.raises(ValueError, match="one seed per matrix"):
+            randomized_svd(stack, RsvdParams(rank=2), seeds=[1])
+        with pytest.raises(ShapeMismatchError):
+            randomized_svd(np.ones(5), RsvdParams(rank=1))
+
+    def test_overflow_in_a_stack_names_its_position(self):
+        rng = np.random.Generator(np.random.PCG64(13))
+        stack = rng.standard_normal((4, 10, 6))
+        stack[2] *= 1e200
+        with pytest.raises(NumericFailure, match="overflowed") as err:
+            randomized_svd(stack, RsvdParams(rank=2), seeds=[0, 1, 2, 3])
+        assert err.value.slice_index == 2
+
     def test_identity_input(self):
         trip = randomized_svd(np.eye(5), RsvdParams(rank=3, seed=11))
         assert np.allclose(trip.S, 1.0, atol=1e-9)
