@@ -5,9 +5,9 @@ Each iteration first solves the per-slice orthogonal Procrustes problems
 small core stack Y_k = Q_k^T X_k, and then runs one alternating sweep over
 H, V, W on that stack.  The reconstruction error sum_k ||X_k - Q_k H S_k
 V^T||_F^2 is tracked every iteration and drives the stopping rule; it is
-expanded over ||X_k||^2, Y_k and Q_k^T Q_k, so it costs no pass over X of
-its own.  The solver is still exact but slow: the Procrustes step and the
-projection touch all of X every pass.
+expanded over ||X_k||^2 (which the tensor keeps), Y_k and Q_k^T Q_k, so it
+costs no pass over X of its own.  The solver is still exact but slow: the
+Procrustes step and the projection touch all of X every pass.
 """
 from __future__ import annotations
 
@@ -89,7 +89,7 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
     normalize = bool(opts.normalize) if opts.normalize is not None else False
     num = tensor.num_slices
     h, v, w = initial_factors(tensor.num_cols, num, rank, opts.seed)
-    x_sq = np.array(parallel_slice_map(lambda k: _sq_norm(tensor.slices[k]), num, threads=threads))
+    x_sq = np.array(tensor.sq_norms)
     q = None
     trace = FitTrace()
     prev = None
@@ -114,10 +114,6 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
     return Parafac2Factors(H=h, V=v, W=w, Q=q), trace
 
 
-def _sq_norm(x):
-    return float(np.dot(x.ravel(), x.ravel()))
-
-
 def residual_terms(x_sq, cores, grams, h, v, w):
     """||X_k - Q_k H S_k V^T||_F^2 of every slice, from R-sized pieces only.
 
@@ -136,14 +132,14 @@ def residual_terms(x_sq, cores, grams, h, v, w):
 
 def slice_projections(tensor, q, threads=None):
     """||X_k||^2, Y_k = Q_k^T X_k and Q_k^T Q_k of every slice, as the
-    first three arguments of :func:`residual_terms`."""
+    first three arguments of :func:`residual_terms`.  The norms are the
+    ones the tensor keeps; only the projections pass over X."""
 
     def project(k):
-        x = tensor.slices[k]
-        return _sq_norm(x), q[k].T @ x, q[k].T @ q[k]
+        return q[k].T @ tensor.slices[k], q[k].T @ q[k]
 
-    x_sq, cores, grams = zip(*parallel_slice_map(project, tensor.num_slices, threads=threads))
-    return np.array(x_sq), cores, grams
+    cores, grams = zip(*parallel_slice_map(project, tensor.num_slices, threads=threads))
+    return np.array(tensor.sq_norms), cores, grams
 
 
 def reconstruction_error(tensor, q, h, v, w, threads=None):

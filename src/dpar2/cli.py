@@ -101,13 +101,13 @@ class RunReport:
         return out
 
 
-def _load_tensor(path):
+def _load_tensor(path, threads):
     p = Path(path)
     if not p.exists():
         raise DecompositionError(f"{path}: no such file or directory")
     if p.is_dir():
         return load_csv_dir(p)
-    return load_archive(p)
+    return load_archive(p, threads=threads)
 
 
 def _run_method(tensor, method, rank, opts):
@@ -135,10 +135,10 @@ def cmd_generate(args):
 
 
 def cmd_decompose(args):
-    tensor = _load_tensor(args.input)
+    threads = resolve_threads(args.threads)
+    tensor = _load_tensor(args.input, threads)
     opts = SolverOptions(max_iters=args.max_iters, tol=args.tol, seed=args.seed,
                          threads=args.threads)
-    threads = resolve_threads(args.threads)
     factors, trace, total = _run_method(tensor, args.method, args.rank, opts)
     fit_value = analysis.fitness(tensor, factors, threads=threads) if args.report_fitness else None
     report = RunReport(

@@ -27,9 +27,10 @@ with all float payloads little-endian float64, row-major.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -195,37 +196,45 @@ def save_compressed(comp: CompressedTensor, path):
 
 
 def load_compressed(path):
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != _MAGIC:
-        raise ArchiveFormatError(f"{path}: bad magic, not an IRC1 archive")
-    off = 4
-    if len(data) < off + 12:
-        raise ArchiveFormatError(f"{path}: truncated header")
-    num_slices, cols, rank = struct.unpack_from("<III", data, off)
-    off += 12
-    if num_slices < 1 or cols < 1 or rank < 1:
-        raise ArchiveFormatError(f"{path}: invalid dimensions")
+    """Read an IRC1 archive, each array straight from the file into its own.
 
-    def take(count, shape):
-        nonlocal off
-        nbytes = count * 8
-        if len(data) < off + nbytes:
-            raise ArchiveFormatError(f"{path}: truncated payload")
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-        off += nbytes
-        return arr
+    Every size is checked against the file before its array is allocated,
+    and nothing is held twice: peak memory is the compressed tensor's size.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if len(head) < 4 or head[:4] != _MAGIC:
+            raise ArchiveFormatError(f"{path}: bad magic, not an IRC1 archive")
+        if len(head) < 16:
+            raise ArchiveFormatError(f"{path}: truncated header")
+        num_slices, cols, rank = struct.unpack_from("<III", head, 4)
+        off = 16
+        if num_slices < 1 or cols < 1 or rank < 1:
+            raise ArchiveFormatError(f"{path}: invalid dimensions")
 
-    col_basis = take(cols * rank, (cols, rank))
-    weights = take(rank, (rank,))
-    cores = take(num_slices * rank * rank, (num_slices * rank, rank))
-    bases = []
-    for k in range(num_slices):
-        if len(data) < off + 4:
-            raise ArchiveFormatError(f"{path}: truncated at slice {k}")
-        (rows,) = struct.unpack_from("<I", data, off)
-        off += 4
-        bases.append(take(rows * rank, (rows, rank)))
-    if off != len(data):
+        def take(shape):
+            nonlocal off
+            nbytes = math.prod(shape) * 8
+            if size < off + nbytes:
+                raise ArchiveFormatError(f"{path}: truncated payload")
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != nbytes:
+                raise ArchiveFormatError(f"{path}: truncated payload")
+            off += nbytes
+            return arr
+
+        col_basis = take((cols, rank))
+        weights = take((rank,))
+        cores = take((num_slices * rank, rank))
+        bases = []
+        for k in range(num_slices):
+            if size < off + 4:
+                raise ArchiveFormatError(f"{path}: truncated at slice {k}")
+            (rows,) = struct.unpack("<I", fh.read(4))
+            off += 4
+            bases.append(take((rows, rank)))
+    if off != size:
         raise ArchiveFormatError(f"{path}: trailing bytes")
     return CompressedTensor(
         rank=rank, slice_bases=bases, col_basis=col_basis, weights=weights, cores=cores

@@ -97,27 +97,30 @@ def parallel_slice_map(fn, num_slices, threads=None, groups=None):
     ``groups`` (a list of index lists, e.g. ``PartitionPlan.sets``) controls
     which worker owns which slices; by default slices are chunked
     contiguously.  Each result lands in its own slot, so the returned list
-    is in ascending slice order regardless of scheduling.  The first failing
-    slice aborts the batch and its exception is re-raised.
+    is in ascending slice order regardless of scheduling.  Once a slice
+    fails, workers skip the slices above the lowest failure seen so far but
+    still run the ones below it, so the exception re-raised is always the
+    lowest failing slice's, whatever the thread count or grouping.
     """
     threads = resolve_threads(threads)
     if groups is None:
         groups = contiguous_chunks(num_slices, threads)
     groups = [g for g in groups if g]
     results = [None] * num_slices
-    failures = []
-    stop = threading.Event()
+    failures = {}
+    lowest = [num_slices]  # lowest failing slice so far
+    lock = threading.Lock()
 
     def run(group):
         for k in group:
-            if stop.is_set():
-                return
+            if k > lowest[0]:
+                continue
             try:
                 results[k] = fn(k)
             except Exception as exc:  # noqa: BLE001 - propagated below
-                failures.append((k, exc))
-                stop.set()
-                return
+                with lock:
+                    failures[k] = exc
+                    lowest[0] = min(lowest[0], k)
 
     if threads <= 1 or len(groups) <= 1:
         for group in groups:
@@ -126,8 +129,7 @@ def parallel_slice_map(fn, num_slices, threads=None, groups=None):
         with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as pool:
             list(pool.map(run, groups))
     if failures:
-        failures.sort(key=lambda pair: pair[0])
-        raise failures[0][1]
+        raise failures[lowest[0]]
     return results
 
 

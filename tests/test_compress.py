@@ -1,4 +1,6 @@
 """Two-stage compression: accuracy, size accounting, determinism, persistence."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -226,4 +228,28 @@ class TestPersistence:
         save_compressed(comp, p)
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(ArchiveFormatError):
+            load_compressed(p)
+
+    def test_round_trip_then_every_cut_and_trailing_bytes_rejected(self, tmp_path):
+        comp = compress(planted(seed=14, rows=6, cols=5, k=3), 2, threads=1)
+        p = tmp_path / "c.irc"
+        save_compressed(comp, p)
+        back = load_compressed(p)
+        for a, b in zip([back.col_basis, back.weights, back.cores, *back.slice_bases],
+                        [comp.col_basis, comp.weights, comp.cores, *comp.slice_bases]):
+            assert a.tobytes() == b.tobytes()
+        blob = p.read_bytes()
+        for cut in range(len(blob)):
+            p.write_bytes(blob[:cut])
+            with pytest.raises(ArchiveFormatError):
+                load_compressed(p)
+        p.write_bytes(blob + b"x")
+        with pytest.raises(ArchiveFormatError, match="trailing"):
+            load_compressed(p)
+
+    def test_oversized_claim_raises_before_allocating(self, tmp_path):
+        # J = R = 2^32 - 1 claims 2^64 floats for D in a 16-byte file.
+        p = tmp_path / "c.irc"
+        p.write_bytes(b"IRC1" + struct.pack("<III", 1, 2**32 - 1, 2**32 - 1))
+        with pytest.raises(ArchiveFormatError, match="truncated payload"):
             load_compressed(p)

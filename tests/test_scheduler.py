@@ -3,6 +3,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,23 @@ class TestParallelSliceMap:
 
         with pytest.raises(RuntimeError, match="boom at 5"):
             parallel_slice_map(work, 12, threads=3)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("partition", ["contiguous", "greedy"])
+    def test_lowest_of_two_failing_slices_is_raised(self, threads, partition):
+        # Slice 5 is the largest, so the greedy plan visits it first, and it
+        # fails at once while the slices before slice 2 take a while.
+        counts = [1, 1, 1, 1, 1, 10, 1, 1]
+        groups = greedy_partition(counts, threads).sets if partition == "greedy" else None
+
+        def work(k):
+            if k in (2, 5):
+                raise RuntimeError(f"boom at {k}")
+            time.sleep(0.01)
+            return k
+
+        with pytest.raises(RuntimeError, match="boom at 2"):
+            parallel_slice_map(work, len(counts), threads=threads, groups=groups)
 
     def test_custom_groups(self):
         plan_sets = [[2, 0], [1]]

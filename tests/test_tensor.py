@@ -1,10 +1,15 @@
 """Tensor container, synthetic generators, and archive round-trips."""
+import os
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpar2
+from dpar2.baseline import residual_terms
 from dpar2.errors import ArchiveFormatError, NonFiniteInputError, ShapeMismatchError
 from dpar2.tensor import (
     MODE_PLANTED,
@@ -189,3 +194,156 @@ class TestGenerate:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             generate(SyntheticSpec(rows=4, cols=3, num_slices=2, mode="banana"))
+
+
+def irregular_tensor(seed=0, counts=(7, 1, 12, 3, 9, 12, 2, 5), cols=6):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return IrregularTensor([rng.standard_normal((c, cols)) for c in counts])
+
+
+def write_archive(path, cols, slices_bytes, num_slices=None):
+    """An IRT1 archive from raw (row count, payload) pairs; K defaults to their number."""
+    k = len(slices_bytes) if num_slices is None else num_slices
+    blob = b"IRT1" + struct.pack("<II", k, cols)
+    for rows, payload in slices_bytes:
+        blob += struct.pack("<I", rows) + payload
+    path.write_bytes(blob)
+    return path
+
+
+class TestParallelLoad:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_round_trip_bit_exact_at_any_thread_count(self, tmp_path, threads):
+        t = irregular_tensor()
+        path = tmp_path / "t.irt"
+        save_archive(t, path)
+        back = load_archive(path, threads=threads)
+        assert back.row_counts == t.row_counts
+        for a, b in zip(back.slices, t.slices):
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+        assert [x.hex() for x in back.sq_norms] == [x.hex() for x in t.sq_norms]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_lowest_non_finite_slice_is_named(self, tmp_path, threads):
+        t = irregular_tensor()
+        bad = [x.copy() for x in t.slices]
+        bad[2][1, 3] = np.nan
+        bad[5][0, 0] = np.inf
+        path = write_archive(tmp_path / "bad.irt", 6,
+                             [(x.shape[0], x.astype("<f8").tobytes()) for x in bad])
+        with pytest.raises(ArchiveFormatError, match="slice 2 contains non-finite values"):
+            load_archive(path, threads=threads)
+
+    def test_truncated_inside_payload(self, tmp_path):
+        payload = np.ones((4, 3)).tobytes()
+        path = write_archive(tmp_path / "t.irt", 3, [(4, payload), (4, payload[:-5])])
+        with pytest.raises(ArchiveFormatError, match="truncated payload in slice 1"):
+            load_archive(path, threads=2)
+
+    def test_truncated_inside_header(self, tmp_path):
+        payload = np.ones((4, 3)).tobytes()
+        path = write_archive(tmp_path / "t.irt", 3, [(4, payload)], num_slices=2)
+        path.write_bytes(path.read_bytes() + b"\x04\x00")
+        with pytest.raises(ArchiveFormatError, match="truncated at slice 1 header"):
+            load_archive(path, threads=2)
+
+    def test_oversized_claim_raises_before_allocating(self, tmp_path):
+        # Slice 0 (800 kB) is whole; slice 1 claims 2^32 - 1 rows of 200
+        # columns.  Nothing is allocated before the header walk finds it.
+        payload = np.ones((500, 200)).tobytes()
+        path = write_archive(tmp_path / "t.irt", 200,
+                             [(500, payload), (2**32 - 1, b"\x00" * 1600)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArchiveFormatError, match="truncated payload in slice 1"):
+                load_archive(path, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(payload) // 4
+
+    def test_zero_rows(self, tmp_path):
+        path = write_archive(tmp_path / "t.irt", 2,
+                             [(1, np.ones((1, 2)).tobytes()), (0, b"")])
+        with pytest.raises(ArchiveFormatError, match="slice 1 has zero rows"):
+            load_archive(path)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_short_preadv_reads_are_resumed(self, tmp_path, monkeypatch, threads):
+        t = irregular_tensor(seed=3)
+        path = tmp_path / "t.irt"
+        save_archive(t, path)
+        real = os.preadv
+        calls = []
+
+        def short(fd, buffers, offset):
+            calls.append(offset)
+            return real(fd, [memoryview(buffers[0])[:7]], offset)
+
+        monkeypatch.setattr(os, "preadv", short)
+        back = load_archive(path, threads=threads)
+        assert len(calls) >= sum(x.nbytes for x in t.slices) // 7
+        for a, b in zip(back.slices, t.slices):
+            assert a.tobytes() == b.tobytes()
+
+    def test_file_shrinking_during_read_is_truncation(self, tmp_path, monkeypatch):
+        t = irregular_tensor(seed=4)
+        path = tmp_path / "t.irt"
+        save_archive(t, path)
+        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: 0)
+        with pytest.raises(ArchiveFormatError, match="truncated payload in slice 0"):
+            load_archive(path, threads=1)
+
+
+def reference_sq_norms(tensor):
+    return [float(np.dot(x.ravel(), x.ravel())) for x in tensor.slices]
+
+
+def loaded_and_in_memory(tmp_path):
+    spec = SyntheticSpec(rows=30, cols=11, num_slices=9, mode=MODE_PLANTED,
+                         true_rank=3, noise_level=0.1, seed=8)
+    t = generate(spec)
+    path = tmp_path / "t.irt"
+    save_archive(t, path)
+    return {"in_memory": t, "loaded": load_archive(path, threads=2)}
+
+
+class TestKeptNorms:
+    @pytest.mark.parametrize("source", ["in_memory", "loaded"])
+    def test_norms_and_total_match_recomputation_bitwise(self, tmp_path, source):
+        t = loaded_and_in_memory(tmp_path)[source]
+        ref = reference_sq_norms(t)
+        assert [x.hex() for x in t.sq_norms] == [x.hex() for x in ref]
+        total = 0  # left-to-right Python sum, as before the norms were kept
+        for x in ref:
+            total += x
+        assert t.total_sq_norm().hex() == float(total).hex()
+
+    @pytest.mark.parametrize("source", ["in_memory", "loaded"])
+    def test_fitness_and_als_objective_match_recomputed_norms(self, tmp_path, source):
+        t = loaded_and_in_memory(tmp_path)[source]
+        opts = dpar2.SolverOptions(max_iters=4, tol=0.0)
+        factors, trace = dpar2.fit_baseline(t, 3, opts)
+        # The same tensor with its norms recomputed from the slices.
+        recomputed = IrregularTensor._from_checked(t.slices, reference_sq_norms(t))
+        _, ref_trace = dpar2.fit_baseline(recomputed, 3, opts)
+        assert [x.hex() for x in trace.objective] == [x.hex() for x in ref_trace.objective]
+
+        x_sq = np.array(reference_sq_norms(t))
+        cores = [q.T @ x for q, x in zip(factors.Q, t.slices)]
+        grams = [q.T @ q for q in factors.Q]
+        resid = float(np.add.reduce(
+            residual_terms(x_sq, cores, grams, factors.H, factors.V, factors.W)))
+        ref_fit = 1.0 - resid / float(np.add.reduce(x_sq))
+        assert dpar2.fitness(t, factors, threads=2).hex() == ref_fit.hex()
+
+    def test_overflowing_finite_slice_is_kept(self, tmp_path):
+        big = np.full((3, 4), 1e200)
+        t = IrregularTensor([np.ones((2, 4)), big])
+        assert t.sq_norms[0] == 8.0 and t.sq_norms[1] == np.inf
+        path = tmp_path / "big.irt"
+        save_archive(t, path)
+        back = load_archive(path, threads=2)
+        assert back.slices[1].tobytes() == big.tobytes()
+        assert back.sq_norms == t.sq_norms
