@@ -44,18 +44,30 @@ def cp_als_step(core_slices, h, v, w, normalize=False):
     the matching unfolding; later updates see the earlier ones.  With
     ``normalize`` the freshly updated factor's columns are rescaled to unit
     norm and the norms pushed into W, which the final W solve then replaces.
+    Finite cores whose products overflow raise :class:`NumericFailure`.
     """
     y1 = unfold_mode1(core_slices)
-    h = y1 @ khatri_rao(w, v) @ pinv_small(hadamard(gram(w), gram(v)))
+    h = _solve(y1 @ khatri_rao(w, v), gram(w), gram(v))
     if normalize:
         h, w = push_col_norms(h, w)
     y2 = unfold_mode2(core_slices)
-    v = y2 @ khatri_rao(w, h) @ pinv_small(hadamard(gram(w), gram(h)))
+    v = _solve(y2 @ khatri_rao(w, h), gram(w), gram(h))
     if normalize:
         v, w = push_col_norms(v, w)
     y3 = unfold_mode3(core_slices)
-    w = y3 @ khatri_rao(v, h) @ pinv_small(hadamard(gram(v), gram(h)))
+    w = _solve(y3 @ khatri_rao(v, h), gram(v), gram(h))
     return h, v, w
+
+
+def _solve(rhs, gram_a, gram_b):
+    """rhs (gram_a o gram_b)^+, the least-squares update of one factor."""
+    normal = hadamard(gram_a, gram_b)
+    if not np.isfinite(normal).all():
+        raise NumericFailure("ALS sweep Gram product is not finite")
+    factor = rhs @ pinv_small(normal)
+    if not np.isfinite(factor).all():
+        raise NumericFailure("ALS sweep factor is not finite")
+    return factor
 
 
 def _procrustes(x, v, h, w_row, rank, k):

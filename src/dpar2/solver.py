@@ -18,7 +18,11 @@ batched array operation over the (K, R, R) stack of slices:
   which equals the residual against the compressed slices because the
   Frobenius norm ignores the orthonormal left factors A_k Z_k.
 
-No step depends on a thread count: only compression runs on worker threads.
+The rotations run on the worker threads, one contiguous chunk of slices
+per worker, and each worker also builds its chunk's Theta_k, so Theta is
+formed once per iteration and shared by the sweep and the metric.  Every
+R x R matrix is factorized on its own, so no result depends on the
+thread count.
 """
 from __future__ import annotations
 
@@ -31,7 +35,15 @@ from .compress import CompressedTensor, compress
 from .errors import NumericFailure
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, push_col_norms
 from .linalg import RsvdParams, fix_signs, gram, hadamard, pinv_small
+from .scheduler import contiguous_chunks, parallel_slice_map, resolve_threads
 from .tensor import IrregularTensor
+
+
+# Fewest R x R target floats worth a worker of the rotation pass.  Smaller
+# chunks lose more to starting the workers and to their GIL-held small
+# products than the extra core saves: on a 2-core host, 200 targets of
+# 10 x 10 took as long in two chunks as in one, and 400 took 1.2-1.4x less.
+_MIN_CHUNK_FLOATS = 1 << 14
 
 
 @dataclass
@@ -56,21 +68,45 @@ class RotationStack:
 def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
     """Solve every slice's orthogonal Procrustes problem in R x R space.
 
-    ``threads`` is accepted for call compatibility and unused.
+    The slices are split into one contiguous chunk per worker thread
+    (``threads``, resolved as everywhere else, but at most one worker per
+    2^14 target floats), and each worker factorizes its chunk as one
+    stacked SVD.  Every matrix is factorized on its own, so the result is
+    bit-identical at any thread count.
     """
-    # E D^T V is shared by all slices.
-    core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)
-    t = ((comp.core_stack() @ core_cols) * w[:, None, :]) @ h.T
-    finite = np.isfinite(t).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericFailure("rotation target is not finite",
-                             slice_index=int(np.argmin(finite)))
-    try:
-        z, sig, pt = np.linalg.svd(t, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure("rotation SVD did not converge") from exc
-    z, p = fix_signs(z, np.ascontiguousarray(pt.transpose(0, 2, 1)))
-    return RotationStack(Z=z, P=p, Sig=sig)
+    return _rotate(comp, h, v, w, threads)[0]
+
+
+def _rotate(comp, h, v, w, threads):
+    """Rotations of every slice and the matching Theta stack, in one pass.
+
+    Each worker also builds its chunk's Theta_k = P_k Z_k^T F_k while the
+    pieces are at hand, so the solver forms Theta once per iteration.
+    """
+    core_cols = _core_cols(comp, v)  # shared by all slices
+    cores = comp.core_stack()
+    z, p, theta = (np.empty_like(cores) for _ in range(3))
+    sig = np.empty(cores.shape[:2])
+    workers = min(resolve_threads(threads), max(1, cores.size // _MIN_CHUNK_FLOATS))
+    chunks = contiguous_chunks(comp.num_slices, workers)
+
+    def solve(c):
+        first = chunks[c][0]
+        part = slice(first, chunks[c][-1] + 1)
+        t = ((cores[part] @ core_cols) * w[part, None, :]) @ h.T
+        finite = np.isfinite(t).all(axis=(1, 2))
+        if not finite.all():
+            raise NumericFailure("rotation target is not finite",
+                                 slice_index=first + int(np.argmin(finite)))
+        try:
+            zc, sig[part], pt = np.linalg.svd(t, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure("rotation SVD did not converge") from exc
+        z[part], p[part] = fix_signs(zc, np.ascontiguousarray(pt.transpose(0, 2, 1)))
+        theta[part] = (p[part] @ z[part].transpose(0, 2, 1)) @ cores[part]
+
+    parallel_slice_map(solve, len(chunks), threads=workers)
+    return RotationStack(Z=z, P=p, Sig=sig), theta
 
 
 def rotated_cores(comp: CompressedTensor, rotations):
@@ -82,15 +118,33 @@ def rotated_cores(comp: CompressedTensor, rotations):
     return (rotations.P @ rotations.Z.transpose(0, 2, 1)) @ comp.core_stack()
 
 
+def _core_cols(comp, v):
+    """E D^T V, shape (R, R)."""
+    return comp.weights[:, None] * (comp.col_basis.T @ v)
+
+
+def _mode1(theta, core_cols, w):
+    weighted = np.einsum("kr,kij->rij", w, theta)
+    return np.einsum("rij,jr->ir", weighted, core_cols)
+
+
+def _mode2(comp, theta, w, h):
+    projected = np.einsum("kba,br->kar", theta, h)
+    summed = np.einsum("kr,kar->ar", w, projected)
+    return comp.col_basis @ (comp.weights[:, None] * summed)
+
+
+def _mode3(theta, core_cols, h):
+    half = np.einsum("kij,jr->kir", theta, core_cols)
+    return np.einsum("ir,kir->kr", h, half)
+
+
 def mttkrp_mode1(comp, rotations, w, v):
     """R x R right-hand side for the H solve: Y_(1) (W kr V).
 
     Column r reduces to (sum_k W[k, r] Theta_k) (E D^T V)[:, r].
     """
-    theta = rotated_cores(comp, rotations)
-    core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)
-    weighted = np.einsum("kr,kij->rij", w, theta)
-    return np.einsum("rij,jr->ir", weighted, core_cols)
+    return _mode1(rotated_cores(comp, rotations), _core_cols(comp, v), w)
 
 
 def mttkrp_mode2(comp, rotations, w, h):
@@ -98,10 +152,7 @@ def mttkrp_mode2(comp, rotations, w, h):
 
     Column r reduces to D E sum_k W[k, r] Theta_k^T H[:, r].
     """
-    theta = rotated_cores(comp, rotations)
-    projected = np.einsum("kba,br->kar", theta, h)
-    summed = np.einsum("kr,kar->ar", w, projected)
-    return comp.col_basis @ (comp.weights[:, None] * summed)
+    return _mode2(comp, rotated_cores(comp, rotations), w, h)
 
 
 def mttkrp_mode3(comp, rotations, v, h):
@@ -109,10 +160,7 @@ def mttkrp_mode3(comp, rotations, v, h):
 
     Entry (k, r) is the bilinear form H[:, r]^T Theta_k (E D^T V)[:, r].
     """
-    theta = rotated_cores(comp, rotations)
-    core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)
-    half = np.einsum("kij,jr->kir", theta, core_cols)
-    return np.einsum("ir,kir->kr", h, half)
+    return _mode3(rotated_cores(comp, rotations), _core_cols(comp, v), h)
 
 
 def update_factors(comp, rotations, h, v, w, normalize=True, threads=None):
@@ -122,15 +170,19 @@ def update_factors(comp, rotations, h, v, w, normalize=True, threads=None):
     so the sweep matches a Gauss-Seidel pass over the projected cores.
     ``threads`` is accepted for call compatibility and unused.
     """
-    g1 = mttkrp_mode1(comp, rotations, w, v)
+    return _sweep(comp, rotated_cores(comp, rotations), h, v, w, normalize)
+
+
+def _sweep(comp, theta, h, v, w, normalize):
+    g1 = _mode1(theta, _core_cols(comp, v), w)
     h = g1 @ pinv_small(hadamard(gram(w), gram(v)))
     if normalize:
         h, w = push_col_norms(h, w)
-    g2 = mttkrp_mode2(comp, rotations, w, h)
+    g2 = _mode2(comp, theta, w, h)
     v = g2 @ pinv_small(hadamard(gram(w), gram(h)))
     if normalize:
         v, w = push_col_norms(v, w)
-    g3 = mttkrp_mode3(comp, rotations, v, h)
+    g3 = _mode3(theta, _core_cols(comp, v), h)
     w = g3 @ pinv_small(hadamard(gram(v), gram(h)))
     return h, v, w
 
@@ -143,9 +195,13 @@ def convergence_metric(comp, rotations, h, v, w, threads=None):
     sum(H^T H o G_perp o W^T W) with G_perp = V_perp^T V_perp.
     ``threads`` is accepted for call compatibility and unused.
     """
+    return _metric(comp, rotated_cores(comp, rotations), h, v, w)
+
+
+def _metric(comp, theta, h, v, w):
     c = comp.col_basis.T @ v
     v_perp = v - comp.col_basis @ c
-    resid = rotated_cores(comp, rotations) * comp.weights
+    resid = theta * comp.weights
     resid -= (h * w[:, None, :]) @ c.T
     outside = gram(h) * gram(v_perp) * gram(w)
     return float(np.sum(resid * resid)) + float(np.sum(outside))
@@ -173,9 +229,9 @@ def fit_dpar2(tensor: IrregularTensor, rank, opts: SolverOptions | None = None):
     prev = None
     for _ in range(opts.max_iters):
         tick = time.perf_counter()
-        rotations = update_rotations(comp, h, v, w)
-        h, v, w = update_factors(comp, rotations, h, v, w, normalize=normalize)
-        e = convergence_metric(comp, rotations, h, v, w)
+        rotations, theta = _rotate(comp, h, v, w, opts.threads)
+        h, v, w = _sweep(comp, theta, h, v, w, normalize)
+        e = _metric(comp, theta, h, v, w)
         trace.objective.append(e)
         trace.seconds.append(time.perf_counter() - tick)
         if prev is not None and (prev == 0.0 or abs(prev - e) <= opts.tol * prev):
@@ -183,5 +239,7 @@ def fit_dpar2(tensor: IrregularTensor, rank, opts: SolverOptions | None = None):
             break
         prev = e
 
-    q = [a @ (rot.Z @ rot.P.T) for a, rot in zip(comp.slice_bases, rotations)]
+    # U_k = Z_k P_k^T for every slice in one stacked product; Q_k = A_k U_k.
+    u = rotations.Z @ rotations.P.transpose(0, 2, 1)
+    q = [a @ u_k for a, u_k in zip(comp.slice_bases, u)]
     return Parafac2Factors(H=h, V=v, W=w, Q=q), trace

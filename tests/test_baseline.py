@@ -11,9 +11,9 @@ from dpar2.baseline import (
     unfold_mode2,
     unfold_mode3,
 )
-from dpar2.errors import RankTooLargeError
+from dpar2.errors import NonFiniteInputError, NumericFailure, RankTooLargeError
 from dpar2.factors import SolverOptions
-from dpar2.linalg import khatri_rao
+from dpar2.linalg import khatri_rao, pinv_small
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
 
 
@@ -94,6 +94,17 @@ class TestCpStep:
             assert np.allclose((h2 * w2[k]) @ v2.T, (h3 * w3[k]) @ v3.T, atol=1e-9)
         assert np.allclose(np.linalg.norm(h2, axis=0), 1.0)
         assert np.allclose(np.linalg.norm(v2, axis=0), 1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_sweep_is_a_numeric_failure(self):
+        # Finite cores whose Gram products overflow fail as numerics, not as
+        # bad input; pinv_small called directly still rejects the input.
+        h, v, w = random_factors(8)
+        cores = [y * 1e160 for y in cp_cores(h, v, w)]
+        with pytest.raises(NumericFailure, match="ALS sweep"):
+            cp_als_step(cores, h, v, w)
+        with pytest.raises(NonFiniteInputError):
+            pinv_small(np.full((3, 3), np.inf))
 
 
 class TestFitBaseline:

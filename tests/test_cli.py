@@ -179,6 +179,23 @@ class TestDecompose:
         assert cli.main(["decompose", str(path), "--rank", "2"]) == 4
         assert "(slice 1)" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_in_als_sweep_exits_4(self, tmp_path, capsys):
+        # x1e160 is finite, but the sweep's Gram products overflow; x1e150 still fits.
+        tensor = load_archive(make_archive(tmp_path))
+        for scale, code in ((1e160, 4), (1e150, 0)):
+            scaled = [x * scale if k == 1 else x for k, x in enumerate(tensor.slices)]
+            path = tmp_path / f"scaled{scale:g}.irt"
+            report = tmp_path / f"scaled{scale:g}.csv"
+            save_archive(IrregularTensor(scaled), path)
+            assert cli.main(["decompose", str(path), "--method", "als", "--rank", "2",
+                             "--report-fitness", "--out-report", str(report)]) == code
+            if code:
+                assert "ALS sweep" in capsys.readouterr().err
+            else:
+                header, rows = read_csv(report)
+                assert float(rows[-1][header.index("fitness")]) >= 0.99
+
 
 class TestBench:
     def test_grid_rows_and_float_counts(self, tmp_path):

@@ -9,7 +9,9 @@ from dpar2.compress import CompressedTensor, compress, reconstruct_slice
 from dpar2.errors import NumericFailure
 from dpar2.factors import SolverOptions, initial_factors
 from dpar2.linalg import RsvdParams, khatri_rao, truncated_svd
+from dpar2.scheduler import contiguous_chunks
 from dpar2.solver import (
+    _rotate,
     convergence_metric,
     fit_dpar2,
     mttkrp_mode1,
@@ -102,6 +104,50 @@ class TestRotations:
         w[2, 1], w[3, 0] = np.nan, np.inf
         with pytest.raises(NumericFailure, match=r"\(slice 2\)"):
             update_rotations(comp, h, v, w)
+
+    def test_rotation_bits_independent_of_thread_count(self):
+        # K = 1, fewer slices than workers, and chunks of unequal length.
+        for num in (1, 5, 2001):
+            comp = manual_compressed(10 + num, rank=8, cols=10, num=num)
+            h, v, w = initial_factors(10, num, 8, seed=2)
+            ref = update_rotations(comp, h, v, w, threads=1)
+            for threads in (2, 3, 7):
+                rots = update_rotations(comp, h, v, w, threads=threads)
+                for got, want in ((rots.Z, ref.Z), (rots.P, ref.P), (rots.Sig, ref.Sig)):
+                    assert got.tobytes() == want.tobytes(), (num, threads)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_targets_in_two_chunks_name_the_lower_slice(self):
+        comp = manual_compressed(11, rank=8, num=2001)
+        h, v, w = initial_factors(10, 2001, 8, seed=0)
+        w[1700, 0], w[300, 2] = np.inf, np.nan
+        for threads in (1, 2, 3, 7):
+            with pytest.raises(NumericFailure, match=r"\(slice 300\)"):
+                update_rotations(comp, h, v, w, threads=threads)
+
+    def test_svd_failure_in_one_chunk_is_a_numeric_failure(self, monkeypatch):
+        comp = manual_compressed(12, rank=8, num=2001)
+        h, v, w = initial_factors(10, 2001, 8, seed=0)
+        svd = np.linalg.svd
+        for threads in (2, 7):
+            # Chunks of 1001 + 1000 and 6 x 286 + 285 slices: fail the last one.
+            last = len(contiguous_chunks(2001, threads)[-1])
+
+            def failing_svd(a, *args, **kwargs):
+                if len(a) == last:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+                return svd(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "svd", failing_svd)
+            with pytest.raises(NumericFailure, match="rotation SVD did not converge"):
+                update_rotations(comp, h, v, w, threads=threads)
+
+    def test_pass_builds_rotated_cores_bitwise(self):
+        comp = manual_compressed(13, rank=8, num=2001)
+        h, v, w = initial_factors(10, 2001, 8, seed=3)
+        for threads in (1, 2, 3):
+            rots, theta = _rotate(comp, h, v, w, threads)
+            assert theta.tobytes() == rotated_cores(comp, rots).tobytes()
 
     def test_rotated_cores_shape_and_content(self):
         comp = manual_compressed(3)
