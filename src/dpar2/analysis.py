@@ -15,7 +15,6 @@ import numpy as np
 from .baseline import residual_terms, slice_projections
 from .errors import DegenerateInputError, IsolatedNodeError, ShapeMismatchError
 from .factors import Parafac2Factors
-from .scheduler import parallel_slice_map
 from .tensor import IrregularTensor
 
 DEFAULT_GAMMA = 0.01
@@ -66,12 +65,16 @@ class SimilarityGraph:
         return self.adjacency.shape[0]
 
 
-def build_similarity_graph(u_list, gamma=DEFAULT_GAMMA, threads=None):
+def build_similarity_graph(u_list, gamma=DEFAULT_GAMMA):
     """Pairwise Gaussian-kernel similarities between same-shape factors.
 
     All factors must share one shape; comparing slices with different row
-    counts is undefined and raises naming the offending pair.  Rows are
-    filled in parallel, upper triangle first, then mirrored.
+    counts is undefined and raises naming the offending pair.  Every
+    squared distance comes from one Gram matrix G of the flattened factors
+    as G_aa + G_bb - 2 G_ab.  That expansion cannot resolve a distance
+    below its rounding bound d eps (G_aa + G_bb), d the factor size, so
+    such a distance is 0 and equal factors score exactly 1.  The upper
+    triangle is mirrored so the adjacency is exactly symmetric.
     """
     if len(u_list) < 1:
         raise ShapeMismatchError("need at least one factor")
@@ -83,16 +86,13 @@ def build_similarity_graph(u_list, gamma=DEFAULT_GAMMA, threads=None):
                 f"factor 0 has shape {shape} but factor {i} has {m.shape}; "
                 "similarity across different slice shapes is undefined"
             )
-    n = len(mats)
-
-    def row(i):
-        out = np.zeros(n)
-        for j in range(i + 1, n):
-            out[j] = similarity(mats[i], mats[j], gamma)
-        return out
-
-    rows = parallel_slice_map(row, n, threads=threads)
-    upper = np.stack(rows)
+    flat = np.stack([m.ravel() for m in mats])
+    g = flat @ flat.T
+    sq = np.diag(g)
+    both = sq[:, None] + sq[None, :]
+    dist = both - 2.0 * g
+    dist[dist <= flat.shape[1] * np.finfo(np.float64).eps * both] = 0.0
+    upper = np.triu(np.exp(-gamma * dist), k=1)
     return SimilarityGraph(adjacency=upper + upper.T, gamma=gamma)
 
 

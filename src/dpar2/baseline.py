@@ -1,25 +1,24 @@
-"""Uncompressed PARAFAC2 alternating least squares.
+"""Uncompressed PARAFAC2 alternating least squares, and the sweep both
+solvers share.
 
-Each iteration first solves the per-slice orthogonal Procrustes problems
-(Q_k from the truncated SVD of X_k V S_k H^T), projects the slices to the
-small core stack Y_k = Q_k^T X_k, and then runs one alternating sweep over
-H, V, W on that stack.  The reconstruction error sum_k ||X_k - Q_k H S_k
-V^T||_F^2 is tracked every iteration and drives the stopping rule; it is
-expanded over ||X_k||^2 (which the tensor keeps), Y_k and Q_k^T Q_k, so it
-costs no pass over X of its own.  The solver is still exact but slow: the
-Procrustes step and the projection touch all of X every pass.
+Each iteration solves the per-slice orthogonal Procrustes problems (Q_k
+from the truncated SVD of X_k V S_k H^T), projects the slices to the core
+stack Y_k = Q_k^T X_k in the same pass over X, and runs one
+:func:`als_sweep` over H, V, W on that stack.  The reconstruction error
+sum_k ||X_k - Q_k H S_k V^T||_F^2 drives the stopping rule; it is expanded
+over ||X_k||^2 (which the tensor keeps), Y_k and Q_k^T Q_k, so it costs no
+pass over X of its own.  :func:`als_sweep` is the one implementation of
+the H, V, W updates; the compressed solver runs it on R x R blocks.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .errors import NumericFailure, RankTooLargeError
-from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, push_col_norms
-from .linalg import gram, hadamard, khatri_rao, pinv_small, truncated_svd
+from .errors import NumericFailure
+from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, iterate, push_col_norms
+from .linalg import gram, hadamard, pinv_small, truncated_svd
 from .scheduler import parallel_slice_map, resolve_threads
-from .tensor import IrregularTensor
+from .tensor import IrregularTensor, check_rank
 
 
 def unfold_mode1(core_slices):
@@ -38,25 +37,52 @@ def unfold_mode3(core_slices):
 
 
 def cp_als_step(core_slices, h, v, w, normalize=False):
-    """One alternating sweep over the stack of R x J core slices.
+    """:func:`als_sweep` over the list of R x J core slices Y_k."""
+    return als_sweep(np.stack(core_slices), None, h, v, w, normalize)
 
-    Updates H, then V, then W, each by a linear least-squares solve against
-    the matching unfolding; later updates see the earlier ones.  With
-    ``normalize`` the freshly updated factor's columns are rescaled to unit
-    norm and the norms pushed into W, which the final W solve then replaces.
-    Finite cores whose products overflow raise :class:`NumericFailure`.
+
+def als_sweep(cores, basis, h, v, w, normalize):
+    """One alternating sweep over H, V, W against the cores Y_k = C_k B^T.
+
+    ``cores`` is the (K, R, m) stack of C_k; ``basis`` is the J x m B, or
+    None for the identity (no J x J matrix is formed).  Updates H, then V,
+    then W, each by a least-squares solve against the matching unfolding;
+    later updates see the earlier ones.  With ``normalize`` the freshly
+    updated factor's columns are rescaled to unit norm and the norms pushed
+    into W, which the final W solve then replaces.  Finite cores whose
+    products overflow raise :class:`NumericFailure`.
     """
-    y1 = unfold_mode1(core_slices)
-    h = _solve(y1 @ khatri_rao(w, v), gram(w), gram(v))
+    h = _solve(rhs_mode1(cores, basis, w, v), gram(w), gram(v))
     if normalize:
         h, w = push_col_norms(h, w)
-    y2 = unfold_mode2(core_slices)
-    v = _solve(y2 @ khatri_rao(w, h), gram(w), gram(h))
+    v = _solve(rhs_mode2(cores, basis, w, h), gram(w), gram(h))
     if normalize:
         v, w = push_col_norms(v, w)
-    y3 = unfold_mode3(core_slices)
-    w = _solve(y3 @ khatri_rao(v, h), gram(v), gram(h))
+    w = _solve(rhs_mode3(cores, basis, v, h), gram(v), gram(h))
     return h, v, w
+
+
+def _times_v(cores, basis, v):
+    """Y_k V of every slice as one (K, R, R) stack: C_k (B^T V)."""
+    small = v if basis is None else basis.T @ v
+    return (cores.reshape(-1, cores.shape[2]) @ small).reshape(*cores.shape[:2], -1)
+
+
+def rhs_mode1(cores, basis, w, v):
+    """Y_(1) (W kr V), R x R: column r is sum_k W[k, r] Y_k V[:, r]."""
+    return np.einsum("kir,kr->ir", _times_v(cores, basis, v), w)
+
+
+def rhs_mode2(cores, basis, w, h):
+    """Y_(2) (W kr H), J x R: column r is sum_k Y_k^T (H S_k)[:, r]."""
+    hs = h * w[:, None, :]  # H S_k, (K, R, R)
+    summed = cores.reshape(-1, cores.shape[2]).T @ hs.reshape(-1, hs.shape[2])
+    return summed if basis is None else basis @ summed
+
+
+def rhs_mode3(cores, basis, v, h):
+    """Y_(3) (V kr H), K x R: entry (k, r) is H[:, r]^T Y_k V[:, r]."""
+    return np.einsum("kir,ir->kr", _times_v(cores, basis, v), h)
 
 
 def _solve(rhs, gram_a, gram_b):
@@ -85,44 +111,29 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
     """Fit PARAFAC2 factors by alternating least squares on the raw slices.
 
     Returns ``(factors, trace)`` where the trace holds the reconstruction
-    error and wall time of every iteration.  Stops after ``opts.max_iters``
-    iterations or when the error's relative change drops below ``opts.tol``.
+    error and wall time of every iteration; it stops by the rule of
+    :func:`~dpar2.factors.iterate`.
     """
     opts = opts or SolverOptions()
-    if opts.max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    shortest = min(tensor.row_counts)
-    if rank < 1 or rank > min(shortest, tensor.num_cols):
-        raise RankTooLargeError(
-            f"rank {rank} not in [1, {min(shortest, tensor.num_cols)}] "
-            f"for shortest slice {shortest} and {tensor.num_cols} columns"
-        )
+    check_rank(tensor, rank)
     threads = resolve_threads(opts.threads)
-    normalize = bool(opts.normalize) if opts.normalize is not None else False
-    num = tensor.num_slices
-    h, v, w = initial_factors(tensor.num_cols, num, rank, opts.seed)
     x_sq = np.array(tensor.sq_norms)
-    q = None
-    trace = FitTrace()
-    prev = None
-    for _ in range(opts.max_iters):
-        started = time.perf_counter()
-        hh, vv, ww = h, v, w
-        q = parallel_slice_map(
-            lambda k: _procrustes(tensor.slices[k], vv, hh, ww[k], rank, k),
-            num, threads=threads,
-        )
-        cores = parallel_slice_map(lambda k: q[k].T @ tensor.slices[k], num, threads=threads)
-        h, v, w = cp_als_step(cores, h, v, w, normalize=normalize)
-        grams = [qk.T @ qk for qk in q]
+
+    def step(h, v, w, _):
+        def project(k):
+            x = tensor.slices[k]
+            q = _procrustes(x, v, h, w[k], rank, k)
+            return q, q.T @ x, q.T @ q
+
+        q, cores, grams = zip(*parallel_slice_map(project, tensor.num_slices, threads=threads))
+        cores = np.stack(cores)
+        h, v, w = als_sweep(cores, None, h, v, w, normalize=False)
         objective = float(np.add.reduce(residual_terms(x_sq, cores, grams, h, v, w)))
-        trace.objective.append(objective)
-        trace.seconds.append(time.perf_counter() - started)
-        if prev is not None:
-            if prev == 0.0 or abs(prev - objective) <= opts.tol * prev:
-                trace.converged = True
-                break
-        prev = objective
+        return (h, v, w, list(q)), objective
+
+    initial = initial_factors(tensor.num_cols, tensor.num_slices, rank, opts.seed)
+    trace = FitTrace()
+    h, v, w, q = iterate(step, (*initial, None), opts, trace)
     return Parafac2Factors(H=h, V=v, W=w, Q=q), trace
 
 

@@ -223,8 +223,7 @@ def cmd_analyze(args):
     factors = load_factors(args.factors)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    graph = analysis.build_similarity_graph(factors.U, gamma=args.gamma,
-                                            threads=args.threads)
+    graph = analysis.build_similarity_graph(factors.U, gamma=args.gamma)
     n = graph.num_nodes
     if not 0 <= args.target < n:
         raise DecompositionError(f"target {args.target} out of range [0, {n})")
@@ -316,7 +315,6 @@ def build_parser():
     ana.add_argument("--gamma", type=float, default=analysis.DEFAULT_GAMMA)
     ana.add_argument("--pcc", action="store_true",
                      help="write Pearson correlations between V rows")
-    ana.add_argument("--threads", type=int, default=None)
     ana.add_argument("--out-dir", required=True)
     ana.set_defaults(func=cmd_analyze)
     return parser

@@ -11,11 +11,11 @@ where F_k is the k-th (R x R) block of F (KR x R).  Only A_k, D, E, F are
 kept: sum(I_k) R + K R^2 + J R + R floats in total.
 
 Each worker sketches the slices it owns as stacks of equal row count, one
-batched randomized SVD per stack.  NumPy's linalg gufuncs and the Python
-overhead of every call hold the GIL; only the BLAS products release it.
-Stacking turns thousands of tiny calls into a few large ones, so one
-worker's products overlap another's factorizations: it is what lets a
-second worker add speed on many small slices.  Per-slice
+batched randomized SVD per stack.  BLAS products and NumPy's linalg
+gufuncs release the GIL; the Python overhead of every call holds it.
+Stacking turns thousands of tiny calls into a few large ones, so the
+workers' products and factorizations overlap: it is what lets a second
+worker add speed on many small slices.  Per-slice
 sketch seeds derive from (seed, k) only, and a stack factorizes each matrix
 as it would alone, so the bits never depend on the work partition or thread
 count and equal per-slice ``randomized_svd`` calls.  The archive format
@@ -34,10 +34,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArchiveFormatError, NumericFailure, RankTooLargeError
+from .errors import ArchiveFormatError, NumericFailure
 from .linalg import RsvdParams, derived_seed, randomized_svd
 from .scheduler import greedy_partition, parallel_slice_map, resolve_threads
-from .tensor import IrregularTensor
+from .tensor import IrregularTensor, check_rank
 
 
 @dataclass
@@ -116,19 +116,13 @@ def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None,
     per-slice stage (its rank field is overridden by ``rank``); ``stage2``
     optionally overrides them for the concatenated stage.  ``plan`` chooses
     which worker sketches which slice; each worker sketches its slices as
-    stacks of equal row count, because the linalg gufuncs hold the GIL and
-    only a few large calls leave a second worker room to overlap.  Neither
+    stacks of equal row count, because each call's Python overhead holds
+    the GIL and only a few large calls leave a second worker room.  Neither
     the plan nor the thread count changes the values: every slice gets the
     bits of ``randomized_svd(x_k, seed=derived_seed(seed, k))``.
     """
+    check_rank(tensor, rank)
     row_counts = tensor.row_counts
-    if rank < 1:
-        raise RankTooLargeError(f"rank must be >= 1, got {rank}")
-    if rank > tensor.num_cols:
-        raise RankTooLargeError(f"rank {rank} exceeds column count {tensor.num_cols}")
-    for k, rows in enumerate(row_counts):
-        if rank > rows:
-            raise RankTooLargeError(f"rank {rank} exceeds row count {rows} of slice {k}")
     base = rsvd if rsvd is not None else RsvdParams(rank=rank)
     params = replace(base, rank=rank)
     threads = resolve_threads(threads)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,16 +24,13 @@ _MASK64 = (1 << 64) - 1
 class SolverOptions:
     """Knobs shared by both solvers.
 
-    ``normalize=None`` keeps each solver's own default (the compressed
-    solver rescales factor columns to unit norm each sweep, the baseline
-    does not).  ``threads=None`` defers to DPAR2_THREADS or the CPU count.
+    ``threads=None`` defers to DPAR2_THREADS or the CPU count.
     """
 
     max_iters: int = 32
     tol: float = 1e-6
     seed: int = 0
     threads: int | None = None
-    normalize: bool | None = None
 
 
 @dataclass
@@ -74,6 +72,29 @@ class Parafac2Factors:
     def reconstruct_slice(self, k):
         """Model slice (Q_k (H S_k)) V^T."""
         return (self.Q[k] @ (self.H * self.W[k])) @ self.V.T
+
+
+def iterate(step, state, opts: SolverOptions, trace: FitTrace):
+    """Both solvers' iteration loop; returns the last state.
+
+    Runs ``state, objective = step(*state)`` and records each objective and
+    its wall time in ``trace``.  Stops after ``max_iters`` steps, or sets
+    ``trace.converged`` and stops once the objective changed by at most
+    ``tol`` times its previous value (or that value was 0).
+    """
+    if opts.max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    for _ in range(opts.max_iters):
+        started = time.perf_counter()
+        state, objective = step(*state)
+        trace.objective.append(objective)
+        trace.seconds.append(time.perf_counter() - started)
+        if trace.iterations > 1:
+            prev = trace.objective[-2]
+            if prev == 0.0 or abs(prev - objective) <= opts.tol * prev:
+                trace.converged = True
+                break
+    return state
 
 
 def initial_factors(num_cols, num_slices, rank, seed=0):

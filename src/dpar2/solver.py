@@ -10,9 +10,9 @@ batched array operation over the (K, R, R) stack of slices:
   optimal Q_k = A_k Z_k P_k^T without forming it.
 
 * The projected cores Y_k = Q_k^T X_k = (P_k Z_k^T F_k) E D^T are also
-  never materialized: the three least-squares right-hand sides (MTTKRP
-  products against each unfolding) collapse to small contractions of
-  Theta_k = P_k Z_k^T F_k with E, D, and the current factors.
+  never materialized: the baseline's :func:`~dpar2.baseline.als_sweep`
+  runs on the (K, R, R) stack Theta_k E with D as column basis, so its
+  right-hand sides (MTTKRP products) are small contractions.
 
 * Convergence is measured as e = sum_k ||Theta_k E D^T - H S_k V^T||_F^2,
   which equals the residual against the compressed slices because the
@@ -31,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baseline import als_sweep, rhs_mode1, rhs_mode2, rhs_mode3
 from .compress import CompressedTensor, compress
 from .errors import NumericFailure
-from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, push_col_norms
-from .linalg import RsvdParams, fix_signs, gram, hadamard, pinv_small
+from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, iterate
+from .linalg import RsvdParams, fix_signs, gram
 from .scheduler import contiguous_chunks, parallel_slice_map, resolve_threads
 from .tensor import IrregularTensor
 
@@ -83,7 +84,7 @@ def _rotate(comp, h, v, w, threads):
     Each worker also builds its chunk's Theta_k = P_k Z_k^T F_k while the
     pieces are at hand, so the solver forms Theta once per iteration.
     """
-    core_cols = _core_cols(comp, v)  # shared by all slices
+    core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)  # E D^T V, shared by all slices
     cores = comp.core_stack()
     z, p, theta = (np.empty_like(cores) for _ in range(3))
     sig = np.empty(cores.shape[:2])
@@ -118,25 +119,9 @@ def rotated_cores(comp: CompressedTensor, rotations):
     return (rotations.P @ rotations.Z.transpose(0, 2, 1)) @ comp.core_stack()
 
 
-def _core_cols(comp, v):
-    """E D^T V, shape (R, R)."""
-    return comp.weights[:, None] * (comp.col_basis.T @ v)
-
-
-def _mode1(theta, core_cols, w):
-    weighted = np.einsum("kr,kij->rij", w, theta)
-    return np.einsum("rij,jr->ir", weighted, core_cols)
-
-
-def _mode2(comp, theta, w, h):
-    projected = np.einsum("kba,br->kar", theta, h)
-    summed = np.einsum("kr,kar->ar", w, projected)
-    return comp.col_basis @ (comp.weights[:, None] * summed)
-
-
-def _mode3(theta, core_cols, h):
-    half = np.einsum("kij,jr->kir", theta, core_cols)
-    return np.einsum("ir,kir->kr", h, half)
+def _scaled_cores(comp, rotations):
+    """Theta_k E of every slice: the cores of the sweep against D."""
+    return rotated_cores(comp, rotations) * comp.weights
 
 
 def mttkrp_mode1(comp, rotations, w, v):
@@ -144,7 +129,7 @@ def mttkrp_mode1(comp, rotations, w, v):
 
     Column r reduces to (sum_k W[k, r] Theta_k) (E D^T V)[:, r].
     """
-    return _mode1(rotated_cores(comp, rotations), _core_cols(comp, v), w)
+    return rhs_mode1(_scaled_cores(comp, rotations), comp.col_basis, w, v)
 
 
 def mttkrp_mode2(comp, rotations, w, h):
@@ -152,7 +137,7 @@ def mttkrp_mode2(comp, rotations, w, h):
 
     Column r reduces to D E sum_k W[k, r] Theta_k^T H[:, r].
     """
-    return _mode2(comp, rotated_cores(comp, rotations), w, h)
+    return rhs_mode2(_scaled_cores(comp, rotations), comp.col_basis, w, h)
 
 
 def mttkrp_mode3(comp, rotations, v, h):
@@ -160,31 +145,17 @@ def mttkrp_mode3(comp, rotations, v, h):
 
     Entry (k, r) is the bilinear form H[:, r]^T Theta_k (E D^T V)[:, r].
     """
-    return _mode3(rotated_cores(comp, rotations), _core_cols(comp, v), h)
+    return rhs_mode3(_scaled_cores(comp, rotations), comp.col_basis, v, h)
 
 
 def update_factors(comp, rotations, h, v, w, normalize=True, threads=None):
     """One alternating sweep over H, V, W in compressed space.
 
-    Each right-hand side is rebuilt after the factors it depends on change,
-    so the sweep matches a Gauss-Seidel pass over the projected cores.
+    The shared :func:`~dpar2.baseline.als_sweep` on Theta_k E with D as
+    column basis: a Gauss-Seidel pass over the projected cores.
     ``threads`` is accepted for call compatibility and unused.
     """
-    return _sweep(comp, rotated_cores(comp, rotations), h, v, w, normalize)
-
-
-def _sweep(comp, theta, h, v, w, normalize):
-    g1 = _mode1(theta, _core_cols(comp, v), w)
-    h = g1 @ pinv_small(hadamard(gram(w), gram(v)))
-    if normalize:
-        h, w = push_col_norms(h, w)
-    g2 = _mode2(comp, theta, w, h)
-    v = g2 @ pinv_small(hadamard(gram(w), gram(h)))
-    if normalize:
-        v, w = push_col_norms(v, w)
-    g3 = _mode3(theta, _core_cols(comp, v), h)
-    w = g3 @ pinv_small(hadamard(gram(v), gram(h)))
-    return h, v, w
+    return als_sweep(_scaled_cores(comp, rotations), comp.col_basis, h, v, w, normalize)
 
 
 def convergence_metric(comp, rotations, h, v, w, threads=None):
@@ -195,14 +166,13 @@ def convergence_metric(comp, rotations, h, v, w, threads=None):
     sum(H^T H o G_perp o W^T W) with G_perp = V_perp^T V_perp.
     ``threads`` is accepted for call compatibility and unused.
     """
-    return _metric(comp, rotated_cores(comp, rotations), h, v, w)
+    return _metric(comp, _scaled_cores(comp, rotations), h, v, w)
 
 
-def _metric(comp, theta, h, v, w):
+def _metric(comp, scaled, h, v, w):
     c = comp.col_basis.T @ v
     v_perp = v - comp.col_basis @ c
-    resid = theta * comp.weights
-    resid -= (h * w[:, None, :]) @ c.T
+    resid = scaled - (h * w[:, None, :]) @ c.T
     outside = gram(h) * gram(v_perp) * gram(w)
     return float(np.sum(resid * resid)) + float(np.sum(outside))
 
@@ -211,33 +181,24 @@ def fit_dpar2(tensor: IrregularTensor, rank, opts: SolverOptions | None = None):
     """Compress once, then alternate rotations and factor sweeps in R x R space.
 
     Returns ``(factors, trace)``; the trace records the compressed residual
-    e and wall time per iteration plus the one-off compression time.  Stops
-    when e's relative change falls below ``opts.tol`` or at ``max_iters``.
+    e and wall time per iteration plus the one-off compression time; it
+    stops by the rule of :func:`~dpar2.factors.iterate`.
     """
     opts = opts or SolverOptions()
-    if opts.max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    normalize = bool(opts.normalize) if opts.normalize is not None else True
-
     started = time.perf_counter()
     comp = compress(tensor, rank, rsvd=RsvdParams(rank=rank, seed=opts.seed),
                     threads=opts.threads)
     trace = FitTrace(preprocess_seconds=time.perf_counter() - started,
                      compressed_float_count=comp.float_count())
 
-    h, v, w = initial_factors(tensor.num_cols, tensor.num_slices, rank, opts.seed)
-    prev = None
-    for _ in range(opts.max_iters):
-        tick = time.perf_counter()
+    def step(h, v, w, _):
         rotations, theta = _rotate(comp, h, v, w, opts.threads)
-        h, v, w = _sweep(comp, theta, h, v, w, normalize)
-        e = _metric(comp, theta, h, v, w)
-        trace.objective.append(e)
-        trace.seconds.append(time.perf_counter() - tick)
-        if prev is not None and (prev == 0.0 or abs(prev - e) <= opts.tol * prev):
-            trace.converged = True
-            break
-        prev = e
+        scaled = theta * comp.weights
+        h, v, w = als_sweep(scaled, comp.col_basis, h, v, w, normalize=True)
+        return (h, v, w, rotations), _metric(comp, scaled, h, v, w)
+
+    initial = initial_factors(tensor.num_cols, tensor.num_slices, rank, opts.seed)
+    h, v, w, rotations = iterate(step, (*initial, None), opts, trace)
 
     # U_k = Z_k P_k^T for every slice in one stacked product; Q_k = A_k U_k.
     u = rotations.Z @ rotations.P.transpose(0, 2, 1)

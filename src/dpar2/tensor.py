@@ -101,6 +101,17 @@ class IrregularTensor:
         return float(sum(self.sq_norms))
 
 
+def check_rank(tensor: IrregularTensor, rank):
+    """Raise :class:`RankTooLargeError` unless 1 <= rank <= J and every I_k."""
+    if rank < 1:
+        raise RankTooLargeError(f"rank must be >= 1, got {rank}")
+    if rank > tensor.num_cols:
+        raise RankTooLargeError(f"rank {rank} exceeds column count {tensor.num_cols}")
+    for k, rows in enumerate(tensor.row_counts):
+        if rank > rows:
+            raise RankTooLargeError(f"rank {rank} exceeds row count {rows} of slice {k}")
+
+
 def _checked_sq_norm(x, k):
     """||x||_F^2 of slice k, which doubles as its finiteness check.
 

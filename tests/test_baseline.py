@@ -95,6 +95,34 @@ class TestCpStep:
         assert np.allclose(np.linalg.norm(h2, axis=0), 1.0)
         assert np.allclose(np.linalg.norm(v2, axis=0), 1.0)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_matches_normal_equations_on_unfoldings(self, normalize):
+        # Random cores that no CP model fits exactly, so every solve matters.
+        rng = np.random.Generator(np.random.PCG64(13))
+        rank, cols, num = 3, 7, 5
+        cores = [rng.standard_normal((rank, cols)) for _ in range(num)]
+        h, v, w = random_factors(14, rank, cols, num)
+
+        def solve(unfolded, left, right):
+            return unfolded @ khatri_rao(left, right) @ np.linalg.inv(
+                (left.T @ left) * (right.T @ right))
+
+        def unit_cols(a, b):
+            norms = np.linalg.norm(a, axis=0)
+            return a / norms, b * norms
+
+        want_h = solve(unfold_mode1(cores), w, v)
+        want_w = w
+        if normalize:
+            want_h, want_w = unit_cols(want_h, want_w)
+        want_v = solve(unfold_mode2(cores), want_w, want_h)
+        if normalize:
+            want_v, want_w = unit_cols(want_v, want_w)
+        want_w = solve(unfold_mode3(cores), want_v, want_h)
+        got = cp_als_step(cores, h, v, w, normalize=normalize)
+        for a, b in zip(got, (want_h, want_v, want_w)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_sweep_is_a_numeric_failure(self):
         # Finite cores whose Gram products overflow fail as numerics, not as
@@ -158,14 +186,10 @@ class TestFitBaseline:
         with pytest.raises(RankTooLargeError):
             fit_baseline(t, 4)
 
-    def test_normalize_switch_matches_default_product(self):
-        t = generate(SyntheticSpec(rows=15, cols=9, num_slices=4, mode=MODE_PLANTED,
-                                   true_rank=2, noise_level=0.1, seed=4))
-        fa, _ = fit_baseline(t, 2, SolverOptions(max_iters=6, tol=0.0, normalize=True))
-        fb, _ = fit_baseline(t, 2, SolverOptions(max_iters=6, tol=0.0, normalize=False))
-        for k in range(4):
-            assert np.allclose(fa.reconstruct_slice(k), fb.reconstruct_slice(k), atol=1e-8)
-        assert np.allclose(np.linalg.norm(fa.H, axis=0), 1.0)
+    def test_rank_above_a_slice_names_it(self):
+        t = IrregularTensor([np.ones((8, 6)), np.ones((3, 6)), np.ones((8, 6))])
+        with pytest.raises(RankTooLargeError, match="slice 1"):
+            fit_baseline(t, 4)
 
     def test_thread_counts_agree_bitwise(self):
         t = generate(SyntheticSpec(rows=14, cols=9, num_slices=6, mode=MODE_PLANTED,

@@ -192,6 +192,19 @@ class TestKernels:
             for a, b in zip(got, want):
                 assert np.abs(a - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_sweep_is_a_numeric_failure(self):
+        # Finite compressed pieces whose Gram products overflow: the shared
+        # sweep fails as numerics, not as bad input.
+        base = manual_compressed(9, rank=3, cols=9, num=5)
+        comp = CompressedTensor(rank=3, slice_bases=base.slice_bases,
+                                col_basis=base.col_basis, weights=base.weights * 1e160,
+                                cores=base.cores)
+        rots = update_rotations(comp, self.h, self.v, self.w)
+        with pytest.raises(NumericFailure, match="ALS sweep"):
+            update_factors(comp, rots, self.h, self.v, self.w)
+
 
 class TestConvergenceMetric:
     def test_exact_model_gives_zero(self):
