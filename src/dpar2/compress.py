@@ -15,11 +15,15 @@ batched randomized SVD per stack.  BLAS products and NumPy's linalg
 gufuncs release the GIL; the Python overhead of every call holds it.
 Stacking turns thousands of tiny calls into a few large ones, so the
 workers' products and factorizations overlap: it is what lets a second
-worker add speed on many small slices.  Per-slice
-sketch seeds derive from (seed, k) only, and a stack factorizes each matrix
-as it would alone, so the bits never depend on the work partition or thread
-count and equal per-slice ``randomized_svd`` calls.  The archive format
-("IRC1"):
+worker add speed on many small slices.  Each sketch reads its slice
+``power_iters + 2`` times (three at the default): one cache-blocked sweep
+per power step, summing (A_b S)^T A_b over row blocks of about 2^15
+floats, then the range sketch and the projection Q^T A (see
+``linalg.randomized_svd``).  Per-slice sketch seeds derive from (seed, k)
+only, a slice's row blocks depend only on its shape, and a stack
+factorizes each matrix as it would alone, so the bits never depend on the
+work partition or thread count and equal per-slice ``randomized_svd``
+calls.  The archive format ("IRC1"):
 
     magic | u32 K | u32 J | u32 R | D | E | F | K * ( u32 I_k | A_k )
 
@@ -194,6 +198,8 @@ def load_compressed(path):
 
     Every size is checked against the file before its array is allocated,
     and nothing is held twice: peak memory is the compressed tensor's size.
+    A column count or a slice row count below the rank, which ``compress``
+    never writes, is an :class:`ArchiveFormatError`.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -206,6 +212,8 @@ def load_compressed(path):
         off = 16
         if num_slices < 1 or cols < 1 or rank < 1:
             raise ArchiveFormatError(f"{path}: invalid dimensions")
+        if cols < rank:
+            raise ArchiveFormatError(f"{path}: {cols} columns for rank {rank}")
 
         def take(shape):
             nonlocal off
@@ -227,6 +235,8 @@ def load_compressed(path):
                 raise ArchiveFormatError(f"{path}: truncated at slice {k}")
             (rows,) = struct.unpack("<I", fh.read(4))
             off += 4
+            if rows < rank:  # compress never writes a basis with fewer rows than R
+                raise ArchiveFormatError(f"{path}: slice {k} has {rows} rows for rank {rank}")
             bases.append(take((rows, rank)))
     if off != size:
         raise ArchiveFormatError(f"{path}: trailing bytes")

@@ -16,6 +16,14 @@ from .errors import NonFiniteInputError, NumericFailure, RankTooLargeError, Shap
 
 _MASK64 = (1 << 64) - 1
 
+# A power step sweeps its input in row blocks of about this many floats
+# (65 rows at 500 columns), so that each block A_b is still in L2 when
+# (A_b S)^T A_b reads it a second time.  A block never has fewer rows than
+# the floor, so a wide matrix is one block or a few.  The boundaries depend
+# on the matrix shape only, never on how many matrices a stack holds.
+_SWEEP_FLOATS = 1 << 15
+_SWEEP_MIN_ROWS = 32
+
 
 @dataclass(frozen=True)
 class RsvdParams:
@@ -24,7 +32,10 @@ class RsvdParams:
     ``oversampling=None`` selects ``min(10, min(m, n) - rank)`` so the test
     matrix never has more columns than the short dimension of the input.
     ``power_iters`` is the number of extra multiplications by ``A A^T``
-    applied to the sketch before orthonormalization.
+    applied to the sketch before orthonormalization.  Each costs one pass
+    over the input (one cache-blocked ``A^T A`` product), and the range
+    sketch and the projection take one more each: ``power_iters + 2``
+    passes in all.
     """
 
     rank: int
@@ -102,13 +113,23 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     draws its test matrix from a PCG64 stream of its own seed: ``params.seed``
     for a single matrix, ``seeds[g]`` for matrix g of a stack (standard
     normals via numpy's ziggurat sampler, so the sketch is
-    platform-independent).  It forms ``Y = (A A^T)^q A Omega``,
-    orthonormalizes it with a thin QR, and takes the exact SVD of the small
-    projected matrix ``Q^T A``.  The result is truncated to ``params.rank``
-    columns even when oversampling is positive.  A stack returns U (G, m, R),
-    S (G, R) and V (G, n, R), and every matrix gets the same bits as it would
-    alone: the linalg gufuncs and matmul factorize a stack one matrix at a
-    time.
+    platform-independent).  It forms ``Y = (A A^T)^q A Omega`` as
+    ``A (A^T A)^q Omega``, orthonormalizes it with a thin QR, and takes the
+    exact SVD of the small projected matrix ``Q^T A``.  The result is
+    truncated to ``params.rank`` columns even when oversampling is positive.
+
+    The input is read ``q + 2`` times: once per power step, once for the
+    range sketch ``Y = (S^T A^T)^T`` (the orientation OpenBLAS runs fastest
+    here) and once for ``Q^T A``.  A power step ``S <- (A^T A) S`` is one
+    sweep over row blocks A_b of about ``_SWEEP_FLOATS`` floats (at least
+    ``_SWEEP_MIN_ROWS`` rows), summing ``(A_b S)^T A_b`` in block order
+    while A_b is still in cache, so each step reads the input from memory
+    once where ``A^T (A S)`` reads it twice.
+
+    A stack returns U (G, m, R), S (G, R) and V (G, n, R), and every matrix
+    gets the same bits as it would alone: the block boundaries depend only
+    on (m, n), and the linalg gufuncs and matmul work on a stack one matrix
+    at a time.
 
     The input is not scanned for NaN or infinity up front: any such value
     makes the sketch non-finite, and only then is the matrix checked, to
@@ -125,7 +146,7 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
         raise ShapeMismatchError(f"input must be 2-D or a 3-D stack, got ndim={a.ndim}")
     elif seeds is None or len(seeds) != a.shape[0]:
         raise ValueError("a stack needs one seed per matrix")
-    count, m, n = a.shape
+    m, n = a.shape[-2:]
     r = params.rank
     if r < 1:
         raise RankTooLargeError(f"rank must be >= 1, got {r}")
@@ -139,14 +160,8 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     if over < 0:
         raise ValueError("oversampling must be >= 0")
 
-    omega = np.empty((count, n, r + over))
-    for g, seed in enumerate(seeds):
-        np.random.Generator(np.random.PCG64(seed & _MASK64)).standard_normal(out=omega[g])
-    at = np.swapaxes(a, -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):  # both are handled below
-        y = a @ omega
-        for _ in range(params.power_iters):
-            y = a @ (at @ y)
+        y = _range_sketch(a, seeds, r + over, params.power_iters)
     finite = np.isfinite(y).all(axis=(-2, -1))
     if not finite.all():
         g = int(np.argmin(finite))
@@ -163,6 +178,39 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     if single:
         return SvdTriple(u[0], s[0], v[0])
     return SvdTriple(u, s, v)
+
+
+def _range_sketch(a, seeds, width, power_iters):
+    """Y = A (A^T A)^q Omega for a (count, m, n) stack, Omega drawn per seed.
+
+    The (count, n, width) test matrices live only here, so they are freed
+    before the factorizations start.
+    """
+    omega = np.empty((a.shape[0], a.shape[-1], width))
+    for g, seed in enumerate(seeds):
+        np.random.Generator(np.random.PCG64(seed & _MASK64)).standard_normal(out=omega[g])
+    # t holds S^T, (count, width, n): the test matrix after each power step.
+    t = np.swapaxes(omega, -1, -2)
+    for _ in range(power_iters):
+        t = _gram_sweep(a, t)
+    return np.swapaxes(t @ np.swapaxes(a, -1, -2), -1, -2)
+
+
+def _gram_sweep(a, t):
+    """One power step in one pass over ``a``: returns ((A^T A) S)^T for
+    ``t`` = S^T, summed as (A_b S)^T A_b over row blocks in block order."""
+    m, n = a.shape[-2:]
+    rows = max(_SWEEP_MIN_ROWS, _SWEEP_FLOATS // n)
+    s = np.swapaxes(t, -1, -2)
+    total = None
+    for start in range(0, m, rows):
+        block = a[..., start : start + rows, :]
+        part = np.swapaxes(block @ s, -1, -2) @ block
+        if total is None:
+            total = part
+        else:
+            total += part
+    return total
 
 
 def pinv_small(a):

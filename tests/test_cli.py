@@ -1,7 +1,9 @@
 """End-to-end command-line behaviour: flags, files, exit codes, determinism."""
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,17 +315,21 @@ class TestAnalyze:
 
 class TestEntryPoint:
     def test_console_script_round_trip(self, tmp_path):
+        # The child imports the same dpar2 as this process, wherever that is.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         archive = tmp_path / "cli.irt"
         gen = subprocess.run(
             [sys.executable, "-m", "dpar2.cli", "generate", "--I", "10", "--J", "6",
              "--K", "3", "--mode", "planted", "--rank", "2", "--out", str(archive)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert gen.returncode == 0, gen.stderr
         dec = subprocess.run(
             [sys.executable, "-m", "dpar2.cli", "decompose", str(archive),
              "--rank", "2", "--report-fitness"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert dec.returncode == 0, dec.stderr
         assert "fitness=" in dec.stdout

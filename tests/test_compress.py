@@ -1,5 +1,6 @@
 """Two-stage compression: accuracy, size accounting, determinism, persistence."""
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dpar2.compress import (
 )
 from dpar2.errors import ArchiveFormatError, NumericFailure, RankTooLargeError
 from dpar2.linalg import RsvdParams, derived_seed, randomized_svd
-from dpar2.scheduler import greedy_partition
+from dpar2.scheduler import PartitionPlan, greedy_partition
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
 
 
@@ -138,6 +139,27 @@ class TestDeterminism:
         assert comp.weights.tobytes() == shared.S.tobytes()
         assert comp.cores.tobytes() == shared.V.tobytes()
 
+    def test_slices_spanning_several_sweep_blocks(self):
+        # At 200 columns a power step sweeps 163-row blocks: the 500-row
+        # slices span four (the last of 11 rows), the 400-row ones three
+        # (74), the 170-row one two (7); stacks hold two 500-row slices.
+        rows = [500, 400, 500, 170, 500, 400, 500]
+        rng = np.random.Generator(np.random.PCG64(22))
+        t = IrregularTensor([rng.standard_normal((r, 200)) for r in rows])
+        params = RsvdParams(rank=4, power_iters=2, seed=23)
+        order = rng.permutation(len(rows)).tolist()
+        shuffled = PartitionPlan(sets=[order[:4], order[4:]])
+        runs = [compress(t, 4, rsvd=params, threads=n) for n in (1, 2, 3)]
+        runs.append(compress(t, 4, rsvd=params, plan=shuffled, threads=2))
+        for k, x in enumerate(t.slices):
+            alone = randomized_svd(x, replace(params, seed=derived_seed(23, k)))
+            for comp in runs:
+                assert comp.slice_bases[k].tobytes() == alone.U.tobytes()
+        for comp in runs[1:]:
+            assert comp.col_basis.tobytes() == runs[0].col_basis.tobytes()
+            assert comp.weights.tobytes() == runs[0].weights.tobytes()
+            assert comp.cores.tobytes() == runs[0].cores.tobytes()
+
     def test_seed_changes_bits(self):
         t = planted(seed=9, noise=0.2)
         a = compress(t, 2, rsvd=RsvdParams(rank=2, seed=0), threads=1)
@@ -252,4 +274,26 @@ class TestPersistence:
         p = tmp_path / "c.irc"
         p.write_bytes(b"IRC1" + struct.pack("<III", 1, 2**32 - 1, 2**32 - 1))
         with pytest.raises(ArchiveFormatError, match="truncated payload"):
+            load_compressed(p)
+
+    @staticmethod
+    def write_zero_archive(path, cols, rank, rows):
+        """A size-consistent IRC1 file of zeros with the given dimensions."""
+        blob = bytearray(b"IRC1" + struct.pack("<III", len(rows), cols, rank))
+        blob += bytes(8 * (cols * rank + rank + len(rows) * rank * rank))
+        for r in rows:
+            blob += struct.pack("<I", r) + bytes(8 * r * rank)
+        path.write_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("rows", [[0, 4], [4, 1]], ids=["zero-rows", "rows-below-rank"])
+    def test_slice_basis_shorter_than_rank_rejected(self, tmp_path, rows):
+        p = tmp_path / "c.irc"
+        self.write_zero_archive(p, cols=4, rank=3, rows=rows)
+        with pytest.raises(ArchiveFormatError, match=f"slice {rows.index(min(rows))} has"):
+            load_compressed(p)
+
+    def test_columns_below_rank_rejected(self, tmp_path):
+        p = tmp_path / "c.irc"
+        self.write_zero_archive(p, cols=2, rank=4, rows=[4, 5])
+        with pytest.raises(ArchiveFormatError, match="2 columns for rank 4"):
             load_compressed(p)

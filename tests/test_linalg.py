@@ -18,6 +18,8 @@ from dpar2.errors import (
     ShapeMismatchError,
 )
 from dpar2.linalg import (
+    _SWEEP_FLOATS,
+    _SWEEP_MIN_ROWS,
     RsvdParams,
     derived_seed,
     fix_signs,
@@ -104,26 +106,57 @@ class TestTruncatedSvd:
         assert (np.diff(trip.S) <= 1e-12).all()
 
 
-def per_matrix_rsvd(a, params):
-    """Reference randomized SVD of one matrix built on ``truncated_svd``:
-    Gaussian sketch, power iterations, QR, ``truncated_svd`` of Q^T A (with
-    its own sign fix), then U = Q U_small and a second sign fix."""
-    m, n = a.shape
+def gaussian_sketch(params, m, n):
+    """The Gaussian test matrix Omega that ``randomized_svd`` draws."""
     over = params.oversampling
     if over is None:
         over = min(10, min(m, n) - params.rank)
     rng = np.random.Generator(np.random.PCG64(params.seed & (2**64 - 1)))
-    y = a @ rng.standard_normal((n, params.rank + over))
+    return rng.standard_normal((n, params.rank + over))
+
+
+def per_matrix_rsvd(a, params):
+    """Reference randomized SVD of one matrix built on ``truncated_svd``:
+    Gaussian sketch S; each power step S <- (A^T A) S summed as
+    (A_b S)^T A_b over the same row blocks, in block order; the range sketch
+    Y = (S^T A^T)^T; QR; ``truncated_svd`` of Q^T A (with its own sign fix),
+    then U = Q U_small and a second sign fix."""
+    m, n = a.shape
+    s = gaussian_sketch(params, m, n)
+    rows = max(_SWEEP_MIN_ROWS, _SWEEP_FLOATS // n)
     for _ in range(params.power_iters):
-        y = a @ (a.T @ y)
+        total = None
+        for start in range(0, m, rows):
+            block = a[start : start + rows]
+            part = (block @ s).T @ block
+            total = part if total is None else total + part
+        s = total.T
+    y = (s.T @ a.T).T
     q, _ = np.linalg.qr(y)
     small = truncated_svd(q.T @ a, params.rank)
     u, v = fix_signs(q @ small.U, small.V)
     return u, small.S, v
 
 
+def textbook_rsvd(a, params):
+    """The unblocked Halko-Martinsson-Tropp range finder on the same Omega:
+    Y = (A A^T)^q A Omega, QR, exact truncated SVD of Q^T A."""
+    y = a @ gaussian_sketch(params, *a.shape)
+    for _ in range(params.power_iters):
+        y = a @ (a.T @ y)
+    q, _ = np.linalg.qr(y)
+    small = truncated_svd(q.T @ a, params.rank)
+    return q @ small.U, small.S, small.V
+
+
+def projector(basis):
+    return basis @ basis.T
+
+
 class TestRandomizedSvd:
-    @pytest.mark.parametrize("shape", [(40, 12), (12, 40)], ids=["tall", "wide"])
+    # 150 x 700 sweeps row blocks of 46, 46, 46 and 12 rows.
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40), (150, 700)],
+                             ids=["tall", "wide", "blocked"])
     @pytest.mark.parametrize("oversampling", [None, 0])
     @pytest.mark.parametrize("power_iters", [0, 1, 2])
     def test_stack_matches_per_matrix_recipe_bitwise(self, shape, oversampling, power_iters):
@@ -145,6 +178,32 @@ class TestRandomizedSvd:
                 assert got_alone.shape == ref.shape
                 assert got_alone.tobytes() == ref.tobytes()
                 assert got_stacked.tobytes() == ref.tobytes()
+
+    # Block heights: 128 rows at 256 columns; the 32-row floor at 2048.
+    @pytest.mark.parametrize("shape", [(100, 256), (384, 256), (300, 256), (70, 2048)],
+                             ids=["one-block", "exact-blocks", "ragged", "rows-floor"])
+    @pytest.mark.parametrize("power_iters", [0, 1, 2])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    def test_matches_unblocked_textbook_formula(self, shape, power_iters, stacked):
+        m, n = shape
+        # Decaying column scales give a spectrum the sketch must resolve.
+        rng = np.random.Generator(np.random.PCG64(17))
+        mats = rng.standard_normal((2, m, n)) * 0.97 ** np.arange(n)
+        params = RsvdParams(rank=6, power_iters=power_iters)
+        seeds = [derived_seed(3, g) for g in range(len(mats))]
+        if stacked:
+            got = randomized_svd(mats, params, seeds=seeds)
+            trips = [(got.U[g], got.S[g], got.V[g]) for g in range(len(mats))]
+        else:
+            trips = []
+            for a, seed in zip(mats, seeds):
+                one = randomized_svd(a, replace(params, seed=seed))
+                trips.append((one.U, one.S, one.V))
+        for a, seed, (u, s, v) in zip(mats, seeds, trips):
+            want_u, want_s, want_v = textbook_rsvd(a, replace(params, seed=seed))
+            assert np.abs(s - want_s).max() <= 1e-12 * want_s[0]
+            assert np.linalg.norm(projector(u) - projector(want_u)) <= 1e-10
+            assert np.linalg.norm(projector(v) - projector(want_v)) <= 1e-10
 
     def test_stack_needs_one_seed_per_matrix(self):
         stack = np.ones((2, 5, 4))
