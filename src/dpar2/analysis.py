@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import residual_terms, slice_projections
+from .baseline import reconstruction_error
 from .errors import DegenerateInputError, IsolatedNodeError, ShapeMismatchError
 from .factors import Parafac2Factors
 from .tensor import IrregularTensor
@@ -25,17 +25,11 @@ def fitness(tensor: IrregularTensor, factors: Parafac2Factors, threads=None):
 
     1 is a perfect fit; 0 means no better than predicting zero.  Raises on
     an all-zero tensor, where the ratio is undefined.  The residual is
-    expanded over Q_k^T X_k (see :func:`~dpar2.baseline.residual_terms`),
-    so no I_k x J array is formed.
+    :func:`~dpar2.baseline.reconstruction_error`, which checks the factor
+    shapes against the tensor and forms no I_k x J array.
     """
-    if factors.num_slices != tensor.num_slices:
-        raise ShapeMismatchError(
-            f"factors cover {factors.num_slices} slices, tensor has {tensor.num_slices}"
-        )
-    x_sq, cores, grams = slice_projections(tensor, factors.Q, threads)
-    total = float(np.add.reduce(x_sq))
-    resid = float(np.add.reduce(
-        residual_terms(x_sq, cores, grams, factors.H, factors.V, factors.W)))
+    resid = reconstruction_error(tensor, factors.Q, factors.H, factors.V, factors.W, threads)
+    total = float(np.add.reduce(np.array(tensor.sq_norms)))
     if total == 0.0:
         raise DegenerateInputError("fitness undefined for an all-zero tensor")
     return 1.0 - resid / total

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericFailure
+from .errors import NumericFailure, ShapeMismatchError
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, iterate, push_col_norms
-from .linalg import gram, hadamard, pinv_small, truncated_svd
+from .linalg import gram, pinv_small, truncated_svd
 from .scheduler import parallel_slice_map, resolve_threads
 from .tensor import IrregularTensor, check_rank
 
@@ -87,7 +87,7 @@ def rhs_mode3(cores, basis, v, h):
 
 def _solve(rhs, gram_a, gram_b):
     """rhs (gram_a o gram_b)^+, the least-squares update of one factor."""
-    normal = hadamard(gram_a, gram_b)
+    normal = gram_a * gram_b
     if not np.isfinite(normal).all():
         raise NumericFailure("ALS sweep Gram product is not finite")
     factor = rhs @ pinv_small(normal)
@@ -153,22 +153,25 @@ def residual_terms(x_sq, cores, grams, h, v, w):
     return np.maximum(x_sq - 2.0 * cross + quad, 0.0)
 
 
-def slice_projections(tensor, q, threads=None):
-    """||X_k||^2, Y_k = Q_k^T X_k and Q_k^T Q_k of every slice, as the
-    first three arguments of :func:`residual_terms`.  The norms are the
-    ones the tensor keeps; only the projections pass over X."""
+def reconstruction_error(tensor, q, h, v, w, threads=None):
+    """sum_k ||X_k - Q_k (H S_k) V^T||_F^2, reduced in slice order.
+
+    One pass over X forms Y_k = Q_k^T X_k and Q_k^T Q_k for
+    :func:`residual_terms`, so no I_k x J residual is formed.  A Q_k or V
+    whose row count does not match the tensor raises
+    :class:`ShapeMismatchError` before that pass.
+    """
+    if len(q) != tensor.num_slices:
+        raise ShapeMismatchError(f"factors cover {len(q)} slices, tensor has {tensor.num_slices}")
+    if v.shape[0] != tensor.num_cols:
+        raise ShapeMismatchError(f"V has {v.shape[0]} rows, tensor has {tensor.num_cols} columns")
+    for k, (q_k, rows) in enumerate(zip(q, tensor.row_counts)):
+        if q_k.shape[0] != rows:
+            raise ShapeMismatchError(f"Q_{k} has {q_k.shape[0]} rows, but slice {k} has {rows}")
 
     def project(k):
         return q[k].T @ tensor.slices[k], q[k].T @ q[k]
 
     cores, grams = zip(*parallel_slice_map(project, tensor.num_slices, threads=threads))
-    return np.array(tensor.sq_norms), cores, grams
-
-
-def reconstruction_error(tensor, q, h, v, w, threads=None):
-    """sum_k ||X_k - Q_k (H S_k) V^T||_F^2, reduced in slice order.
-
-    No I_k x J residual is formed: see :func:`residual_terms`.
-    """
-    terms = residual_terms(*slice_projections(tensor, q, threads), h, v, w)
+    terms = residual_terms(np.array(tensor.sq_norms), cores, grams, h, v, w)
     return float(np.add.reduce(terms))

@@ -113,12 +113,12 @@ def _stage1_stacks(plan, row_counts, cols):
 
 
 def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None,
-             stage2: RsvdParams | None = None, plan=None, threads=None):
+             plan=None, threads=None):
     """Compress ``tensor`` at ``rank`` with two randomized-SVD stages.
 
-    ``rsvd`` supplies oversampling / power-iteration / seed settings for the
-    per-slice stage (its rank field is overridden by ``rank``); ``stage2``
-    optionally overrides them for the concatenated stage.  ``plan`` chooses
+    ``rsvd`` supplies oversampling / power-iteration / seed settings for
+    both stages (its rank field is overridden by ``rank``); the
+    concatenated stage draws from ``derived_seed(seed, K)``.  ``plan`` chooses
     which worker sketches which slice; each worker sketches its slices as
     stacks of equal row count, because each call's Python overhead holds
     the GIL and only a few large calls leave a second worker room.  Neither
@@ -158,9 +158,7 @@ def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None,
             rights[k] = right[g]
     # J x KR concatenation of the slice right parts C_k B_k, in slice order.
     merged = np.concatenate(rights, axis=1)
-    second = stage2 if stage2 is not None else base
-    second = replace(second, rank=rank, seed=derived_seed(second.seed, tensor.num_slices))
-    shared = randomized_svd(merged, second)
+    shared = randomized_svd(merged, replace(params, seed=derived_seed(base.seed, tensor.num_slices)))
 
     return CompressedTensor(
         rank=rank,

@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels.
 
 Randomized and exact truncated SVD with a fixed sign convention, a small
-SVD-based pseudoinverse, and the Gram / Hadamard / Khatri-Rao products the
+SVD-based pseudoinverse, and the Gram and Khatri-Rao products the
 alternating solvers are built from.  Everything is float64 and pure: given
 the same arguments (including seeds) every function returns bit-identical
 results, so the kernels can run from worker threads without coordination.
@@ -236,15 +236,6 @@ def gram(a):
     """A^T A."""
     a = np.asarray(a, dtype=np.float64)
     return a.T @ a
-
-
-def hadamard(a, b):
-    """Elementwise product with a shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"hadamard operands differ: {a.shape} vs {b.shape}")
-    return a * b
 
 
 def khatri_rao(a, b):

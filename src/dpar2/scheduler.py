@@ -84,9 +84,12 @@ def resolve_threads(threads=None):
         return t
     env = os.environ.get("DPAR2_THREADS")
     if env:
-        t = int(env)
+        try:
+            t = int(env)
+        except ValueError:
+            t = 0
         if t < 1:
-            raise ValueError(f"DPAR2_THREADS must be >= 1, got {env!r}")
+            raise ValueError(f"DPAR2_THREADS must be an integer >= 1, got {env!r}")
         return t
     return os.cpu_count() or 1
 

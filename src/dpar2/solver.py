@@ -19,10 +19,10 @@ batched array operation over the (K, R, R) stack of slices:
   Frobenius norm ignores the orthonormal left factors A_k Z_k.
 
 The rotations run on the worker threads, one contiguous chunk of slices
-per worker, and each worker also builds its chunk's Theta_k, so Theta is
-formed once per iteration and shared by the sweep and the metric.  Every
-R x R matrix is factorized on its own, so no result depends on the
-thread count.
+per worker.  Each worker also builds its chunk's Theta_k, and the returned
+:class:`RotationStack` carries Theta to the sweep and the metric, so it is
+formed once per iteration.  Every R x R matrix is factorized on its own,
+so no result depends on the thread count.
 """
 from __future__ import annotations
 
@@ -49,21 +49,23 @@ _MIN_CHUNK_FLOATS = 1 << 14
 
 @dataclass
 class RotationStack:
-    """Procrustes pieces of all slices, T_k = Z[k] diag(Sig[k]) P[k]^T.
+    """Procrustes pieces of all slices, T_k = Z[k] diag(Sig[k]) P[k]^T,
+    and their rotated cores Theta[k] = P[k] Z[k]^T F_k.
 
-    ``Z``, ``P`` are (K, R, R) orthogonal stacks and ``Sig`` is (K, R);
-    ``rots[k]`` and iteration yield each slice's own Z, P and Sig.
+    ``Z``, ``P`` (orthogonal) and ``Theta`` are (K, R, R) stacks and ``Sig``
+    is (K, R); ``rots[k]`` and iteration yield each slice's own pieces.
     """
 
     Z: np.ndarray
     P: np.ndarray
     Sig: np.ndarray
+    Theta: np.ndarray
 
     def __getitem__(self, k):
-        return RotationStack(self.Z[k], self.P[k], self.Sig[k])
+        return RotationStack(self.Z[k], self.P[k], self.Sig[k], self.Theta[k])
 
     def __iter__(self):
-        return map(RotationStack, self.Z, self.P, self.Sig)
+        return map(RotationStack, self.Z, self.P, self.Sig, self.Theta)
 
 
 def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
@@ -71,18 +73,10 @@ def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
 
     The slices are split into one contiguous chunk per worker thread
     (``threads``, resolved as everywhere else, but at most one worker per
-    2^14 target floats), and each worker factorizes its chunk as one
-    stacked SVD.  Every matrix is factorized on its own, so the result is
-    bit-identical at any thread count.
-    """
-    return _rotate(comp, h, v, w, threads)[0]
-
-
-def _rotate(comp, h, v, w, threads):
-    """Rotations of every slice and the matching Theta stack, in one pass.
-
-    Each worker also builds its chunk's Theta_k = P_k Z_k^T F_k while the
-    pieces are at hand, so the solver forms Theta once per iteration.
+    2^14 target floats).  Each worker factorizes its chunk as one stacked
+    SVD and builds the chunk's Theta_k, which the returned stack carries.
+    Every matrix is factorized on its own, so the result is bit-identical
+    at any thread count.
     """
     core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)  # E D^T V, shared by all slices
     cores = comp.core_stack()
@@ -107,21 +101,21 @@ def _rotate(comp, h, v, w, threads):
         theta[part] = (p[part] @ z[part].transpose(0, 2, 1)) @ cores[part]
 
     parallel_slice_map(solve, len(chunks), threads=workers)
-    return RotationStack(Z=z, P=p, Sig=sig), theta
+    return RotationStack(Z=z, P=p, Sig=sig, Theta=theta)
 
 
 def rotated_cores(comp: CompressedTensor, rotations):
-    """Stack of Theta_k = P_k Z_k^T F_k, shape (K, R, R).
+    """Stack of Theta_k = P_k Z_k^T F_k, shape (K, R, R), formed from Z and P.
 
-    Theta_k E D^T is the projected core slice Y_k; every kernel below
-    contracts against this stack instead of the J-sized cores.
+    Theta_k E D^T is the projected core slice Y_k.  The reference formula
+    for ``rotations.Theta``, which every kernel below reads instead.
     """
     return (rotations.P @ rotations.Z.transpose(0, 2, 1)) @ comp.core_stack()
 
 
 def _scaled_cores(comp, rotations):
     """Theta_k E of every slice: the cores of the sweep against D."""
-    return rotated_cores(comp, rotations) * comp.weights
+    return rotations.Theta * comp.weights
 
 
 def mttkrp_mode1(comp, rotations, w, v):
@@ -166,13 +160,9 @@ def convergence_metric(comp, rotations, h, v, w, threads=None):
     sum(H^T H o G_perp o W^T W) with G_perp = V_perp^T V_perp.
     ``threads`` is accepted for call compatibility and unused.
     """
-    return _metric(comp, _scaled_cores(comp, rotations), h, v, w)
-
-
-def _metric(comp, scaled, h, v, w):
     c = comp.col_basis.T @ v
     v_perp = v - comp.col_basis @ c
-    resid = scaled - (h * w[:, None, :]) @ c.T
+    resid = _scaled_cores(comp, rotations) - (h * w[:, None, :]) @ c.T
     outside = gram(h) * gram(v_perp) * gram(w)
     return float(np.sum(resid * resid)) + float(np.sum(outside))
 
@@ -192,10 +182,9 @@ def fit_dpar2(tensor: IrregularTensor, rank, opts: SolverOptions | None = None):
                      compressed_float_count=comp.float_count())
 
     def step(h, v, w, _):
-        rotations, theta = _rotate(comp, h, v, w, opts.threads)
-        scaled = theta * comp.weights
-        h, v, w = als_sweep(scaled, comp.col_basis, h, v, w, normalize=True)
-        return (h, v, w, rotations), _metric(comp, scaled, h, v, w)
+        rotations = update_rotations(comp, h, v, w, opts.threads)
+        h, v, w = update_factors(comp, rotations, h, v, w)
+        return (h, v, w, rotations), convergence_metric(comp, rotations, h, v, w)
 
     initial = initial_factors(tensor.num_cols, tensor.num_slices, rank, opts.seed)
     h, v, w, rotations = iterate(step, (*initial, None), opts, trace)

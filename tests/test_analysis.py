@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpar2.baseline
 from dpar2.analysis import (
     RwrParams,
     SimilarityGraph,
@@ -14,7 +15,7 @@ from dpar2.analysis import (
     rwr,
     similarity,
 )
-from dpar2.baseline import fit_baseline
+from dpar2.baseline import fit_baseline, reconstruction_error
 from dpar2.errors import DegenerateInputError, IsolatedNodeError, ShapeMismatchError
 from dpar2.factors import Parafac2Factors, SolverOptions
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
@@ -71,6 +72,29 @@ class TestFitness:
         short = IrregularTensor(list(t.slices[:2]))
         with pytest.raises(ShapeMismatchError):
             fitness(short, factors)
+
+    def test_swapped_slice_factors_name_the_slice(self, monkeypatch):
+        t, factors = exact_factors_for(5, rows=(6, 4))
+        swapped = Parafac2Factors(H=factors.H, V=factors.V, W=factors.W,
+                                  Q=factors.Q[::-1])
+        monkeypatch.setattr(dpar2.baseline, "parallel_slice_map", no_pass_over_x)
+        with pytest.raises(ShapeMismatchError, match="Q_0 has 4 rows, but slice 0 has 6"):
+            fitness(t, swapped)
+        with pytest.raises(ShapeMismatchError, match="slice 0"):
+            reconstruction_error(t, swapped.Q, factors.H, factors.V, factors.W)
+
+    def test_wrong_v_rows(self, monkeypatch):
+        t, factors = exact_factors_for(6, cols=7)
+        short_v = Parafac2Factors(H=factors.H, V=factors.V[:5], W=factors.W, Q=factors.Q)
+        monkeypatch.setattr(dpar2.baseline, "parallel_slice_map", no_pass_over_x)
+        with pytest.raises(ShapeMismatchError, match="V has 5 rows, tensor has 7 columns"):
+            fitness(t, short_v)
+        with pytest.raises(ShapeMismatchError, match="V has 5 rows"):
+            reconstruction_error(t, factors.Q, factors.H, short_v.V, factors.W)
+
+
+def no_pass_over_x(*args, **kwargs):
+    raise AssertionError("shapes must be checked before the pass over X")
 
 
 def non_orthonormal_case():

@@ -24,7 +24,6 @@ from dpar2.linalg import (
     derived_seed,
     fix_signs,
     gram,
-    hadamard,
     khatri_rao,
     pinv_small,
     randomized_svd,
@@ -334,12 +333,6 @@ class TestProducts:
                 for k in range(6):
                     want[i, j] += a[k, i] * a[k, j]
         assert np.allclose(gram(a), want, atol=1e-12)
-
-    def test_hadamard(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert np.allclose(hadamard(a, a), a * a)
-        with pytest.raises(ShapeMismatchError):
-            hadamard(a, a.T)
 
     def test_khatri_rao_single_column(self):
         a = np.array([[1.0], [2.0]])

@@ -160,9 +160,10 @@ class TestResolveThreads:
     def test_rejects_nonpositive(self, monkeypatch):
         with pytest.raises(ValueError):
             resolve_threads(0)
-        monkeypatch.setenv("DPAR2_THREADS", "0")
-        with pytest.raises(ValueError):
-            resolve_threads(None)
+        for env in ("0", "abc", "1.5"):
+            monkeypatch.setenv("DPAR2_THREADS", env)
+            with pytest.raises(ValueError, match=f"DPAR2_THREADS .*{env!r}"):
+                resolve_threads(None)
 
 
 # Child script: replace the OpenBLAS library lookup, then import the package,

@@ -11,7 +11,6 @@ from dpar2.factors import SolverOptions, initial_factors
 from dpar2.linalg import RsvdParams, khatri_rao, truncated_svd
 from dpar2.scheduler import contiguous_chunks
 from dpar2.solver import (
-    _rotate,
     convergence_metric,
     fit_dpar2,
     mttkrp_mode1,
@@ -146,8 +145,9 @@ class TestRotations:
         comp = manual_compressed(13, rank=8, num=2001)
         h, v, w = initial_factors(10, 2001, 8, seed=3)
         for threads in (1, 2, 3):
-            rots, theta = _rotate(comp, h, v, w, threads)
-            assert theta.tobytes() == rotated_cores(comp, rots).tobytes()
+            rots = update_rotations(comp, h, v, w, threads)
+            assert rots.Theta.tobytes() == rotated_cores(comp, rots).tobytes()
+            assert rots[5].Theta.tobytes() == rots.Theta[5].tobytes()
 
     def test_rotated_cores_shape_and_content(self):
         comp = manual_compressed(3)
@@ -344,6 +344,31 @@ class TestFitDpar2:
         assert objective == trace.objective
         for got, want in zip((h, v, w, *q), (factors.H, factors.V, factors.W, *factors.Q)):
             assert got.tobytes() == want.tobytes()
+
+    def test_iteration_is_the_public_steps_on_carried_theta(self, monkeypatch):
+        # Every iteration solves the rotations once, and nothing after them
+        # rebuilds Theta: the sweep and the metric read rotations.Theta.
+        t = generate(SyntheticSpec(rows=18, cols=9, num_slices=7, mode=MODE_PLANTED,
+                                   true_rank=2, noise_level=0.2, seed=6))
+        calls = []
+        real = dpar2.solver.update_rotations
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("Theta rebuilt outside update_rotations")
+
+        monkeypatch.setattr(dpar2.solver, "update_rotations", spy)
+        monkeypatch.setattr(dpar2.solver, "rotated_cores", no_rebuild)
+        _, trace = fit_dpar2(t, 2, SolverOptions(max_iters=6, tol=0.0))
+        assert len(calls) == trace.iterations == 6
+        comp = compress(t, 2)
+        h, v, w = initial_factors(t.num_cols, t.num_slices, 2)
+        rots = real(comp, h, v, w)
+        h, v, w = update_factors(comp, rots, h, v, w)
+        assert np.isfinite(convergence_metric(comp, rots, h, v, w))
 
     def test_seed_changes_compression_but_fit_stays_close(self):
         t = generate(SyntheticSpec(rows=25, cols=12, num_slices=5, mode=MODE_PLANTED,
