@@ -16,7 +16,7 @@ from .analysis import (
     similarity,
 )
 from .baseline import cp_als_step, fit_baseline
-from .compress import CompressedTensor, compress, load_compressed, reconstruct_slice, save_compressed
+from .compress import CompressedTensor, compress, reconstruct_slice
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, load_factors, save_factors
 from .linalg import RsvdParams, SvdTriple, pinv_small, randomized_svd, truncated_svd
 from .scheduler import PartitionPlan, greedy_partition, parallel_slice_map, resolve_threads
@@ -66,7 +66,6 @@ __all__ = [
     "initial_factors",
     "knn",
     "load_archive",
-    "load_compressed",
     "load_csv_dir",
     "load_factors",
     "mttkrp_mode1",
@@ -80,7 +79,6 @@ __all__ = [
     "resolve_threads",
     "rwr",
     "save_archive",
-    "save_compressed",
     "save_factors",
     "similarity",
     "truncated_svd",

@@ -157,9 +157,10 @@ def reconstruction_error(tensor, q, h, v, w, threads=None):
     """sum_k ||X_k - Q_k (H S_k) V^T||_F^2, reduced in slice order.
 
     One pass over X forms Y_k = Q_k^T X_k and Q_k^T Q_k for
-    :func:`residual_terms`, so no I_k x J residual is formed.  A Q_k or V
-    whose row count does not match the tensor raises
-    :class:`ShapeMismatchError` before that pass.
+    :func:`residual_terms`, so no I_k x J residual is formed.  Before that
+    pass every factor is checked against the tensor and the rank
+    R = ``h.shape[-1]``: H is R x R, each Q_k I_k x R, V J x R and W K x R.
+    A mismatch raises :class:`ShapeMismatchError` naming the factor.
     """
     if len(q) != tensor.num_slices:
         raise ShapeMismatchError(f"factors cover {len(q)} slices, tensor has {tensor.num_slices}")
@@ -168,6 +169,13 @@ def reconstruction_error(tensor, q, h, v, w, threads=None):
     for k, (q_k, rows) in enumerate(zip(q, tensor.row_counts)):
         if q_k.shape[0] != rows:
             raise ShapeMismatchError(f"Q_{k} has {q_k.shape[0]} rows, but slice {k} has {rows}")
+    rank = h.shape[-1]
+    expected = [("H", h, (rank, rank)), ("V", v, (tensor.num_cols, rank)),
+                ("W", w, (tensor.num_slices, rank))]
+    expected += [(f"Q_{k}", q_k, (q_k.shape[0], rank)) for k, q_k in enumerate(q)]
+    for name, factor, shape in expected:
+        if factor.shape != shape:
+            raise ShapeMismatchError(f"{name} has shape {factor.shape}, expected {shape} for rank {rank}")
 
     def project(k):
         return q[k].T @ tensor.slices[k], q[k].T @ q[k]

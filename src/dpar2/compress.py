@@ -23,22 +23,15 @@ floats, then the range sketch and the projection Q^T A (see
 only, a slice's row blocks depend only on its shape, and a stack
 factorizes each matrix as it would alone, so the bits never depend on the
 work partition or thread count and equal per-slice ``randomized_svd``
-calls.  The archive format ("IRC1"):
-
-    magic | u32 K | u32 J | u32 R | D | E | F | K * ( u32 I_k | A_k )
-
-with all float payloads little-endian float64, row-major.
+calls.
 """
 from __future__ import annotations
 
-import math
-import os
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArchiveFormatError, NumericFailure
+from .errors import NumericFailure
 from .linalg import RsvdParams, derived_seed, randomized_svd
 from .scheduler import greedy_partition, parallel_slice_map, resolve_threads
 from .tensor import IrregularTensor, check_rank
@@ -57,14 +50,6 @@ class CompressedTensor:
     @property
     def num_slices(self):
         return len(self.slice_bases)
-
-    @property
-    def num_cols(self):
-        return self.col_basis.shape[0]
-
-    @property
-    def row_counts(self):
-        return [a.shape[0] for a in self.slice_bases]
 
     def core_block(self, k):
         """The R x R block F_k coupling slice k to the shared basis."""
@@ -175,69 +160,3 @@ def reconstruct_slice(comp: CompressedTensor, k):
         raise IndexError(f"slice index {k} out of range [0, {comp.num_slices})")
     small = comp.core_block(k) @ (comp.weights[:, None] * comp.col_basis.T)
     return comp.slice_bases[k] @ small
-
-
-_MAGIC = b"IRC1"
-
-
-def save_compressed(comp: CompressedTensor, path):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", comp.num_slices, comp.num_cols, comp.rank))
-        for arr in (comp.col_basis, comp.weights, comp.cores):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        for a in comp.slice_bases:
-            fh.write(struct.pack("<I", a.shape[0]))
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-
-
-def load_compressed(path):
-    """Read an IRC1 archive, each array straight from the file into its own.
-
-    Every size is checked against the file before its array is allocated,
-    and nothing is held twice: peak memory is the compressed tensor's size.
-    A column count or a slice row count below the rank, which ``compress``
-    never writes, is an :class:`ArchiveFormatError`.
-    """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(16)
-        if len(head) < 4 or head[:4] != _MAGIC:
-            raise ArchiveFormatError(f"{path}: bad magic, not an IRC1 archive")
-        if len(head) < 16:
-            raise ArchiveFormatError(f"{path}: truncated header")
-        num_slices, cols, rank = struct.unpack_from("<III", head, 4)
-        off = 16
-        if num_slices < 1 or cols < 1 or rank < 1:
-            raise ArchiveFormatError(f"{path}: invalid dimensions")
-        if cols < rank:
-            raise ArchiveFormatError(f"{path}: {cols} columns for rank {rank}")
-
-        def take(shape):
-            nonlocal off
-            nbytes = math.prod(shape) * 8
-            if size < off + nbytes:
-                raise ArchiveFormatError(f"{path}: truncated payload")
-            arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(arr) != nbytes:
-                raise ArchiveFormatError(f"{path}: truncated payload")
-            off += nbytes
-            return arr
-
-        col_basis = take((cols, rank))
-        weights = take((rank,))
-        cores = take((num_slices * rank, rank))
-        bases = []
-        for k in range(num_slices):
-            if size < off + 4:
-                raise ArchiveFormatError(f"{path}: truncated at slice {k}")
-            (rows,) = struct.unpack("<I", fh.read(4))
-            off += 4
-            if rows < rank:  # compress never writes a basis with fewer rows than R
-                raise ArchiveFormatError(f"{path}: slice {k} has {rows} rows for rank {rank}")
-            bases.append(take((rows, rank)))
-    if off != size:
-        raise ArchiveFormatError(f"{path}: trailing bytes")
-    return CompressedTensor(
-        rank=rank, slice_bases=bases, col_basis=col_basis, weights=weights, cores=cores
-    )

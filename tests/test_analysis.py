@@ -1,4 +1,6 @@
 """Fitness, similarity graphs, nearest neighbours, restart walks, correlations."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,21 @@ class TestFitness:
             fitness(t, short_v)
         with pytest.raises(ShapeMismatchError, match="V has 5 rows"):
             reconstruction_error(t, factors.Q, factors.H, short_v.V, factors.W)
+
+    @pytest.mark.parametrize("name", ["Q_1", "V", "W", "H"])
+    def test_wrong_factor_shape_names_the_factor(self, monkeypatch, name):
+        t, f = exact_factors_for(7)
+        q = list(f.Q)
+        q[1] = np.hstack([q[1], q[1][:, :1]])  # R + 1 columns
+        wrong = replace(f, **{"Q_1": {"Q": q},
+                              "V": {"V": np.hstack([f.V, f.V[:, :1]])},  # R + 1 columns
+                              "W": {"W": np.vstack([f.W, f.W[:1]])},  # K + 1 rows
+                              "H": {"H": np.vstack([f.H, f.H[:1]])}}[name])  # (R + 1) x R
+        monkeypatch.setattr(dpar2.baseline, "parallel_slice_map", no_pass_over_x)
+        with pytest.raises(ShapeMismatchError, match=f"{name} has shape"):
+            fitness(t, wrong)
+        with pytest.raises(ShapeMismatchError, match=f"{name} has shape"):
+            reconstruction_error(t, wrong.Q, wrong.H, wrong.V, wrong.W)
 
 
 def no_pass_over_x(*args, **kwargs):

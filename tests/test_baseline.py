@@ -214,6 +214,18 @@ class TestFitBaseline:
         )
         assert abs(trace.objective[-1] - direct) <= 1e-9 * max(direct, 1.0)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_last_objective_is_the_returned_residual_bitwise(self, threads):
+        # The last objective is formed from the returned Q, H, V, W, so it
+        # is the residual of the returned factors, not an approximation.
+        t = generate(SyntheticSpec(rows=16, cols=9, num_slices=7, mode=MODE_PLANTED,
+                                   true_rank=3, noise_level=0.4, seed=8))
+        f, trace = fit_baseline(t, 3, SolverOptions(max_iters=4, tol=0.0, threads=threads))
+        last = trace.objective[-1]
+        assert reconstruction_error(t, f.Q, f.H, f.V, f.W, threads=threads) == last
+        total = float(np.add.reduce(np.array(t.sq_norms)))
+        assert dpar2.fitness(t, f, threads=threads) == 1.0 - last / total
+
 
 def residual_case(name):
     """A tensor and factors for checking the residual expansion against a

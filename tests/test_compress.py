@@ -1,18 +1,11 @@
-"""Two-stage compression: accuracy, size accounting, determinism, persistence."""
-import struct
+"""Two-stage compression: accuracy, size accounting, determinism."""
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpar2.compress import (
-    CompressedTensor,
-    compress,
-    load_compressed,
-    reconstruct_slice,
-    save_compressed,
-)
-from dpar2.errors import ArchiveFormatError, NumericFailure, RankTooLargeError
+from dpar2.compress import compress, reconstruct_slice
+from dpar2.errors import NumericFailure, RankTooLargeError
 from dpar2.linalg import RsvdParams, derived_seed, randomized_svd
 from dpar2.scheduler import PartitionPlan, greedy_partition
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
@@ -221,79 +214,3 @@ class TestErrorsAndEdges:
         for k in range(4):
             assert np.shares_memory(comp.core_block(k), comp.cores)
             assert np.allclose(stack[k], comp.core_block(k))
-
-
-class TestPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
-        t = planted(seed=12, noise=0.05)
-        comp = compress(t, 3, threads=1)
-        path = tmp_path / "c.irc"
-        save_compressed(comp, path)
-        back = load_compressed(path)
-        assert back.rank == comp.rank
-        assert back.col_basis.tobytes() == comp.col_basis.tobytes()
-        assert back.weights.tobytes() == comp.weights.tobytes()
-        assert back.cores.tobytes() == comp.cores.tobytes()
-        for a, b in zip(back.slice_bases, comp.slice_bases):
-            assert a.tobytes() == b.tobytes()
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.irc"
-        p.write_bytes(b"JUNKJUNKJUNK")
-        with pytest.raises(ArchiveFormatError):
-            load_compressed(p)
-
-    def test_truncated(self, tmp_path):
-        t = planted(seed=13)
-        comp = compress(t, 2, threads=1)
-        p = tmp_path / "c.irc"
-        save_compressed(comp, p)
-        p.write_bytes(p.read_bytes()[:-4])
-        with pytest.raises(ArchiveFormatError):
-            load_compressed(p)
-
-    def test_round_trip_then_every_cut_and_trailing_bytes_rejected(self, tmp_path):
-        comp = compress(planted(seed=14, rows=6, cols=5, k=3), 2, threads=1)
-        p = tmp_path / "c.irc"
-        save_compressed(comp, p)
-        back = load_compressed(p)
-        for a, b in zip([back.col_basis, back.weights, back.cores, *back.slice_bases],
-                        [comp.col_basis, comp.weights, comp.cores, *comp.slice_bases]):
-            assert a.tobytes() == b.tobytes()
-        blob = p.read_bytes()
-        for cut in range(len(blob)):
-            p.write_bytes(blob[:cut])
-            with pytest.raises(ArchiveFormatError):
-                load_compressed(p)
-        p.write_bytes(blob + b"x")
-        with pytest.raises(ArchiveFormatError, match="trailing"):
-            load_compressed(p)
-
-    def test_oversized_claim_raises_before_allocating(self, tmp_path):
-        # J = R = 2^32 - 1 claims 2^64 floats for D in a 16-byte file.
-        p = tmp_path / "c.irc"
-        p.write_bytes(b"IRC1" + struct.pack("<III", 1, 2**32 - 1, 2**32 - 1))
-        with pytest.raises(ArchiveFormatError, match="truncated payload"):
-            load_compressed(p)
-
-    @staticmethod
-    def write_zero_archive(path, cols, rank, rows):
-        """A size-consistent IRC1 file of zeros with the given dimensions."""
-        blob = bytearray(b"IRC1" + struct.pack("<III", len(rows), cols, rank))
-        blob += bytes(8 * (cols * rank + rank + len(rows) * rank * rank))
-        for r in rows:
-            blob += struct.pack("<I", r) + bytes(8 * r * rank)
-        path.write_bytes(bytes(blob))
-
-    @pytest.mark.parametrize("rows", [[0, 4], [4, 1]], ids=["zero-rows", "rows-below-rank"])
-    def test_slice_basis_shorter_than_rank_rejected(self, tmp_path, rows):
-        p = tmp_path / "c.irc"
-        self.write_zero_archive(p, cols=4, rank=3, rows=rows)
-        with pytest.raises(ArchiveFormatError, match=f"slice {rows.index(min(rows))} has"):
-            load_compressed(p)
-
-    def test_columns_below_rank_rejected(self, tmp_path):
-        p = tmp_path / "c.irc"
-        self.write_zero_archive(p, cols=2, rank=4, rows=[4, 5])
-        with pytest.raises(ArchiveFormatError, match="2 columns for rank 4"):
-            load_compressed(p)
