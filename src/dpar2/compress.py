@@ -15,15 +15,14 @@ batched randomized SVD per stack.  BLAS products and NumPy's linalg
 gufuncs release the GIL; the Python overhead of every call holds it.
 Stacking turns thousands of tiny calls into a few large ones, so the
 workers' products and factorizations overlap: it is what lets a second
-worker add speed on many small slices.  Each sketch reads its slice
-``power_iters + 2`` times (three at the default): one cache-blocked sweep
-per power step, summing (A_b S)^T A_b over row blocks of about 2^15
-floats, then the range sketch and the projection Q^T A (see
-``linalg.randomized_svd``).  Per-slice sketch seeds derive from (seed, k)
-only, a slice's row blocks depend only on its shape, and a stack
-factorizes each matrix as it would alone, so the bits never depend on the
-work partition or thread count and equal per-slice ``randomized_svd``
-calls.
+worker add speed on many small slices.  Each sketch reads its slice three
+times: one cache-blocked sweep for the power step, summing (A_b S)^T A_b
+over row blocks of about 2^15 floats, then the range sketch and the
+projection Q^T A (see ``linalg.randomized_svd``).  Per-slice sketch seeds
+derive from (seed, k) only, a slice's row blocks depend only on its
+shape, and a stack factorizes each matrix as it would alone, so the bits
+never depend on the work partition or thread count and equal per-slice
+``randomized_svd`` calls.
 """
 from __future__ import annotations
 
@@ -97,26 +96,24 @@ def _stage1_stacks(plan, row_counts, cols):
     return stacks, groups
 
 
-def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None,
-             plan=None, threads=None):
+def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None, threads=None):
     """Compress ``tensor`` at ``rank`` with two randomized-SVD stages.
 
-    ``rsvd`` supplies oversampling / power-iteration / seed settings for
-    both stages (its rank field is overridden by ``rank``); the
-    concatenated stage draws from ``derived_seed(seed, K)``.  ``plan`` chooses
-    which worker sketches which slice; each worker sketches its slices as
-    stacks of equal row count, because each call's Python overhead holds
-    the GIL and only a few large calls leave a second worker room.  Neither
-    the plan nor the thread count changes the values: every slice gets the
-    bits of ``randomized_svd(x_k, seed=derived_seed(seed, k))``.
+    ``rsvd`` supplies the seed of both stages (its rank field is overridden
+    by ``rank``); the concatenated stage draws from ``derived_seed(seed,
+    K)``.  The slices are split over the ``threads`` workers by
+    ``greedy_partition``, and each worker sketches its slices as stacks of
+    equal row count, because each call's Python overhead holds the GIL and
+    only a few large calls leave a second worker room.  The thread count
+    does not change the values: every slice gets the bits of
+    ``randomized_svd(x_k, seed=derived_seed(seed, k))``.
     """
     check_rank(tensor, rank)
     row_counts = tensor.row_counts
     base = rsvd if rsvd is not None else RsvdParams(rank=rank)
     params = replace(base, rank=rank)
     threads = resolve_threads(threads)
-    if plan is None:
-        plan = greedy_partition(row_counts, threads)
+    plan = greedy_partition(row_counts, threads)
     stacks, groups = _stage1_stacks(plan, row_counts, tensor.num_cols)
 
     def sketch(i):

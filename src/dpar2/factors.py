@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import ArchiveFormatError, ShapeMismatchError
 
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass
 class SolverOptions:
@@ -98,17 +96,13 @@ def iterate(step, state, opts: SolverOptions, trace: FitTrace):
 
 
 def initial_factors(num_cols, num_slices, rank, seed=0):
-    """Deterministic starting point: H = I, V = leading identity columns
-    (seeded Gaussian fallback when the column count is below the rank),
-    W = ones so every S_k starts as the identity."""
-    h = np.eye(rank)
-    if num_cols >= rank:
-        v = np.eye(num_cols, rank)
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed & _MASK64))
-        v = rng.standard_normal((num_cols, rank))
-    w = np.ones((num_slices, rank))
-    return h, v, w
+    """Deterministic starting point: H = I, V = the leading ``rank``
+    identity columns, W = ones so every S_k starts as the identity.
+
+    Both solvers check ``rank <= num_cols`` before calling this.  ``seed``
+    is accepted for call compatibility and unused.
+    """
+    return np.eye(rank), np.eye(num_cols, rank), np.ones((num_slices, rank))
 
 
 def push_col_norms(a, b):
@@ -173,27 +167,33 @@ class FactorSet:
 
 
 def load_factors(path):
+    """Read a directory written by :func:`save_factors`.
+
+    Reads ``U_{k:04d}.csv`` for k below the manifest's ``num_slices``, so
+    files left by an earlier, larger save are ignored.  A missing manifest,
+    ``num_slices`` or U file raises :class:`ArchiveFormatError` naming it.
+    """
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.is_file():
         raise ArchiveFormatError(f"{path}: missing manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    num_slices = manifest.get("num_slices")
+    if not isinstance(num_slices, int) or num_slices < 1:
+        raise ArchiveFormatError(f"{path}: manifest.json has no positive integer num_slices")
     h = _read_matrix(path / "H.csv")
     v = _read_matrix(path / "V.csv")
     w = _read_matrix(path / "W.csv")
-    u_files = sorted(path.glob("U_*.csv"))
-    if len(u_files) != manifest.get("num_slices", len(u_files)):
-        raise ArchiveFormatError(
-            f"{path}: manifest lists {manifest.get('num_slices')} slices, found {len(u_files)} U files"
-        )
-    u = [_read_matrix(f) for f in u_files]
-    if not u:
-        raise ArchiveFormatError(f"{path}: no U_*.csv factor files")
     rank = h.shape[1]
-    for k, mat in enumerate(u):
-        if mat.shape[1] != rank:
-            raise ShapeMismatchError(f"U file {k} has {mat.shape[1]} columns, expected {rank}")
+    u = []
+    for k in range(num_slices):
+        u_path = path / f"U_{k:04d}.csv"
+        if not u_path.is_file():
+            raise ArchiveFormatError(f"{path}: missing {u_path.name} of the {num_slices} slices")
+        u.append(_read_matrix(u_path))
+        if u[k].shape[1] != rank:
+            raise ShapeMismatchError(f"U file {k} has {u[k].shape[1]} columns, expected {rank}")
     return FactorSet(H=h, V=v, W=w, U=u, manifest=manifest)
 
 

@@ -16,7 +16,7 @@ from .errors import NonFiniteInputError, NumericFailure, RankTooLargeError, Shap
 
 _MASK64 = (1 << 64) - 1
 
-# A power step sweeps its input in row blocks of about this many floats
+# The power step sweeps its input in row blocks of about this many floats
 # (65 rows at 500 columns), so that each block A_b is still in L2 when
 # (A_b S)^T A_b reads it a second time.  A block never has fewer rows than
 # the floor, so a wide matrix is one block or a few.  The boundaries depend
@@ -27,20 +27,13 @@ _SWEEP_MIN_ROWS = 32
 
 @dataclass(frozen=True)
 class RsvdParams:
-    """Sketching parameters for :func:`randomized_svd`.
-
-    ``oversampling=None`` selects ``min(10, min(m, n) - rank)`` so the test
-    matrix never has more columns than the short dimension of the input.
-    ``power_iters`` is the number of extra multiplications by ``A A^T``
-    applied to the sketch before orthonormalization.  Each costs one pass
-    over the input (one cache-blocked ``A^T A`` product), and the range
-    sketch and the projection take one more each: ``power_iters + 2``
-    passes in all.
+    """What a caller chooses in :func:`randomized_svd`: the rank kept and
+    the seed of the Gaussian test matrix.  The rest of the recipe is fixed:
+    ``min(10, min(m, n) - rank)`` extra sketch columns, so the test matrix
+    is never wider than the short side of the input, and one power step.
     """
 
     rank: int
-    oversampling: int | None = None
-    power_iters: int = 1
     seed: int = 0
 
 
@@ -107,24 +100,31 @@ def truncated_svd(a, rank):
 
 
 def randomized_svd(a, params: RsvdParams, seeds=None):
-    """Gaussian-sketch randomized SVD (range finder with power iterations).
+    """Gaussian-sketch randomized SVD with one power step.
 
     ``a`` is one (m, n) matrix or a (G, m, n) stack of them.  Each matrix
-    draws its test matrix from a PCG64 stream of its own seed: ``params.seed``
-    for a single matrix, ``seeds[g]`` for matrix g of a stack (standard
-    normals via numpy's ziggurat sampler, so the sketch is
-    platform-independent).  It forms ``Y = (A A^T)^q A Omega`` as
-    ``A (A^T A)^q Omega``, orthonormalizes it with a thin QR, and takes the
-    exact SVD of the small projected matrix ``Q^T A``.  The result is
-    truncated to ``params.rank`` columns even when oversampling is positive.
+    draws its test matrix Omega, ``params.rank + min(10, min(m, n) -
+    params.rank)`` columns wide, from a PCG64 stream of its own seed:
+    ``params.seed`` for a single matrix, ``seeds[g]`` for matrix g of a
+    stack (standard normals via numpy's ziggurat sampler, so the sketch is
+    platform-independent).  It forms ``Y = (A A^T) A Omega`` as
+    ``A (A^T A) Omega``, orthonormalizes it with a thin QR, and takes the
+    exact SVD of the small projected matrix ``Q^T A``, truncated to
+    ``params.rank`` columns.
 
-    The input is read ``q + 2`` times: once per power step, once for the
+    The input is read three times: once for the power step, once for the
     range sketch ``Y = (S^T A^T)^T`` (the orientation OpenBLAS runs fastest
-    here) and once for ``Q^T A``.  A power step ``S <- (A^T A) S`` is one
+    here) and once for ``Q^T A``.  The power step ``S <- (A^T A) S`` is one
     sweep over row blocks A_b of about ``_SWEEP_FLOATS`` floats (at least
     ``_SWEEP_MIN_ROWS`` rows), summing ``(A_b S)^T A_b`` in block order
-    while A_b is still in cache, so each step reads the input from memory
-    once where ``A^T (A S)`` reads it twice.
+    while A_b is still in cache, so it reads the input from memory once
+    where ``A^T (A S)`` reads it twice.  Each matrix's S is then scaled by
+    the power of two that brings its largest entry into [0.5, 1), so Y
+    scales like A, not like A^3: it neither overflows nor underflows where
+    A and A^T A do not.  ``Q^T A`` is scaled the same way before its SVD,
+    which keeps LAPACK's own rescaling of very large or small inputs out.
+    Powers of two are exact, so scaling A by 2^k scales S by exactly 2^k
+    and leaves U and V bit for bit.
 
     A stack returns U (G, m, R), S (G, R) and V (G, n, R), and every matrix
     gets the same bits as it would alone: the block boundaries depend only
@@ -134,7 +134,7 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     The input is not scanned for NaN or infinity up front: any such value
     makes the sketch non-finite, and only then is the matrix checked, to
     tell :class:`NonFiniteInputError` (bad input) from
-    :class:`NumericFailure` (finite input whose sketch overflowed).  For a
+    :class:`NumericFailure` (finite input whose A^T A overflowed).  For a
     stack, the error's ``slice_index`` is the position of the first such
     matrix in the stack.
     """
@@ -152,16 +152,9 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
         raise RankTooLargeError(f"rank must be >= 1, got {r}")
     if r > min(m, n):
         raise RankTooLargeError(f"rank {r} exceeds min of matrix shape {(m, n)}")
-    if params.power_iters < 0:
-        raise ValueError("power_iters must be >= 0")
-    over = params.oversampling
-    if over is None:
-        over = min(10, min(m, n) - r)
-    if over < 0:
-        raise ValueError("oversampling must be >= 0")
 
     with np.errstate(over="ignore", invalid="ignore"):  # both are handled below
-        y = _range_sketch(a, seeds, r + over, params.power_iters)
+        y = _range_sketch(a, seeds, r + min(10, min(m, n) - r))
     finite = np.isfinite(y).all(axis=(-2, -1))
     if not finite.all():
         g = int(np.argmin(finite))
@@ -170,18 +163,20 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
                              slice_index=None if single else g)
     try:
         q, _ = np.linalg.qr(y)
-        small_u, s, small_vt = np.linalg.svd(np.swapaxes(q, -1, -2) @ a, full_matrices=False)
+        small, exponent = _unit_scale(np.swapaxes(q, -1, -2) @ a)
+        small_u, s, small_vt = np.linalg.svd(small, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure("sketch factorization failed") from exc
     u, v = fix_signs(q @ small_u[..., :r], np.swapaxes(small_vt[..., :r, :], -1, -2).copy())
-    s = s[..., :r].copy()
+    s = np.ldexp(s[..., :r], exponent[:, None])
     if single:
         return SvdTriple(u[0], s[0], v[0])
     return SvdTriple(u, s, v)
 
 
-def _range_sketch(a, seeds, width, power_iters):
-    """Y = A (A^T A)^q Omega for a (count, m, n) stack, Omega drawn per seed.
+def _range_sketch(a, seeds, width):
+    """Y = A (A^T A) Omega 2^-e for a (count, m, n) stack, Omega drawn per
+    seed and e chosen per matrix by the power step's largest entry.
 
     The (count, n, width) test matrices live only here, so they are freed
     before the factorizations start.
@@ -189,15 +184,13 @@ def _range_sketch(a, seeds, width, power_iters):
     omega = np.empty((a.shape[0], a.shape[-1], width))
     for g, seed in enumerate(seeds):
         np.random.Generator(np.random.PCG64(seed & _MASK64)).standard_normal(out=omega[g])
-    # t holds S^T, (count, width, n): the test matrix after each power step.
-    t = np.swapaxes(omega, -1, -2)
-    for _ in range(power_iters):
-        t = _gram_sweep(a, t)
+    # t holds S^T, (count, width, n): the test matrix after the power step.
+    t, _ = _unit_scale(_gram_sweep(a, np.swapaxes(omega, -1, -2)))
     return np.swapaxes(t @ np.swapaxes(a, -1, -2), -1, -2)
 
 
 def _gram_sweep(a, t):
-    """One power step in one pass over ``a``: returns ((A^T A) S)^T for
+    """The power step in one pass over ``a``: returns ((A^T A) S)^T for
     ``t`` = S^T, summed as (A_b S)^T A_b over row blocks in block order."""
     m, n = a.shape[-2:]
     rows = max(_SWEEP_MIN_ROWS, _SWEEP_FLOATS // n)
@@ -211,6 +204,15 @@ def _gram_sweep(a, t):
         else:
             total += part
     return total
+
+
+def _unit_scale(x):
+    """Scale each matrix x_g of the stack ``x`` to x_g 2^-e_g, with e_g
+    chosen to bring its largest |entry| into [0.5, 1); returns the scaled
+    stack and the exponents e_g.  Exact for finite input; a zero or
+    non-finite matrix gets e_g = 0."""
+    _, exponent = np.frexp(np.abs(x).max(axis=(-2, -1)))
+    return np.ldexp(x, -exponent[:, None, None]), exponent
 
 
 def pinv_small(a):

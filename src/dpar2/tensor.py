@@ -31,10 +31,10 @@ from .errors import (
     RankTooLargeError,
     ShapeMismatchError,
 )
+from .linalg import _MASK64
 from .scheduler import greedy_partition, parallel_slice_map, resolve_threads
 
 _MAGIC = b"IRT1"
-_MASK64 = (1 << 64) - 1
 
 MODE_UNIFORM = "uniform_random"
 MODE_PLANTED = "planted_parafac2"
@@ -131,14 +131,13 @@ def _checked_sq_norm(x, k):
 class SyntheticSpec:
     """Recipe for a synthetic tensor; generation is a pure function of this.
 
-    ``rows`` is either one int (every slice gets that many rows in uniform
-    mode; planted mode draws I_k uniformly from [rows//2, rows]) or an
-    explicit per-slice list.  ``true_rank`` and ``noise_level`` only apply
-    to planted mode, where each slice is Q_k H S_k V^T plus white noise
-    scaled to ``noise_level`` times the slice signal norm.
+    Every slice gets ``rows`` rows in uniform mode; planted mode draws I_k
+    uniformly from [rows//2, rows].  ``true_rank`` and ``noise_level`` only
+    apply to planted mode, where each slice is Q_k H S_k V^T plus white
+    noise scaled to ``noise_level`` times the slice signal norm.
     """
 
-    rows: object
+    rows: int
     cols: int
     num_slices: int
     mode: str = MODE_UNIFORM
@@ -153,23 +152,15 @@ def _random_orthonormal(rng, m, n):
 
 
 def _resolve_rows(spec, rng):
-    if isinstance(spec.rows, (list, tuple, np.ndarray)):
-        rows = [int(r) for r in spec.rows]
-        if len(rows) != spec.num_slices:
-            raise ShapeMismatchError(
-                f"rows list has {len(rows)} entries for {spec.num_slices} slices"
-            )
-    elif spec.mode == MODE_PLANTED:
-        upper = int(spec.rows)
-        lower = max(spec.true_rank, upper // 2, 1)
-        if upper < lower:
-            raise RankTooLargeError(f"rows={upper} too small for rank {spec.true_rank}")
-        rows = [int(r) for r in rng.integers(lower, upper + 1, size=spec.num_slices)]
-    else:
-        rows = [int(spec.rows)] * spec.num_slices
-    if any(r < 1 for r in rows):
-        raise ShapeMismatchError("row counts must be positive")
-    return rows
+    rows = int(spec.rows)
+    if spec.mode != MODE_PLANTED:
+        if rows < 1:
+            raise ShapeMismatchError("row counts must be positive")
+        return [rows] * spec.num_slices
+    lower = max(spec.true_rank, rows // 2, 1)
+    if rows < lower:
+        raise RankTooLargeError(f"rows={rows} too small for rank {spec.true_rank}")
+    return [int(r) for r in rng.integers(lower, rows + 1, size=spec.num_slices)]
 
 
 def generate(spec: SyntheticSpec):

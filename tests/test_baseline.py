@@ -154,15 +154,33 @@ class TestFitBaseline:
         assert dpar2.fitness(t, factors) >= 0.999
 
     def test_objective_non_increasing(self):
+        # Random shapes, then degenerate inputs: an all-zero slice, a rank-1
+        # slice, R = min(I_k, J), tiny values.
         rng = np.random.Generator(np.random.PCG64(9))
-        for case in range(50):
+        cases = []
+        for _ in range(50):
             counts = rng.integers(3, 10, size=int(rng.integers(2, 5)))
             cols = int(rng.integers(3, 8))
             rank = int(rng.integers(1, min(3, cols) + 1))
-            t = IrregularTensor([rng.random((int(c), cols)) for c in counts])
-            _, trace = fit_baseline(t, rank, SolverOptions(max_iters=8, tol=0.0))
+            cases.append(([rng.random((int(c), cols)) for c in counts], rank))
+        first, last = rng.random((8, 6)), rng.random((9, 6))
+        cases += [
+            ([first, np.zeros((7, 6)), last], 3),
+            ([first, np.outer(rng.random(7), rng.random(6)), last], 3),
+            ([rng.random((rows, 4)) for rows in (4, 9, 7)], 4),
+            ([x * 1e-150 for x in (first, rng.random((7, 6)), last)], 3),
+        ]
+        for case, (slices, rank) in enumerate(cases):
+            factors, trace = fit_baseline(IrregularTensor(slices), rank,
+                                          SolverOptions(max_iters=8, tol=0.0))
+            for a in (factors.H, factors.V, factors.W, *factors.Q):
+                assert np.isfinite(a).all(), f"case {case}"
+            for q in factors.Q:
+                assert np.abs(q.T @ q - np.eye(rank)).max() <= 1e-8, f"case {case}"
+            # 1e-9 for entries in [0, 1), scaled with the tiny-value case
+            slack = 1e-9 * max(np.abs(x).max() for x in slices) ** 2
             diffs = np.diff(trace.objective)
-            assert (diffs <= 1e-9).all(), f"case {case}: objective rose by {diffs.max()}"
+            assert (diffs <= slack).all(), f"case {case}: objective rose by {diffs.max()}"
 
     def test_orthonormal_q_after_fit(self):
         t = generate(SyntheticSpec(rows=12, cols=8, num_slices=5, mode=MODE_PLANTED,

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: flags, files, exit codes, determinism."""
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -175,7 +176,7 @@ class TestDecompose:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_in_compression_exits_4(self, tmp_path, capsys):
         tensor = load_archive(make_archive(tmp_path))
-        scaled = [x * 1e150 if k == 1 else x for k, x in enumerate(tensor.slices)]
+        scaled = [x * 1e200 if k == 1 else x for k, x in enumerate(tensor.slices)]
         path = tmp_path / "huge.irt"
         save_archive(IrregularTensor(scaled), path)
         assert cli.main(["decompose", str(path), "--rank", "2"]) == 4
@@ -241,11 +242,11 @@ class TestBench:
 
 
 class TestAnalyze:
-    def fitted_dir(self, tmp_path):
-        # the similarity tooling needs same-height slices, so pin the rows
-        spec = SyntheticSpec(rows=(10,) * 6, cols=8, num_slices=6,
-                             mode=MODE_PLANTED, true_rank=2, noise_level=0.3, seed=3)
-        path = tmp_path / "equal.irt"
+    def fitted_dir(self, tmp_path, num_slices=6):
+        # the similarity tooling needs same-height slices: uniform mode
+        # gives every slice ``rows`` rows
+        spec = SyntheticSpec(rows=10, cols=8, num_slices=num_slices, seed=3)
+        path = tmp_path / f"equal{num_slices}.irt"
         save_archive(generate(spec), path)
         outdir = tmp_path / "factors"
         assert cli.main(["decompose", str(path), "--rank", "2", "--tol", "0",
@@ -305,6 +306,30 @@ class TestAnalyze:
         factors = self.fitted_dir(tmp_path)
         assert cli.main(["analyze", str(factors), "--target", "99",
                          "--out-dir", str(tmp_path / "a")]) == 3
+
+    def test_smaller_save_over_a_larger_one_is_read_by_its_manifest(self, tmp_path):
+        # U_0003.csv and U_0004.csv of the first save stay behind.
+        self.fitted_dir(tmp_path, num_slices=5)
+        outdir = self.fitted_dir(tmp_path, num_slices=3)
+        assert (outdir / "U_0004.csv").exists()
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(outdir), "--target", "0", "--knn", "2",
+                         "--out-dir", str(out)]) == 0
+        _, sim_rows = read_csv(out / "similarity.csv")
+        assert len(sim_rows) == 3
+
+    def test_missing_u_file_or_slice_count_exits_3(self, tmp_path, capsys):
+        factors = self.fitted_dir(tmp_path)
+        manifest = json.loads((factors / "manifest.json").read_text())
+        (factors / "U_0002.csv").unlink()
+        assert cli.main(["analyze", str(factors), "--target", "0",
+                         "--out-dir", str(tmp_path / "a")]) == 3
+        assert "missing U_0002.csv" in capsys.readouterr().err
+        del manifest["num_slices"]
+        (factors / "manifest.json").write_text(json.dumps(manifest))
+        assert cli.main(["analyze", str(factors), "--target", "0",
+                         "--out-dir", str(tmp_path / "b")]) == 3
+        assert "num_slices" in capsys.readouterr().err
 
     def test_missing_manifest_exits_3(self, tmp_path):
         empty = tmp_path / "empty"

@@ -107,42 +107,46 @@ class TestTruncatedSvd:
 
 def gaussian_sketch(params, m, n):
     """The Gaussian test matrix Omega that ``randomized_svd`` draws."""
-    over = params.oversampling
-    if over is None:
-        over = min(10, min(m, n) - params.rank)
+    over = min(10, min(m, n) - params.rank)
     rng = np.random.Generator(np.random.PCG64(params.seed & (2**64 - 1)))
     return rng.standard_normal((n, params.rank + over))
 
 
+def scaled_to_unit(x):
+    """x 2^-e with 2^(e-1) <= max |x| < 2^e, and e."""
+    e = int(np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, -e), e
+
+
 def per_matrix_rsvd(a, params):
     """Reference randomized SVD of one matrix built on ``truncated_svd``:
-    Gaussian sketch S; each power step S <- (A^T A) S summed as
-    (A_b S)^T A_b over the same row blocks, in block order; the range sketch
-    Y = (S^T A^T)^T; QR; ``truncated_svd`` of Q^T A (with its own sign fix),
+    Gaussian sketch S; one power step S <- (A^T A) S summed as
+    (A_b S)^T A_b over the same row blocks, in block order, then scaled to
+    a largest entry in [0.5, 1); the range sketch Y = (S^T A^T)^T; QR;
+    ``truncated_svd`` of Q^T A scaled the same way (with its own sign fix),
     then U = Q U_small and a second sign fix."""
     m, n = a.shape
     s = gaussian_sketch(params, m, n)
     rows = max(_SWEEP_MIN_ROWS, _SWEEP_FLOATS // n)
-    for _ in range(params.power_iters):
-        total = None
-        for start in range(0, m, rows):
-            block = a[start : start + rows]
-            part = (block @ s).T @ block
-            total = part if total is None else total + part
-        s = total.T
+    total = None
+    for start in range(0, m, rows):
+        block = a[start : start + rows]
+        part = (block @ s).T @ block
+        total = part if total is None else total + part
+    s, _ = scaled_to_unit(total.T)
     y = (s.T @ a.T).T
     q, _ = np.linalg.qr(y)
-    small = truncated_svd(q.T @ a, params.rank)
+    small, e = scaled_to_unit(q.T @ a)
+    small = truncated_svd(small, params.rank)
     u, v = fix_signs(q @ small.U, small.V)
-    return u, small.S, v
+    return u, np.ldexp(small.S, e), v
 
 
 def textbook_rsvd(a, params):
-    """The unblocked Halko-Martinsson-Tropp range finder on the same Omega:
-    Y = (A A^T)^q A Omega, QR, exact truncated SVD of Q^T A."""
-    y = a @ gaussian_sketch(params, *a.shape)
-    for _ in range(params.power_iters):
-        y = a @ (a.T @ y)
+    """The unblocked Halko-Martinsson-Tropp range finder on the same Omega,
+    with one power step: Y = (A A^T) A Omega, QR, exact truncated SVD of
+    Q^T A."""
+    y = a @ (a.T @ (a @ gaussian_sketch(params, *a.shape)))
     q, _ = np.linalg.qr(y)
     small = truncated_svd(q.T @ a, params.rank)
     return q @ small.U, small.S, small.V
@@ -156,12 +160,10 @@ class TestRandomizedSvd:
     # 150 x 700 sweeps row blocks of 46, 46, 46 and 12 rows.
     @pytest.mark.parametrize("shape", [(40, 12), (12, 40), (150, 700)],
                              ids=["tall", "wide", "blocked"])
-    @pytest.mark.parametrize("oversampling", [None, 0])
-    @pytest.mark.parametrize("power_iters", [0, 1, 2])
-    def test_stack_matches_per_matrix_recipe_bitwise(self, shape, oversampling, power_iters):
+    def test_stack_matches_per_matrix_recipe_bitwise(self, shape):
         rng = np.random.Generator(np.random.PCG64(12))
         stack = rng.standard_normal((3, *shape))
-        params = RsvdParams(rank=4, oversampling=oversampling, power_iters=power_iters)
+        params = RsvdParams(rank=4)
         seeds = [derived_seed(5, g) for g in range(3)]
         stacked = randomized_svd(stack, params, seeds=seeds)
         assert stacked.U.shape == (3, shape[0], 4)
@@ -181,14 +183,13 @@ class TestRandomizedSvd:
     # Block heights: 128 rows at 256 columns; the 32-row floor at 2048.
     @pytest.mark.parametrize("shape", [(100, 256), (384, 256), (300, 256), (70, 2048)],
                              ids=["one-block", "exact-blocks", "ragged", "rows-floor"])
-    @pytest.mark.parametrize("power_iters", [0, 1, 2])
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
-    def test_matches_unblocked_textbook_formula(self, shape, power_iters, stacked):
+    def test_matches_unblocked_textbook_formula(self, shape, stacked):
         m, n = shape
         # Decaying column scales give a spectrum the sketch must resolve.
         rng = np.random.Generator(np.random.PCG64(17))
         mats = rng.standard_normal((2, m, n)) * 0.97 ** np.arange(n)
-        params = RsvdParams(rank=6, power_iters=power_iters)
+        params = RsvdParams(rank=6)
         seeds = [derived_seed(3, g) for g in range(len(mats))]
         if stacked:
             got = randomized_svd(mats, params, seeds=seeds)
@@ -203,6 +204,22 @@ class TestRandomizedSvd:
             assert np.abs(s - want_s).max() <= 1e-12 * want_s[0]
             assert np.linalg.norm(projector(u) - projector(want_u)) <= 1e-10
             assert np.linalg.norm(projector(v) - projector(want_v)) <= 1e-10
+
+    @pytest.mark.parametrize("k", [500, -500])
+    def test_power_of_two_scale_keeps_bits(self, k):
+        # 2^500 A A^T A overflows and 2^-500 A A^T A underflows unless the
+        # power step is rescaled; LAPACK rescales Q^T A itself unless it is.
+        rng = np.random.Generator(np.random.PCG64(18))
+        stack = rng.standard_normal((2, 40, 12))
+        seeds = [derived_seed(7, g) for g in range(2)]
+        params = RsvdParams(rank=4, seed=seeds[0])
+        cases = [(stack[0], lambda x: randomized_svd(x, params)),
+                 (stack, lambda x: randomized_svd(x, params, seeds=seeds))]
+        for a, run in cases:
+            want, got = run(a), run(np.ldexp(a, k))
+            assert got.U.tobytes() == want.U.tobytes()
+            assert got.V.tobytes() == want.V.tobytes()
+            assert got.S.tobytes() == np.ldexp(want.S, k).tobytes()
 
     def test_stack_needs_one_seed_per_matrix(self):
         stack = np.ones((2, 5, 4))
@@ -241,7 +258,7 @@ class TestRandomizedSvd:
     def test_near_optimal_on_gaussian(self):
         rng = np.random.Generator(np.random.PCG64(3))
         a = rng.standard_normal((20, 10))
-        trip = randomized_svd(a, RsvdParams(rank=4, oversampling=6, power_iters=1, seed=9))
+        trip = randomized_svd(a, RsvdParams(rank=4, seed=9))
         exact = truncated_svd(a, 4)
         best = np.linalg.norm(a - exact.reconstruct())
         got = np.linalg.norm(a - trip.reconstruct())
@@ -274,19 +291,18 @@ class TestRandomizedSvd:
     def test_non_finite_input_rejected(self, bad):
         a = np.random.Generator(np.random.PCG64(8)).standard_normal((12, 9))
         a[7, 4] = bad
-        for power_iters in (0, 1):
-            with pytest.raises(NonFiniteInputError):
-                randomized_svd(a, RsvdParams(rank=3, power_iters=power_iters))
+        with pytest.raises(NonFiniteInputError):
+            randomized_svd(a, RsvdParams(rank=3))
 
     def test_overflowing_finite_input_is_a_numeric_failure(self):
-        # finite, but A A^T A overflows in the power iteration
+        # finite, but A^T A overflows in the power step
         a = 1e200 * np.random.Generator(np.random.PCG64(8)).standard_normal((12, 9))
         assert np.isfinite(a).all()
         with pytest.raises(NumericFailure, match="overflowed"):
             randomized_svd(a, RsvdParams(rank=3))
 
     def test_oversampling_clamps_to_short_dim(self):
-        # default oversampling never makes the sketch wider than min(m, n)
+        # oversampling never makes the sketch wider than min(m, n)
         rng = np.random.Generator(np.random.PCG64(7))
         a = rng.standard_normal((9, 4))
         trip = randomized_svd(a, RsvdParams(rank=3, seed=0))

@@ -1,5 +1,8 @@
-"""Package surface: the public exports and the runtime dependencies."""
+"""Package surface: the public exports, the settable sketch options and the
+runtime dependencies."""
 import ast
+import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
@@ -12,6 +15,14 @@ def test_every_export_resolves_once():
     assert len(dpar2.__all__) == len(set(dpar2.__all__))
     missing = [name for name in dpar2.__all__ if not hasattr(dpar2, name)]
     assert missing == []
+
+
+def test_sketch_settings_are_rank_and_seed_only():
+    # Oversampling, the power-step count and the slice plan are fixed by
+    # the program, not options.
+    assert [f.name for f in dataclasses.fields(dpar2.RsvdParams)] == ["rank", "seed"]
+    assert list(inspect.signature(dpar2.compress).parameters) == [
+        "tensor", "rank", "rsvd", "threads"]
 
 
 def test_runtime_imports_are_stdlib_or_numpy():

@@ -88,7 +88,7 @@ class TestRotations:
     def test_stack_matches_per_slice_truncated_svd(self):
         # The stacked SVD keeps truncated_svd's values and sign convention.
         comp = manual_compressed(4)
-        h, v, w = initial_factors(10, 4, 3, seed=1)
+        h, v, w = initial_factors(10, 4, 3)
         rots = update_rotations(comp, h, v, w)
         core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)
         for k, rot in enumerate(rots):
@@ -99,7 +99,7 @@ class TestRotations:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_target_names_first_bad_slice(self):
         comp = manual_compressed(5)
-        h, v, w = initial_factors(10, 4, 3, seed=0)
+        h, v, w = initial_factors(10, 4, 3)
         w[2, 1], w[3, 0] = np.nan, np.inf
         with pytest.raises(NumericFailure, match=r"\(slice 2\)"):
             update_rotations(comp, h, v, w)
@@ -108,7 +108,7 @@ class TestRotations:
         # K = 1, fewer slices than workers, and chunks of unequal length.
         for num in (1, 5, 2001):
             comp = manual_compressed(10 + num, rank=8, cols=10, num=num)
-            h, v, w = initial_factors(10, num, 8, seed=2)
+            h, v, w = initial_factors(10, num, 8)
             ref = update_rotations(comp, h, v, w, threads=1)
             for threads in (2, 3, 7):
                 rots = update_rotations(comp, h, v, w, threads=threads)
@@ -118,7 +118,7 @@ class TestRotations:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_targets_in_two_chunks_name_the_lower_slice(self):
         comp = manual_compressed(11, rank=8, num=2001)
-        h, v, w = initial_factors(10, 2001, 8, seed=0)
+        h, v, w = initial_factors(10, 2001, 8)
         w[1700, 0], w[300, 2] = np.inf, np.nan
         for threads in (1, 2, 3, 7):
             with pytest.raises(NumericFailure, match=r"\(slice 300\)"):
@@ -126,7 +126,7 @@ class TestRotations:
 
     def test_svd_failure_in_one_chunk_is_a_numeric_failure(self, monkeypatch):
         comp = manual_compressed(12, rank=8, num=2001)
-        h, v, w = initial_factors(10, 2001, 8, seed=0)
+        h, v, w = initial_factors(10, 2001, 8)
         svd = np.linalg.svd
         for threads in (2, 7):
             # Chunks of 1001 + 1000 and 6 x 286 + 285 slices: fail the last one.
@@ -143,7 +143,7 @@ class TestRotations:
 
     def test_pass_builds_rotated_cores_bitwise(self):
         comp = manual_compressed(13, rank=8, num=2001)
-        h, v, w = initial_factors(10, 2001, 8, seed=3)
+        h, v, w = initial_factors(10, 2001, 8)
         for threads in (1, 2, 3):
             rots = update_rotations(comp, h, v, w, threads)
             assert rots.Theta.tobytes() == rotated_cores(comp, rots).tobytes()
@@ -151,7 +151,7 @@ class TestRotations:
 
     def test_rotated_cores_shape_and_content(self):
         comp = manual_compressed(3)
-        h, v, w = initial_factors(10, 4, 3, seed=0)
+        h, v, w = initial_factors(10, 4, 3)
         rots = update_rotations(comp, h, v, w)
         theta = rotated_cores(comp, rots)
         assert theta.shape == (4, 3, 3)
@@ -223,7 +223,7 @@ class TestConvergenceMetric:
 
     def test_zero_factors_give_total_energy(self):
         comp = manual_compressed(6, rank=3, cols=10, num=4)
-        h, v, w = initial_factors(10, 4, 3, seed=0)
+        h, v, w = initial_factors(10, 4, 3)
         rots = update_rotations(comp, h, v, w)
         e = convergence_metric(comp, rots, np.zeros((3, 3)), np.zeros((10, 3)),
                                np.zeros((4, 3)))
@@ -300,6 +300,23 @@ class TestFitDpar2:
             obj = np.asarray(trace.objective)
             slack = 1e-9 * max(obj[0], max(np.abs(x).max() for x in slices) ** 2)
             assert (np.diff(obj) <= slack).all(), f"case {case}: {obj}"
+
+    @pytest.mark.parametrize("solver", [fit_dpar2, fit_baseline], ids=["dpar2", "als"])
+    def test_extreme_scales_fit_like_unit_scale(self, solver):
+        # At 1e150 the unscaled range sketch A A^T A overflowed; at 1e-150
+        # it underflowed and DPar2 fit 0.52 where unit scale fits 0.86.
+        def fit(tensor, threads):
+            factors, _ = solver(tensor, 3, SolverOptions(max_iters=10, tol=0.0, threads=threads))
+            return dpar2.fitness(tensor, factors)
+
+        rng = np.random.default_rng(0)
+        slices = [rng.random((rows, 8)) for rows in (12, 9, 15)]
+        unit = fit(IrregularTensor(slices), 1)
+        for scale in (1e150, 1e-150):
+            t = IrregularTensor([x * scale for x in slices])
+            fits = [fit(t, n) for n in (1, 2)]
+            assert abs(fits[0] - unit) <= 1e-12, scale
+            assert fits[0].hex() == fits[1].hex(), scale
 
     def test_factor_gram_invariant_across_slices(self):
         t = generate(SyntheticSpec(rows=20, cols=10, num_slices=5, mode=MODE_PLANTED,

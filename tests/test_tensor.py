@@ -142,12 +142,6 @@ class TestGenerate:
         assert t.row_counts == [6, 6, 6, 6]
         assert all((x >= 0).all() and (x < 1).all() for x in t.slices)
 
-    def test_explicit_row_list(self):
-        t = generate(SyntheticSpec(rows=[2, 5, 3], cols=4, num_slices=3, seed=2))
-        assert t.row_counts == [2, 5, 3]
-        with pytest.raises(ShapeMismatchError):
-            generate(SyntheticSpec(rows=[2, 5], cols=4, num_slices=3))
-
     def test_deterministic(self):
         spec = SyntheticSpec(rows=8, cols=6, num_slices=3, mode=MODE_PLANTED,
                              true_rank=2, noise_level=0.1, seed=9)
