@@ -1,4 +1,5 @@
 """Two-stage compression: accuracy, size accounting, determinism."""
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,11 @@ import pytest
 from dpar2.compress import compress, reconstruct_slice
 from dpar2.errors import NumericFailure, RankTooLargeError
 from dpar2.linalg import RsvdParams, derived_seed, randomized_svd
+from dpar2.scheduler import PartitionPlan, greedy_partition
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
+
+# The module itself: the package's ``compress`` attribute is the function.
+compress_module = importlib.import_module("dpar2.compress")
 
 
 def planted(seed=0, rows=24, cols=12, k=6, rank=3, noise=0.0):
@@ -91,11 +96,19 @@ class TestSizeAccounting:
 
 
 class TestDeterminism:
-    def test_threads_do_not_change_bits(self):
+    def test_plan_and_threads_do_not_change_bits(self, monkeypatch):
         t = planted(seed=8, rows=20, cols=10, k=7, rank=3, noise=0.1)
         ref = compress(t, 3, threads=1)
-        for threads in (2, 4, 7):
-            other = compress(t, 3, threads=threads)
+        variants = [compress(t, 3, threads=n) for n in (2, 4, 7)]
+        # The plan follows from the thread count; a shuffled one (slices
+        # dealt in reverse over three sets) must not change the bits either.
+        def shuffled(rows, workers):
+            order = list(range(len(rows)))[::-1]
+            return PartitionPlan(sets=[order[i::3] for i in range(3)])
+
+        monkeypatch.setattr(compress_module, "greedy_partition", shuffled)
+        variants.append(compress(t, 3, threads=2))
+        for other in variants:
             assert other.col_basis.tobytes() == ref.col_basis.tobytes()
             assert other.weights.tobytes() == ref.weights.tobytes()
             assert other.cores.tobytes() == ref.cores.tobytes()
@@ -103,13 +116,18 @@ class TestDeterminism:
                 assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_stacks_match_per_slice_sketches(self, threads):
+    @pytest.mark.parametrize("plan_workers", [None, 4])
+    def test_stacks_match_per_slice_sketches(self, threads, plan_workers, monkeypatch):
         # Repeated and mixed row counts; at 4000 columns the 30-row slices
         # split into several stacks and the 70-row slice alone exceeds a
-        # stack's size.
+        # stack's size.  With plan_workers set, the slices are split over
+        # that many sets whatever the thread count.
         rows = [30, 7, 70, 30, 30, 12, 7, 30]
         rng = np.random.Generator(np.random.PCG64(15))
         t = IrregularTensor([rng.standard_normal((r, 4000)) for r in rows])
+        if plan_workers is not None:
+            monkeypatch.setattr(compress_module, "greedy_partition",
+                                lambda counts, n: greedy_partition(counts, plan_workers))
         comp = compress(t, 3, rsvd=RsvdParams(rank=3, seed=21), threads=threads)
 
         stage1 = [randomized_svd(x, RsvdParams(rank=3, seed=derived_seed(21, k)))

@@ -142,11 +142,12 @@ def per_matrix_rsvd(a, params):
     return u, np.ldexp(small.S, e), v
 
 
-def textbook_rsvd(a, params):
-    """The unblocked Halko-Martinsson-Tropp range finder on the same Omega,
-    with one power step: Y = (A A^T) A Omega, QR, exact truncated SVD of
-    Q^T A."""
-    y = a @ (a.T @ (a @ gaussian_sketch(params, *a.shape)))
+def textbook_rsvd(a, params, power_steps):
+    """The unblocked Halko-Martinsson-Tropp range finder on the same Omega:
+    Y = (A A^T)^q A Omega, QR, exact truncated SVD of Q^T A."""
+    y = a @ gaussian_sketch(params, *a.shape)
+    for _ in range(power_steps):
+        y = a @ (a.T @ y)
     q, _ = np.linalg.qr(y)
     small = truncated_svd(q.T @ a, params.rank)
     return q @ small.U, small.S, small.V
@@ -158,17 +159,23 @@ def projector(basis):
 
 class TestRandomizedSvd:
     # 150 x 700 sweeps row blocks of 46, 46, 46 and 12 rows.
+    # ``oversampling`` is what the clamp min(10, min(m, n) - R) leaves: the
+    # default at rank 4 (None), or none at all with R = min(m, n) (0).  The
+    # recipe always takes one power step.
     @pytest.mark.parametrize("shape", [(40, 12), (12, 40), (150, 700)],
                              ids=["tall", "wide", "blocked"])
-    def test_stack_matches_per_matrix_recipe_bitwise(self, shape):
+    @pytest.mark.parametrize("oversampling", [None, 0])
+    @pytest.mark.parametrize("power_iters", [1])
+    def test_stack_matches_per_matrix_recipe_bitwise(self, shape, oversampling, power_iters):
         rng = np.random.Generator(np.random.PCG64(12))
         stack = rng.standard_normal((3, *shape))
-        params = RsvdParams(rank=4)
+        rank = 4 if oversampling is None else min(shape)
+        params = RsvdParams(rank=rank)
         seeds = [derived_seed(5, g) for g in range(3)]
         stacked = randomized_svd(stack, params, seeds=seeds)
-        assert stacked.U.shape == (3, shape[0], 4)
-        assert stacked.S.shape == (3, 4)
-        assert stacked.V.shape == (3, shape[1], 4)
+        assert stacked.U.shape == (3, shape[0], rank)
+        assert stacked.S.shape == (3, rank)
+        assert stacked.V.shape == (3, shape[1], rank)
         for g, seed in enumerate(seeds):
             own = replace(params, seed=seed)
             alone = randomized_svd(stack[g], own)
@@ -183,8 +190,9 @@ class TestRandomizedSvd:
     # Block heights: 128 rows at 256 columns; the 32-row floor at 2048.
     @pytest.mark.parametrize("shape", [(100, 256), (384, 256), (300, 256), (70, 2048)],
                              ids=["one-block", "exact-blocks", "ragged", "rows-floor"])
+    @pytest.mark.parametrize("power_iters", [1])
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
-    def test_matches_unblocked_textbook_formula(self, shape, stacked):
+    def test_matches_unblocked_textbook_formula(self, shape, power_iters, stacked):
         m, n = shape
         # Decaying column scales give a spectrum the sketch must resolve.
         rng = np.random.Generator(np.random.PCG64(17))
@@ -200,7 +208,7 @@ class TestRandomizedSvd:
                 one = randomized_svd(a, replace(params, seed=seed))
                 trips.append((one.U, one.S, one.V))
         for a, seed, (u, s, v) in zip(mats, seeds, trips):
-            want_u, want_s, want_v = textbook_rsvd(a, replace(params, seed=seed))
+            want_u, want_s, want_v = textbook_rsvd(a, replace(params, seed=seed), power_iters)
             assert np.abs(s - want_s).max() <= 1e-12 * want_s[0]
             assert np.linalg.norm(projector(u) - projector(want_u)) <= 1e-10
             assert np.linalg.norm(projector(v) - projector(want_v)) <= 1e-10
