@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NumericFailure
 from .linalg import RsvdParams, derived_seed, randomized_svd
-from .scheduler import greedy_partition, parallel_slice_map, resolve_threads
+from .scheduler import equal_height_stacks, greedy_partition, parallel_slice_map, resolve_threads
 from .tensor import IrregularTensor, check_rank
 
 
@@ -69,33 +69,6 @@ class CompressedTensor:
         )
 
 
-# Stage-1 stacks hold at most this many floats: enough slices to amortize
-# NumPy's per-call overhead on small slices, few enough that copying them
-# into the stack stays cheap.  A larger slice is a stack of one, a view.
-_STACK_FLOATS = 1 << 18
-
-
-def _stage1_stacks(plan, row_counts, cols):
-    """Each worker's slices grouped by row count into stacks.
-
-    Returns the stacks (lists of slice indices) and, per worker, the
-    indices of its stacks.
-    """
-    stacks, groups = [], []
-    for owned in plan.sets:
-        by_rows = {}
-        for k in owned:
-            by_rows.setdefault(row_counts[k], []).append(k)
-        mine = []
-        for rows, ks in by_rows.items():
-            size = max(1, _STACK_FLOATS // (rows * cols))
-            for start in range(0, len(ks), size):
-                mine.append(len(stacks))
-                stacks.append(ks[start : start + size])
-        groups.append(mine)
-    return stacks, groups
-
-
 def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None, threads=None):
     """Compress ``tensor`` at ``rank`` with two randomized-SVD stages.
 
@@ -114,7 +87,7 @@ def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None, thre
     params = replace(base, rank=rank)
     threads = resolve_threads(threads)
     plan = greedy_partition(row_counts, threads)
-    stacks, groups = _stage1_stacks(plan, row_counts, tensor.num_cols)
+    stacks, groups = equal_height_stacks(plan, row_counts, tensor.num_cols)
 
     def sketch(i):
         ks = stacks[i]

@@ -219,7 +219,10 @@ def pinv_small(a):
     """Moore-Penrose pseudoinverse of a small dense matrix via SVD.
 
     Singular values below ``max(a.shape) * s_max * 1e-12`` are treated as
-    zero, so rank-deficient Gram products invert stably.
+    zero, so rank-deficient Gram products invert stably.  A pseudoinverse
+    that float64 cannot hold (a kept singular value whose reciprocal
+    overflows, as in a Gram product of subnormal size) raises
+    :class:`NumericFailure`.
     """
     a = _as_matrix(a)
     try:
@@ -230,7 +233,11 @@ def pinv_small(a):
         return np.zeros((a.shape[1], a.shape[0]))
     tol = max(a.shape) * s[0] * 1e-12
     inv = np.zeros_like(s)
-    np.divide(1.0, s, out=inv, where=s > tol)
+    try:
+        with np.errstate(over="raise"):
+            np.divide(1.0, s, out=inv, where=s > tol)
+    except FloatingPointError as exc:
+        raise NumericFailure("pseudoinverse overflows: singular values too small") from exc
     return (vt.T * inv) @ u.T
 
 

@@ -2,7 +2,9 @@
 
 Slices of an irregular tensor have unequal row counts, so naive contiguous
 chunking can leave one worker with most of the rows.  ``greedy_partition``
-balances load with longest-processing-time-first assignment.  All parallel
+balances load with longest-processing-time-first assignment, and
+``equal_height_stacks`` groups each worker's slices by row count, so
+compression and ALS make one batched call per stack.  All parallel
 loops write results into per-slice slots and reduce in ascending slice
 order afterwards, so the outcome is bit-identical for any thread count.
 
@@ -58,6 +60,35 @@ def greedy_partition(row_counts, workers):
         sets[t].append(k)
         loads[t] += counts[k]
     return PartitionPlan(sets=sets, loads=loads)
+
+
+# Stacks hold at most this many floats: enough slices to amortize NumPy's
+# per-call overhead on small slices, few enough that copying them into the
+# stack stays cheap.  A larger slice is a stack of one, a view.
+_STACK_FLOATS = 1 << 18
+
+
+def equal_height_stacks(plan, row_counts, cols):
+    """Each worker's slices grouped by row count into stacks.
+
+    Returns the stacks (lists of slice indices, ascending within a stack)
+    and, per worker of ``plan``, the indices of its stacks.  A stack holds
+    at most ``_STACK_FLOATS`` floats of slices ``cols`` wide, and at least
+    one slice.
+    """
+    stacks, groups = [], []
+    for owned in plan.sets:
+        by_rows = {}
+        for k in owned:
+            by_rows.setdefault(row_counts[k], []).append(k)
+        mine = []
+        for rows, ks in by_rows.items():
+            size = max(1, _STACK_FLOATS // (rows * cols))
+            for start in range(0, len(ks), size):
+                mine.append(len(stacks))
+                stacks.append(ks[start : start + size])
+        groups.append(mine)
+    return stacks, groups
 
 
 def contiguous_chunks(n, parts):

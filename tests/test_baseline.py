@@ -1,20 +1,26 @@
 """Uncompressed alternating solver: unfoldings, sweep algebra, convergence."""
+import importlib
+
 import numpy as np
 import pytest
 
 import dpar2
 from dpar2.baseline import (
+    als_sweep,
     cp_als_step,
     fit_baseline,
     reconstruction_error,
+    residual_terms,
     unfold_mode1,
     unfold_mode2,
     unfold_mode3,
 )
 from dpar2.errors import NonFiniteInputError, NumericFailure, RankTooLargeError
-from dpar2.factors import SolverOptions
-from dpar2.linalg import khatri_rao, pinv_small
+from dpar2.factors import SolverOptions, initial_factors
+from dpar2.linalg import khatri_rao, pinv_small, truncated_svd
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
+
+baseline_module = importlib.import_module("dpar2.baseline")
 
 
 def cp_cores(h, v, w):
@@ -271,3 +277,85 @@ def test_reconstruction_error_expansion_matches_materialized_sum(name):
     got = reconstruction_error(t, q, h, v, w, threads=2)
     assert got >= 0.0
     assert abs(got - direct) <= 1e-9 * t.total_sq_norm()
+
+
+def per_slice_als(tensor, rank, iters):
+    """The ALS iteration one slice at a time, Q_k = U V^T from
+    ``truncated_svd``: the reference the stacked iteration must match bit
+    for bit.  Returns the cores and objective of every iteration and the
+    last factors."""
+    h, v, w = initial_factors(tensor.num_cols, tensor.num_slices, rank)
+    x_sq = np.array(tensor.sq_norms)
+    cores, objective = [], []
+    for _ in range(iters):
+        q = []
+        for k, x in enumerate(tensor.slices):
+            trip = truncated_svd(((x @ v) * w[k]) @ h.T, rank)
+            q.append(trip.U @ trip.V.T)
+        ys = [q_k.T @ x for q_k, x in zip(q, tensor.slices)]
+        grams = [q_k.T @ q_k for q_k in q]
+        h, v, w = als_sweep(np.stack(ys), None, h, v, w, normalize=False)
+        cores.append(np.stack(ys))
+        objective.append(float(np.add.reduce(residual_terms(x_sq, ys, grams, h, v, w))))
+    return cores, objective, (h, v, w, q)
+
+
+class TestStackedProcrustes:
+    # At 2000 columns a stack holds four 30-row slices, so the five 30-row
+    # slices need two stacks at threads=1; the 70-row slice is a stack of
+    # one, and the 7-row slices share one.
+    ROWS = [30, 7, 70, 30, 30, 12, 7, 30, 30]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_matches_per_slice_oracle_bitwise(self, threads, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(30))
+        t = IrregularTensor([rng.standard_normal((r, 2000)) for r in self.ROWS])
+        seen = []
+
+        def spy(cores, *args, **kwargs):
+            seen.append(cores.copy())
+            return als_sweep(cores, *args, **kwargs)
+
+        monkeypatch.setattr(baseline_module, "als_sweep", spy)
+        factors, trace = fit_baseline(t, 3, SolverOptions(max_iters=3, tol=0.0, threads=threads))
+        cores, objective, (h, v, w, q) = per_slice_als(t, 3, 3)
+        assert [c.tobytes() for c in seen] == [c.tobytes() for c in cores]
+        assert [e.hex() for e in trace.objective] == [e.hex() for e in objective]
+        for got, want in ((factors.H, h), (factors.V, v), (factors.W, w), *zip(factors.Q, q)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # Rows 9, 6, 9, 6, 6, 9: at threads=1 the stacks are [0, 2, 5] and
+    # [1, 3, 4]; at threads=2 they are [0, 5], [4], [2] and [1, 3].  Either
+    # way slice 5 sits in a stack that comes before slice 3's.
+    HEIGHTS = [9, 6, 9, 6, 6, 9]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_non_finite_target_names_the_lowest_slice(self, threads, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(31))
+        t = IrregularTensor([rng.standard_normal((r, 5)) for r in self.HEIGHTS])
+        h, v, w = initial_factors(5, 6, 2)
+        w[5, 0], w[3, 1] = np.nan, np.nan
+        monkeypatch.setattr(baseline_module, "initial_factors", lambda *args: (h, v, w))
+        with pytest.raises(NumericFailure, match=r"rotation target is not finite \(slice 3\)") as err:
+            fit_baseline(t, 2, SolverOptions(threads=threads))
+        assert err.value.slice_index == 3
+
+    @pytest.mark.parametrize("threads, named", [
+        (1, r"in the stack of slices \[1, 3, 4\]"),
+        (2, r"in the stack of slices \[1, 3\]"),
+        (3, r"\(slice 1\)"),
+    ])
+    def test_failed_svd_names_the_stack(self, threads, named, monkeypatch):
+        # Only the 6-row targets fail; at threads=3 each is a stack of one.
+        rng = np.random.Generator(np.random.PCG64(32))
+        t = IrregularTensor([rng.standard_normal((r, 5)) for r in self.HEIGHTS])
+        svd = np.linalg.svd
+
+        def failing_svd(a, *args, **kwargs):
+            if a.shape[-2] == 6:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(NumericFailure, match="rotation SVD did not converge " + named):
+            fit_baseline(t, 2, SolverOptions(threads=threads))

@@ -346,6 +346,13 @@ class TestPinv:
     def test_zero_matrix(self):
         assert np.allclose(pinv_small(np.zeros((3, 2))), np.zeros((2, 3)))
 
+    def test_unrepresentable_inverse_is_a_numeric_failure(self):
+        # 1e-320 lies above the 2e-322 cutoff, but 1/1e-320 overflows; a
+        # smaller but normal-sized matrix still inverts.
+        with pytest.raises(NumericFailure, match="pseudoinverse overflows"):
+            pinv_small(np.diag([1e-310, 1e-320]))
+        assert np.allclose(pinv_small(np.diag([1e-300, 1e-305])) * 1e-305, np.diag([1e-5, 1.0]))
+
 
 class TestProducts:
     def test_gram_against_triple_loop(self):

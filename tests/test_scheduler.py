@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import dpar2
 from dpar2 import cli
 from dpar2.scheduler import (
+    _STACK_FLOATS,
     contiguous_chunks,
+    equal_height_stacks,
     greedy_partition,
     openblas_function,
     parallel_slice_map,
@@ -75,6 +77,24 @@ class TestGreedyPartition:
         for i, group in enumerate(plan.sets):
             assert plan.loads[i] == sum(counts[k] for k in group)
         assert max(plan.loads) - min(plan.loads) <= max(counts)
+
+
+class TestEqualHeightStacks:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counts=st.lists(st.sampled_from([1, 7, 30, 70, 600]), min_size=1, max_size=60),
+        cols=st.sampled_from([3, 2000, 5000]),
+        workers=st.integers(1, 4),
+    )
+    def test_each_worker_stacks_its_own_slices_by_height(self, counts, cols, workers):
+        plan = greedy_partition(counts, workers)
+        stacks, groups = equal_height_stacks(plan, counts, cols)
+        assert sorted(i for g in groups for i in g) == list(range(len(stacks)))
+        for owned, mine in zip(plan.sets, groups):
+            assert sorted(k for i in mine for k in stacks[i]) == sorted(owned)
+        for ks in stacks:
+            assert ks == sorted(ks) and len({counts[k] for k in ks}) == 1
+            assert len(ks) == 1 or len(ks) * counts[ks[0]] * cols <= _STACK_FLOATS
 
 
 class TestContiguousChunks:

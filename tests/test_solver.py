@@ -1,4 +1,6 @@
 """Compressed-space solver: rotation algebra, contraction kernels, full fits."""
+import traceback
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ class TestRotations:
         w = rng.standard_normal((5, 3))
         rots = update_rotations(comp, h, v, w)
         for k in range(5):
-            direct = _procrustes(reconstruct_slice(comp, k), v, h, w[k], 3, k)
+            direct = _procrustes(reconstruct_slice(comp, k)[None], v, h, w[k][None], [k])[0]
             via_rotation = comp.slice_bases[k] @ (rots[k].Z @ rots[k].P.T)
             assert np.abs(via_rotation - direct).max() <= 1e-8
 
@@ -317,6 +319,31 @@ class TestFitDpar2:
             fits = [fit(t, n) for n in (1, 2)]
             assert abs(fits[0] - unit) <= 1e-12, scale
             assert fits[0].hex() == fits[1].hex(), scale
+
+    @pytest.mark.parametrize("solver", [fit_dpar2, fit_baseline], ids=["dpar2", "als"])
+    def test_tiny_scales_fit_like_unit_scale_or_fail_in_the_sweep(self, solver):
+        # From about 1e-154 down the sweep's Gram products reach the
+        # subnormal range: inverting them overflowed with a RuntimeWarning
+        # (an error in this suite), and flooring the pinv cutoff alone made
+        # both solvers fit 0.0 at 1e-155 with no error.
+        opts = SolverOptions(max_iters=10, tol=0.0, threads=1)
+        rng = np.random.default_rng(0)
+        slices = [rng.standard_normal((rows, 8)) for rows in (12, 9, 15)]
+        unit, _ = solver(IrregularTensor(slices), 3, opts)
+        unit = dpar2.fitness(IrregularTensor(slices), unit)
+        outcomes = set()
+        for exponent in np.arange(150, 166, 0.25):
+            t = IrregularTensor([x * 10.0**-exponent for x in slices])
+            try:
+                factors, _ = solver(t, 3, opts)
+            except NumericFailure as exc:
+                frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
+                assert "als_sweep" in frames, (exponent, str(exc))
+                outcomes.add("raised")
+                continue
+            assert abs(dpar2.fitness(t, factors) - unit) <= 1e-6, exponent
+            outcomes.add("fit")
+        assert outcomes == {"fit", "raised"}
 
     def test_factor_gram_invariant_across_slices(self):
         t = generate(SyntheticSpec(rows=20, cols=10, num_slices=5, mode=MODE_PLANTED,
