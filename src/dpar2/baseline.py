@@ -5,15 +5,14 @@ Each iteration solves the per-slice orthogonal Procrustes problems (Q_k =
 U_k V_k^T from the thin SVD of X_k V S_k H^T), projects the slices to the
 core stack Y_k = Q_k^T X_k in the same pass over X, and runs one
 :func:`als_sweep` over H, V, W on that stack.  Like stage-1 compression,
-each worker takes its slices in stacks of equal row count, one batched
-product chain and one stacked SVD per stack, so a tensor of many small
-slices costs a few large NumPy calls, not a few dozen small ones per
-slice; each matrix of a stack gets the bits it would get alone.  The
-reconstruction error sum_k ||X_k - Q_k H S_k V^T||_F^2 drives the stopping
-rule; it is expanded over ||X_k||^2 (which the tensor keeps), Y_k and
-Q_k^T Q_k, so it costs no pass over X of its own.  :func:`als_sweep` is
-the one implementation of the H, V, W updates; the compressed solver runs
-it on R x R blocks.
+it runs stacks of equal row count through ``scheduler.map_stacks``, one
+:func:`procrustes_svd` per stack; the compressed solver's rotations call
+the same kernel on R x R cores.  The reconstruction error
+sum_k ||X_k - Q_k H S_k V^T||_F^2 drives the stopping rule; it is
+expanded over ||X_k||^2 (which the tensor keeps), Y_k and Q_k^T Q_k, so
+it costs no pass over X of its own.  :func:`als_sweep` is the one
+implementation of the H, V, W updates; the compressed solver runs it on
+R x R blocks.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import NumericFailure, ShapeMismatchError
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, iterate, push_col_norms
 from .linalg import gram, pinv_small
-from .scheduler import equal_height_stacks, greedy_partition, parallel_slice_map, resolve_threads
+from .scheduler import equal_height_stacks, greedy_partition, map_stacks, parallel_slice_map, resolve_threads
 from .tensor import IrregularTensor, check_rank
 
 
@@ -57,13 +56,14 @@ def als_sweep(cores, basis, h, v, w, normalize):
     into W, which the final W solve then replaces.  Finite cores whose
     Gram products overflow or underflow raise :class:`NumericFailure`.
     """
-    h = _solve(rhs_mode1(cores, basis, w, v), w, v)
-    if normalize:
-        h, w = push_col_norms(h, w)
-    v = _solve(rhs_mode2(cores, basis, w, h), w, h)
-    if normalize:
-        v, w = push_col_norms(v, w)
-    w = _solve(rhs_mode3(cores, basis, v, h), v, h)
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve checks every factor
+        h = _solve(rhs_mode1(cores, basis, w, v), w, v)
+        if normalize:
+            h, w = push_col_norms(h, w)
+        v = _solve(rhs_mode2(cores, basis, w, h), w, h)
+        if normalize:
+            v, w = push_col_norms(v, w)
+        w = _solve(rhs_mode3(cores, basis, v, h), v, h)
     return h, v, w
 
 
@@ -115,27 +115,25 @@ def _solve(rhs, a, b):
     return factor
 
 
-def _procrustes(x, v, h, w_rows, ks):
-    """Procrustes factors Q_k = U_k V_k^T of the (G, I, J) stack ``x`` of
-    slices ``ks``, from the thin SVDs of the targets X_k V S_k H^T.
+def procrustes_svd(x, v, h, w_rows):
+    """Thin SVDs of the Procrustes targets ((X_k V) * w_k) H^T of the
+    (G, I, J) stack ``x``, one stacked product chain and one stacked SVD.
 
-    One stacked product chain and one stacked SVD serve the whole stack,
-    and each matrix gets the bits it would get alone.  U_k V_k^T needs no
-    sign convention: flipping a column of U_k and of V_k leaves it as it
-    is.  A non-finite target raises :class:`NumericFailure` naming the
-    lowest such slice of the stack.
+    ``w_rows`` holds the w_k, one row per matrix of ``x``.  Each matrix
+    gets the bits it would get alone.  A non-finite target raises
+    :class:`NumericFailure` with the position in ``x`` of the first such
+    matrix; an SVD that does not converge raises one with no position.
+    ALS takes Q_k = U_k V_k^T on the raw slices, and the compressed solver
+    calls it on the cores F_k with E D^T V standing in for V.
     """
     target = ((x @ v) * w_rows[:, None, :]) @ h.T
     finite = np.isfinite(target).all(axis=(1, 2))
     if not finite.all():
-        raise NumericFailure("rotation target is not finite", slice_index=ks[int(np.argmin(finite))])
+        raise NumericFailure("rotation target is not finite", slice_index=int(np.argmin(finite)))
     try:
-        u, _, vt = np.linalg.svd(target, full_matrices=False)
+        return np.linalg.svd(target, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        if len(ks) == 1:
-            raise NumericFailure("rotation SVD did not converge", slice_index=ks[0]) from exc
-        raise NumericFailure(f"rotation SVD did not converge in the stack of slices {ks}") from exc
-    return u @ vt
+        raise NumericFailure("rotation SVD did not converge") from exc
 
 
 def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = None):
@@ -145,11 +143,9 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
     error and wall time of every iteration; it stops by the rule of
     :func:`~dpar2.factors.iterate`.  The slices are split over the
     ``threads`` workers by ``greedy_partition`` and grouped into stacks of
-    equal row count once per fit; each iteration every worker solves and
-    projects its stacks, one batched call each.  No bit depends on the
-    thread count.  A failing Procrustes step raises the
-    :class:`NumericFailure` of the lowest slice (a stack counts as its
-    lowest slice when the failure cannot name one), whatever the stacking.
+    equal row count once per fit; each iteration ``map_stacks`` solves and
+    projects every stack in one batched call.  No bit, and no error,
+    depends on the thread count.
     """
     opts = opts or SolverOptions()
     check_rank(tensor, rank)
@@ -163,26 +159,19 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
         q = [None] * num
         cores, grams = np.empty((num, rank, cols)), np.empty((num, rank, rank))
 
-        def project(i):
-            ks = stacks[i]
-            # The slice itself, a view, when the stack holds one.
-            x = tensor.slices[ks[0]][None] if len(ks) == 1 else np.stack([tensor.slices[k] for k in ks])
-            try:
-                qs = _procrustes(x, v, h, w[ks], ks)
-            except NumericFailure as exc:
-                return (ks[0] if exc.slice_index is None else exc.slice_index), exc
+        def project(x, ks):
+            # U V^T needs no sign convention: a sign flip leaves it as it is.
+            u, _, vt = procrustes_svd(x, v, h, w[ks])
+            qs = u @ vt
             qt = np.swapaxes(qs, 1, 2)
             cores[ks], grams[ks] = qt @ x, qt @ qs
             for k, q_k in zip(ks, qs):
                 q[k] = q_k
-            return None
 
-        failures = parallel_slice_map(project, len(stacks), threads=threads, groups=groups)
-        failures = [f for f in failures if f is not None]
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
+        map_stacks(project, tensor.slices, stacks, groups, threads)
         h, v, w = als_sweep(cores, None, h, v, w, normalize=False)
-        objective = float(np.add.reduce(residual_terms(x_sq, cores, grams, h, v, w)))
+        with np.errstate(over="ignore", invalid="ignore"):  # iterate checks the objective
+            objective = float(np.add.reduce(residual_terms(x_sq, cores, grams, h, v, w)))
         return (h, v, w, q), objective
 
     initial = initial_factors(cols, num, rank, opts.seed)
@@ -198,13 +187,15 @@ def residual_terms(x_sq, cores, grams, h, v, w):
     ||X_k||^2 - 2 <Y_k, M_k> + <Q_k^T Q_k, M_k M_k^T>, which holds for any
     Q_k, orthonormal or not.  ``x_sq`` holds the ||X_k||^2, ``cores`` the
     Y_k and ``grams`` the Q_k^T Q_k.  Near an exact fit the expansion
-    cancels to rounding error, so each term is clamped at 0.
+    cancels to rounding error, so each finite term is clamped at 0; a term
+    that overflowed stays non-finite, even at -inf.
     """
     hs = h * w[:, None, :]  # H S_k, (K, R, R)
     cross = np.sum((np.asarray(cores) @ v) * hs, axis=(1, 2))  # <Y_k V, H S_k>
     model_gram = hs @ gram(v) @ hs.transpose(0, 2, 1)  # M_k M_k^T
     quad = np.sum(np.asarray(grams) * model_gram, axis=(1, 2))
-    return np.maximum(x_sq - 2.0 * cross + quad, 0.0)
+    terms = x_sq - 2.0 * cross + quad
+    return np.maximum(terms, 0.0, out=terms, where=np.isfinite(terms))
 
 
 def reconstruction_error(tensor, q, h, v, w, threads=None):

@@ -11,18 +11,19 @@ where F_k is the k-th (R x R) block of F (KR x R).  Only A_k, D, E, F are
 kept: sum(I_k) R + K R^2 + J R + R floats in total.
 
 Each worker sketches the slices it owns as stacks of equal row count, one
-batched randomized SVD per stack.  BLAS products and NumPy's linalg
-gufuncs release the GIL; the Python overhead of every call holds it.
-Stacking turns thousands of tiny calls into a few large ones, so the
-workers' products and factorizations overlap: it is what lets a second
-worker add speed on many small slices.  Each sketch reads its slice three
-times: one cache-blocked sweep for the power step, summing (A_b S)^T A_b
-over row blocks of about 2^15 floats, then the range sketch and the
-projection Q^T A (see ``linalg.randomized_svd``).  Per-slice sketch seeds
-derive from (seed, k) only, a slice's row blocks depend only on its
-shape, and a stack factorizes each matrix as it would alone, so the bits
-never depend on the work partition or thread count and equal per-slice
-``randomized_svd`` calls.
+batched randomized SVD per stack, run by ``scheduler.map_stacks``, which
+names the lowest failing slice at any thread count.  BLAS products and
+NumPy's linalg gufuncs release the GIL; the Python overhead of every call
+holds it.  Stacking turns thousands of tiny calls into a few large ones,
+so the workers' products and factorizations overlap: it is what lets a
+second worker add speed on many small slices.  Each sketch reads its
+slice three times: one cache-blocked sweep for the power step, summing
+(A_b S)^T A_b over row blocks of about 2^15 floats, then the range sketch
+and the projection Q^T A (see ``linalg.randomized_svd``).  Per-slice
+sketch seeds derive from (seed, k) only, a slice's row blocks depend only
+on its shape, and a stack factorizes each matrix as it would alone, so
+the bits never depend on the work partition or thread count and equal
+per-slice ``randomized_svd`` calls.
 """
 from __future__ import annotations
 
@@ -30,9 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericFailure
 from .linalg import RsvdParams, derived_seed, randomized_svd
-from .scheduler import equal_height_stacks, greedy_partition, parallel_slice_map, resolve_threads
+from .scheduler import equal_height_stacks, greedy_partition, map_stacks, resolve_threads
 from .tensor import IrregularTensor, check_rank
 
 
@@ -76,9 +76,8 @@ def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None, thre
     by ``rank``); the concatenated stage draws from ``derived_seed(seed,
     K)``.  The slices are split over the ``threads`` workers by
     ``greedy_partition``, and each worker sketches its slices as stacks of
-    equal row count, because each call's Python overhead holds the GIL and
-    only a few large calls leave a second worker room.  The thread count
-    does not change the values: every slice gets the bits of
+    equal row count.  The thread count changes neither the values nor the
+    slice a failure names: every slice gets the bits of
     ``randomized_svd(x_k, seed=derived_seed(seed, k))``.
     """
     check_rank(tensor, rank)
@@ -89,28 +88,15 @@ def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None, thre
     plan = greedy_partition(row_counts, threads)
     stacks, groups = equal_height_stacks(plan, row_counts, tensor.num_cols)
 
-    def sketch(i):
-        ks = stacks[i]
-        if len(ks) == 1:
-            x = tensor.slices[ks[0]][None]
-        else:
-            x = np.stack([tensor.slices[k] for k in ks])
-        try:
-            return randomized_svd(x, params, seeds=[derived_seed(base.seed, k) for k in ks])
-        except NumericFailure as exc:
-            if exc.slice_index is None:  # the factorization does not say which matrix
-                raise NumericFailure(f"{exc.reason} in the stack of slices {ks}") from exc
-            raise NumericFailure(exc.reason, slice_index=ks[exc.slice_index]) from exc
-
-    stage1 = parallel_slice_map(sketch, len(stacks), threads=threads, groups=groups)
-
     bases = [None] * tensor.num_slices
     rights = [None] * tensor.num_slices
-    for ks, trip in zip(stacks, stage1):
-        right = trip.V * trip.S[:, None, :]
-        for g, k in enumerate(ks):
-            bases[k] = trip.U[g]
-            rights[k] = right[g]
+
+    def sketch(x, ks):
+        trip = randomized_svd(x, params, seeds=[derived_seed(base.seed, k) for k in ks])
+        for k, u, right in zip(ks, trip.U, trip.V * trip.S[:, None, :]):
+            bases[k], rights[k] = u, right
+
+    map_stacks(sketch, tensor.slices, stacks, groups, threads)
     # J x KR concatenation of the slice right parts C_k B_k, in slice order.
     merged = np.concatenate(rights, axis=1)
     shared = randomized_svd(merged, replace(params, seed=derived_seed(base.seed, tensor.num_slices)))

@@ -9,13 +9,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ArchiveFormatError, ShapeMismatchError
+from .errors import ArchiveFormatError, NumericFailure, ShapeMismatchError
 
 
 @dataclass
@@ -78,13 +79,16 @@ def iterate(step, state, opts: SolverOptions, trace: FitTrace):
     Runs ``state, objective = step(*state)`` and records each objective and
     its wall time in ``trace``.  Stops after ``max_iters`` steps, or sets
     ``trace.converged`` and stops once the objective changed by at most
-    ``tol`` times its previous value (or that value was 0).
+    ``tol`` times its previous value (or that value was 0).  An objective
+    that is not finite raises :class:`NumericFailure`.
     """
     if opts.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     for _ in range(opts.max_iters):
         started = time.perf_counter()
         state, objective = step(*state)
+        if not math.isfinite(objective):
+            raise NumericFailure("objective is not finite")
         trace.objective.append(objective)
         trace.seconds.append(time.perf_counter() - started)
         if trace.iterations > 1:

@@ -222,7 +222,8 @@ def pinv_small(a):
     zero, so rank-deficient Gram products invert stably.  A pseudoinverse
     that float64 cannot hold (a kept singular value whose reciprocal
     overflows, as in a Gram product of subnormal size) raises
-    :class:`NumericFailure`.
+    :class:`NumericFailure`, and so does a finite matrix whose largest
+    singular value overflows, which would otherwise invert to zero.
     """
     a = _as_matrix(a)
     try:
@@ -231,7 +232,9 @@ def pinv_small(a):
         raise NumericFailure("SVD did not converge in pinv") from exc
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[1], a.shape[0]))
-    tol = max(a.shape) * s[0] * 1e-12
+    if not np.isfinite(s[0]):
+        raise NumericFailure("pseudoinverse input too large: singular values overflow")
+    tol = s[0] * (max(a.shape) * 1e-12)  # cannot overflow once s[0] is finite
     inv = np.zeros_like(s)
     try:
         with np.errstate(over="raise"):

@@ -4,9 +4,11 @@ Slices of an irregular tensor have unequal row counts, so naive contiguous
 chunking can leave one worker with most of the rows.  ``greedy_partition``
 balances load with longest-processing-time-first assignment, and
 ``equal_height_stacks`` groups each worker's slices by row count, so
-compression and ALS make one batched call per stack.  All parallel
-loops write results into per-slice slots and reduce in ascending slice
-order afterwards, so the outcome is bit-identical for any thread count.
+compression and ALS make one batched call per stack; ``map_stacks`` runs
+every such stack and names the lowest failing slice.  All parallel loops
+write results into per-slice slots and reduce in ascending slice order
+afterwards, so the outcome, errors included, is the same for any thread
+count.
 
 These worker threads are the package's only parallelism: importing the
 package sets numpy's bundled OpenBLAS to one thread for the whole process
@@ -23,6 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import NumericFailure
 
 
 @dataclass
@@ -164,6 +168,43 @@ def parallel_slice_map(fn, num_slices, threads=None, groups=None):
             list(pool.map(run, groups))
     if failures:
         raise failures[lowest[0]]
+    return results
+
+
+def map_stacks(fn, slices, stacks, groups, threads=None):
+    """``fn(x, ks)`` for every stack ``ks`` of ``stacks``, in stack order;
+    worker i runs the stacks ``groups[i]``.
+
+    ``x`` holds the stack's slices: a view for a stack of one or for a
+    contiguous run of an array ``slices``, else their ``np.stack``.  Every
+    stack runs.  A :class:`NumericFailure` at position i of ``x`` is
+    re-raised naming slice ``ks[i]``; one with no position names the stack
+    (a stack of one, its slice) and counts as its lowest slice.  The lowest
+    slice's failure is raised, whatever the stacking or thread count.
+    """
+    failures = {}  # the slice each failing stack names (unnamed: its lowest) -> error
+
+    def run(i):
+        ks = stacks[i]
+        if len(ks) == 1:
+            x = slices[ks[0]][None]
+        elif isinstance(slices, np.ndarray) and ks[-1] - ks[0] == len(ks) - 1:
+            x = slices[ks[0] : ks[-1] + 1]
+        else:
+            x = np.stack([slices[k] for k in ks])
+        try:
+            return fn(x, ks)
+        except NumericFailure as exc:
+            k = ks[exc.slice_index or 0]
+            if exc.slice_index is None and len(ks) > 1:
+                failures[k] = NumericFailure(f"{exc.reason} in the stack of slices {ks}")
+            else:
+                failures[k] = NumericFailure(exc.reason, slice_index=k)
+            failures[k].__cause__ = exc
+
+    results = parallel_slice_map(run, len(stacks), threads=threads, groups=groups)
+    if failures:
+        raise failures[min(failures)]
     return results
 
 

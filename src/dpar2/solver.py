@@ -18,11 +18,13 @@ batched array operation over the (K, R, R) stack of slices:
   which equals the residual against the compressed slices because the
   Frobenius norm ignores the orthonormal left factors A_k Z_k.
 
-The rotations run on the worker threads, one contiguous chunk of slices
-per worker.  Each worker also builds its chunk's Theta_k, and the returned
-:class:`RotationStack` carries Theta to the sweep and the metric, so it is
-formed once per iteration.  Every R x R matrix is factorized on its own,
-so no result depends on the thread count.
+The rotations run one contiguous chunk of slices per worker through
+``scheduler.map_stacks`` and the ALS baseline's Procrustes kernel
+:func:`~dpar2.baseline.procrustes_svd`.  Each worker also builds its
+chunk's Theta_k, and the returned :class:`RotationStack` carries Theta to
+the sweep and the metric, so it is formed once per iteration.  Every
+R x R matrix is factorized on its own, so no result depends on the thread
+count.
 """
 from __future__ import annotations
 
@@ -31,12 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import als_sweep, rhs_mode1, rhs_mode2, rhs_mode3
+from .baseline import als_sweep, procrustes_svd, rhs_mode1, rhs_mode2, rhs_mode3
 from .compress import CompressedTensor, compress
-from .errors import NumericFailure
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, iterate
 from .linalg import RsvdParams, fix_signs, gram
-from .scheduler import contiguous_chunks, parallel_slice_map, resolve_threads
+from .scheduler import contiguous_chunks, map_stacks, resolve_threads
 from .tensor import IrregularTensor
 
 
@@ -73,35 +74,24 @@ def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
 
     The slices are split into one contiguous chunk per worker thread
     (``threads``, resolved as everywhere else, but at most one worker per
-    2^14 target floats).  Each worker factorizes its chunk as one stacked
-    SVD and builds the chunk's Theta_k, which the returned stack carries.
-    Every matrix is factorized on its own, so the result is bit-identical
-    at any thread count.
+    2^14 target floats).  Each worker factorizes its chunk with
+    :func:`~dpar2.baseline.procrustes_svd` and builds the chunk's Theta_k,
+    which the returned stack carries.  Every matrix is factorized on its
+    own, so the result is bit-identical at any thread count, and a failure
+    names the lowest failing slice.
     """
     core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)  # E D^T V, shared by all slices
     cores = comp.core_stack()
-    z, p, theta = (np.empty_like(cores) for _ in range(3))
-    sig = np.empty(cores.shape[:2])
     workers = min(resolve_threads(threads), max(1, cores.size // _MIN_CHUNK_FLOATS))
     chunks = contiguous_chunks(comp.num_slices, workers)
 
-    def solve(c):
-        first = chunks[c][0]
-        part = slice(first, chunks[c][-1] + 1)
-        t = ((cores[part] @ core_cols) * w[part, None, :]) @ h.T
-        finite = np.isfinite(t).all(axis=(1, 2))
-        if not finite.all():
-            raise NumericFailure("rotation target is not finite",
-                                 slice_index=first + int(np.argmin(finite)))
-        try:
-            zc, sig[part], pt = np.linalg.svd(t, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailure("rotation SVD did not converge") from exc
-        z[part], p[part] = fix_signs(zc, np.ascontiguousarray(pt.transpose(0, 2, 1)))
-        theta[part] = (p[part] @ z[part].transpose(0, 2, 1)) @ cores[part]
+    def solve(x, ks):
+        zc, sig, pt = procrustes_svd(x, core_cols, h, w[ks[0] : ks[-1] + 1])
+        z, p = fix_signs(zc, np.ascontiguousarray(pt.transpose(0, 2, 1)))
+        return z, p, sig, (p @ z.transpose(0, 2, 1)) @ x
 
-    parallel_slice_map(solve, len(chunks), threads=workers)
-    return RotationStack(Z=z, P=p, Sig=sig, Theta=theta)
+    parts = map_stacks(solve, cores, chunks, [[c] for c in range(len(chunks))], workers)
+    return RotationStack(*(np.concatenate(piece) for piece in zip(*parts)))
 
 
 def rotated_cores(comp: CompressedTensor, rotations):
@@ -184,7 +174,9 @@ def fit_dpar2(tensor: IrregularTensor, rank, opts: SolverOptions | None = None):
     def step(h, v, w, _):
         rotations = update_rotations(comp, h, v, w, opts.threads)
         h, v, w = update_factors(comp, rotations, h, v, w)
-        return (h, v, w, rotations), convergence_metric(comp, rotations, h, v, w)
+        with np.errstate(over="ignore", invalid="ignore"):  # iterate checks the objective
+            objective = convergence_metric(comp, rotations, h, v, w)
+        return (h, v, w, rotations), objective
 
     initial = initial_factors(tensor.num_cols, tensor.num_slices, rank, opts.seed)
     h, v, w, rotations = iterate(step, (*initial, None), opts, trace)

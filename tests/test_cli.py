@@ -182,6 +182,15 @@ class TestDecompose:
         assert cli.main(["decompose", str(path), "--rank", "2"]) == 4
         assert "(slice 1)" in capsys.readouterr().err
 
+    def test_non_finite_objective_exits_4(self, tmp_path, capsys):
+        # Finite input whose objective overflows: it used to warn, then
+        # return nan as the objective.
+        rng = np.random.default_rng(0)
+        path = tmp_path / "huge.irt"
+        save_archive(IrregularTensor([rng.random((rows, 8)) * 1e153 for rows in (12, 9, 15)]), path)
+        assert cli.main(["decompose", str(path), "--rank", "3", "--max-iters", "1"]) == 4
+        assert "objective is not finite" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_in_als_sweep_exits_4(self, tmp_path, capsys):
         # x1e160 is finite, but the sweep's Gram products overflow; x1e150 still fits.

@@ -202,6 +202,18 @@ class TestErrorsAndEdges:
             compress(IrregularTensor(slices), 2, threads=threads)
         assert err.value.slice_index == 2
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_overflow_in_two_stacks_names_the_lowest_slice(self, threads):
+        # Rows 9, 6, 9, 6, 6, 9: at threads 1 and 2 slice 5 sits in a stack
+        # that comes before slice 3's ([0, 2, 5] before [1, 3, 4], and [0, 5]
+        # first), so naming the first failing stack named slice 5.
+        rng = np.random.Generator(np.random.PCG64(17))
+        slices = [rng.standard_normal((rows, 5)) for rows in (9, 6, 9, 6, 6, 9)]
+        slices[3], slices[5] = slices[3] * 1e200, slices[5] * 1e200
+        with pytest.raises(NumericFailure, match=r"\(slice 3\)") as err:
+            compress(IrregularTensor(slices), 2, threads=threads)
+        assert err.value.slice_index == 3
+
     def test_failed_factorization_names_the_stack(self, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")

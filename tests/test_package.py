@@ -1,5 +1,5 @@
-"""Package surface: the public exports, the settable sketch options and the
-runtime dependencies."""
+"""Package surface: the public exports, the settable sketch options, the
+runtime dependencies and where worker threads start."""
 import ast
 import dataclasses
 import inspect
@@ -25,16 +25,34 @@ def test_sketch_settings_are_rank_and_seed_only():
         "tensor", "rank", "rsvd", "threads"]
 
 
+def absolute_imports(tree):
+    """The top-level module of every absolute import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def parsed_sources():
+    return [(path.name, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted(SRC.glob("*.py"))]
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
-    foreign = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                roots = [alias.name.split(".")[0] for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                roots = [node.module.split(".")[0]]
-            else:
-                continue
-            foreign += [f"{path.name}: {root}" for root in roots
-                        if root != "numpy" and root not in sys.stdlib_module_names]
+    foreign = [f"{name}: {root}" for name, tree in parsed_sources()
+               for root in absolute_imports(tree)
+               if root != "numpy" and root not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_threads_start_only_in_the_scheduler():
+    # scheduler.map_stacks is the one runner of stacks: it names the lowest
+    # failing slice, which parallel_slice_map over stacks does not.
+    sources = dict(parsed_sources())
+    found = [f"{name} imports {root}" for name, tree in sources.items() if name != "scheduler.py"
+             for root in absolute_imports(tree) if root in ("threading", "concurrent")]
+    found += ["compress.py calls parallel_slice_map" for node in ast.walk(sources["compress.py"])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "parallel_slice_map"]
+    assert found == []

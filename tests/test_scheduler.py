@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 import dpar2
 from dpar2 import cli
+from dpar2.errors import NumericFailure
 from dpar2.scheduler import (
     _STACK_FLOATS,
     contiguous_chunks,
     equal_height_stacks,
     greedy_partition,
+    map_stacks,
     openblas_function,
     parallel_slice_map,
     resolve_threads,
@@ -162,6 +164,61 @@ class TestParallelSliceMap:
         plan_sets = [[2, 0], [1]]
         got = parallel_slice_map(lambda k: k * k, 3, threads=2, groups=plan_sets)
         assert got == [0, 1, 4]
+
+
+class TestMapStacks:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_results_come_back_in_stack_order(self, threads):
+        slices = np.arange(5 * 2 * 3, dtype=float).reshape(5, 2, 3)
+        stacks = [[1, 2, 3], [0, 4], [4], [0]]
+        got = map_stacks(lambda x, ks: (x, ks), slices, stacks, [[3, 1], [0], [2]], threads)
+        assert [ks for _, ks in got] == stacks
+        for x, ks in got:
+            assert x.tobytes() == slices[ks].tobytes()
+        # A stack of one, and a contiguous run of an array, is a view.
+        assert [np.shares_memory(x, slices) for x, _ in got] == [True, False, True, True]
+
+    @settings(max_examples=50, deadline=None)
+    @given(counts=st.lists(st.sampled_from([3, 4, 5]), min_size=1, max_size=40),
+           data=st.data())
+    def test_raises_the_lowest_failing_slice(self, counts, data):
+        bad = data.draw(st.sets(st.integers(0, len(counts) - 1), min_size=1))
+        slices = [np.zeros((rows, 2)) for rows in counts]
+
+        def fail(x, ks):
+            named = [i for i, k in enumerate(ks) if k in bad]
+            if named:
+                raise NumericFailure("bad slice", slice_index=named[0])
+
+        for threads in (1, 2, 3):
+            stacks, groups = equal_height_stacks(greedy_partition(counts, threads), counts, 2)
+            with pytest.raises(NumericFailure) as err:
+                map_stacks(fail, slices, stacks, groups, threads)
+            assert err.value.slice_index == min(bad)
+            assert str(err.value) == f"bad slice (slice {min(bad)})"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_unnamed_failure_names_its_stack(self, threads):
+        # The unnamed failure counts as slice 3, below the named slice 4.
+        def fail(x, ks):
+            if 3 in ks:
+                raise NumericFailure("no convergence")
+            if 4 in ks:
+                raise NumericFailure("bad slice", slice_index=ks.index(4))
+
+        slices = [np.zeros((2, 2))] * 6
+        stacks = [[0, 1], [2, 4], [3, 5]]
+        with pytest.raises(NumericFailure, match=r"^no convergence in the stack of slices \[3, 5\]$") as err:
+            map_stacks(fail, slices, stacks, [[0, 1], [2]], threads)
+        assert err.value.slice_index is None
+
+    def test_unnamed_failure_of_a_stack_of_one_names_its_slice(self):
+        def fail(x, ks):
+            raise NumericFailure("no convergence")
+
+        with pytest.raises(NumericFailure, match=r"^no convergence \(slice 4\)$") as err:
+            map_stacks(fail, [np.zeros((2, 2))] * 6, [[4], [5]], [[1, 0]], 1)
+        assert err.value.slice_index == 4
 
 
 class TestResolveThreads:

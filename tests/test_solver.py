@@ -6,7 +6,7 @@ import pytest
 
 import dpar2
 from dpar2.baseline import cp_als_step, fit_baseline, unfold_mode1, unfold_mode2, unfold_mode3
-from dpar2.baseline import _procrustes
+from dpar2.baseline import procrustes_svd
 from dpar2.compress import CompressedTensor, compress, reconstruct_slice
 from dpar2.errors import NumericFailure
 from dpar2.factors import SolverOptions, initial_factors
@@ -83,7 +83,8 @@ class TestRotations:
         w = rng.standard_normal((5, 3))
         rots = update_rotations(comp, h, v, w)
         for k in range(5):
-            direct = _procrustes(reconstruct_slice(comp, k)[None], v, h, w[k][None], [k])[0]
+            u, _, vt = procrustes_svd(reconstruct_slice(comp, k)[None], v, h, w[k][None])
+            direct = (u @ vt)[0]
             via_rotation = comp.slice_bases[k] @ (rots[k].Z @ rots[k].P.T)
             assert np.abs(via_rotation - direct).max() <= 1e-8
 
@@ -342,6 +343,29 @@ class TestFitDpar2:
                 outcomes.add("raised")
                 continue
             assert abs(dpar2.fitness(t, factors) - unit) <= 1e-6, exponent
+            outcomes.add("fit")
+        assert outcomes == {"fit", "raised"}
+
+    @pytest.mark.parametrize("max_iters", [1, SolverOptions().max_iters])
+    @pytest.mark.parametrize("solver", [fit_dpar2, fit_baseline], ids=["dpar2", "als"])
+    def test_huge_scales_fit_like_unit_scale_or_fail(self, solver, max_iters):
+        # Above about 1e152 both solvers warned "overflow encountered in
+        # matmul" (an error in this suite), DPar2 at 1e153 with one
+        # iteration returned the objective [nan] with no error, and a Gram
+        # product whose largest singular value overflows inverted to 0.
+        opts = SolverOptions(max_iters=max_iters, threads=1)
+        rng = np.random.default_rng(0)
+        slices = [rng.random((rows, 8)) for rows in (12, 9, 15)]
+        _, unit = solver(IrregularTensor(slices), 3, opts)
+        outcomes = set()
+        for exponent in np.arange(150, 156, 0.125):
+            scale = 10.0**exponent
+            try:
+                _, trace = solver(IrregularTensor([x * scale for x in slices]), 3, opts)
+            except NumericFailure:
+                outcomes.add("raised")
+                continue
+            assert trace.objective[-1] / scale / scale == pytest.approx(unit.objective[-1], rel=1e-6)
             outcomes.add("fit")
         assert outcomes == {"fit", "raised"}
 
