@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import reconstruction_error
-from .errors import DegenerateInputError, IsolatedNodeError, ShapeMismatchError
+from .errors import DegenerateInputError, IsolatedNodeError, NumericFailure, ShapeMismatchError
 from .factors import Parafac2Factors
 from .tensor import IrregularTensor
 
@@ -26,13 +26,22 @@ def fitness(tensor: IrregularTensor, factors: Parafac2Factors, threads=None):
     1 is a perfect fit; 0 means no better than predicting zero.  Raises on
     an all-zero tensor, where the ratio is undefined.  The residual is
     :func:`~dpar2.baseline.reconstruction_error`, which checks the factor
-    shapes against the tensor and forms no I_k x J array.
+    shapes against the tensor and forms no I_k x J array.  Both sums are
+    scaled by 2^-e, 2^e just above the largest ||X_k||^2, so ||X||^2 fits
+    in a float wherever each ||X_k||^2 does, and the ratio keeps its bits.
+    A sum that overflows all the same raises :class:`NumericFailure`.
     """
-    resid = reconstruction_error(tensor, factors.Q, factors.H, factors.V, factors.W, threads)
-    total = float(np.add.reduce(np.array(tensor.sq_norms)))
+    x_sq = np.array(tensor.sq_norms)
+    shift = -int(np.frexp(x_sq.max())[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        resid = np.ldexp(reconstruction_error(tensor, factors.Q, factors.H, factors.V,
+                                              factors.W, threads), shift)
+        total = np.add.reduce(np.ldexp(x_sq, shift))
     if total == 0.0:
         raise DegenerateInputError("fitness undefined for an all-zero tensor")
-    return 1.0 - resid / total
+    if not np.isfinite([resid, total]).all():
+        raise NumericFailure("fitness sums are not finite")
+    return float(1.0 - resid / total)
 
 
 def similarity(u_a, u_b, gamma=DEFAULT_GAMMA):

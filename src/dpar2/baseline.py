@@ -5,9 +5,10 @@ Each iteration solves the per-slice orthogonal Procrustes problems (Q_k =
 U_k V_k^T from the thin SVD of X_k V S_k H^T), projects the slices to the
 core stack Y_k = Q_k^T X_k in the same pass over X, and runs one
 :func:`als_sweep` over H, V, W on that stack.  Like stage-1 compression,
-it runs stacks of equal row count through ``scheduler.map_stacks``, one
-:func:`procrustes_svd` per stack; the compressed solver's rotations call
-the same kernel on R x R cores.  The reconstruction error
+it plans its stacks of equal row count with one
+``scheduler.equal_height_stacks`` call and runs them through
+``scheduler.map_stacks``, one :func:`procrustes_svd` per stack; the
+compressed solver's rotations call the same kernel on R x R cores.  The reconstruction error
 sum_k ||X_k - Q_k H S_k V^T||_F^2 drives the stopping rule; it is
 expanded over ||X_k||^2 (which the tensor keeps), Y_k and Q_k^T Q_k, so
 it costs no pass over X of its own.  :func:`als_sweep` is the one
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import NumericFailure, ShapeMismatchError
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, iterate, push_col_norms
 from .linalg import gram, pinv_small
-from .scheduler import equal_height_stacks, greedy_partition, map_stacks, parallel_slice_map, resolve_threads
+from .scheduler import equal_height_stacks, map_stacks, parallel_slice_map
 from .tensor import IrregularTensor, check_rank
 
 
@@ -141,19 +142,16 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
 
     Returns ``(factors, trace)`` where the trace holds the reconstruction
     error and wall time of every iteration; it stops by the rule of
-    :func:`~dpar2.factors.iterate`.  The slices are split over the
-    ``threads`` workers by ``greedy_partition`` and grouped into stacks of
-    equal row count once per fit; each iteration ``map_stacks`` solves and
-    projects every stack in one batched call.  No bit, and no error,
-    depends on the thread count.
+    :func:`~dpar2.factors.iterate`.  ``equal_height_stacks`` plans the
+    stacks once per fit; each iteration ``map_stacks`` solves and projects
+    every stack in one batched call.  No bit, and no error, depends on the
+    thread count.
     """
     opts = opts or SolverOptions()
     check_rank(tensor, rank)
-    threads = resolve_threads(opts.threads)
     x_sq = np.array(tensor.sq_norms)
     num, cols = tensor.num_slices, tensor.num_cols
-    plan = greedy_partition(tensor.row_counts, threads)
-    stacks, groups = equal_height_stacks(plan, tensor.row_counts, cols)
+    stacks, groups = equal_height_stacks(tensor.row_counts, cols, opts.threads)
 
     def step(h, v, w, _):
         q = [None] * num
@@ -168,7 +166,7 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
             for k, q_k in zip(ks, qs):
                 q[k] = q_k
 
-        map_stacks(project, tensor.slices, stacks, groups, threads)
+        map_stacks(project, tensor.slices, stacks, groups)
         h, v, w = als_sweep(cores, None, h, v, w, normalize=False)
         with np.errstate(over="ignore", invalid="ignore"):  # iterate checks the objective
             objective = float(np.add.reduce(residual_terms(x_sq, cores, grams, h, v, w)))

@@ -10,20 +10,21 @@ M ~ D diag(E) F^T, leaving
 where F_k is the k-th (R x R) block of F (KR x R).  Only A_k, D, E, F are
 kept: sum(I_k) R + K R^2 + J R + R floats in total.
 
-Each worker sketches the slices it owns as stacks of equal row count, one
-batched randomized SVD per stack, run by ``scheduler.map_stacks``, which
-names the lowest failing slice at any thread count.  BLAS products and
-NumPy's linalg gufuncs release the GIL; the Python overhead of every call
-holds it.  Stacking turns thousands of tiny calls into a few large ones,
-so the workers' products and factorizations overlap: it is what lets a
-second worker add speed on many small slices.  Each sketch reads its
-slice three times: one cache-blocked sweep for the power step, summing
-(A_b S)^T A_b over row blocks of about 2^15 floats, then the range sketch
-and the projection Q^T A (see ``linalg.randomized_svd``).  Per-slice
-sketch seeds derive from (seed, k) only, a slice's row blocks depend only
-on its shape, and a stack factorizes each matrix as it would alone, so
-the bits never depend on the work partition or thread count and equal
-per-slice ``randomized_svd`` calls.
+One ``scheduler.equal_height_stacks`` call splits the slices over the
+workers and groups each worker's into stacks of equal row count; each
+stack is one batched randomized SVD, run by ``scheduler.map_stacks``,
+which names the lowest failing slice at any thread count.  BLAS products
+and NumPy's linalg gufuncs release the GIL; the Python overhead of every
+call holds it.  Stacking turns thousands of tiny calls into a few large
+ones, so the workers' products and factorizations overlap: it is what
+lets a second worker add speed on many small slices.  Each sketch reads
+its slice three times: one cache-blocked sweep for the power step,
+summing (A_b S)^T A_b over row blocks of about 2^15 floats, then the
+range sketch and the projection Q^T A (see ``linalg.randomized_svd``).
+Per-slice sketch seeds derive from (seed, k) only, a slice's row blocks
+depend only on its shape, and a stack factorizes each matrix as it would
+alone, so the bits never depend on the work partition or thread count
+and equal per-slice ``randomized_svd`` calls.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import RsvdParams, derived_seed, randomized_svd
-from .scheduler import equal_height_stacks, greedy_partition, map_stacks, resolve_threads
+from .scheduler import equal_height_stacks, map_stacks
 from .tensor import IrregularTensor, check_rank
 
 
@@ -74,19 +75,16 @@ def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None, thre
 
     ``rsvd`` supplies the seed of both stages (its rank field is overridden
     by ``rank``); the concatenated stage draws from ``derived_seed(seed,
-    K)``.  The slices are split over the ``threads`` workers by
-    ``greedy_partition``, and each worker sketches its slices as stacks of
-    equal row count.  The thread count changes neither the values nor the
-    slice a failure names: every slice gets the bits of
+    K)``.  ``equal_height_stacks`` splits the slices over the ``threads``
+    workers and groups them into stacks of equal row count, one sketch per
+    stack.  The thread count changes neither the values nor the slice a
+    failure names: every slice gets the bits of
     ``randomized_svd(x_k, seed=derived_seed(seed, k))``.
     """
     check_rank(tensor, rank)
-    row_counts = tensor.row_counts
     base = rsvd if rsvd is not None else RsvdParams(rank=rank)
     params = replace(base, rank=rank)
-    threads = resolve_threads(threads)
-    plan = greedy_partition(row_counts, threads)
-    stacks, groups = equal_height_stacks(plan, row_counts, tensor.num_cols)
+    stacks, groups = equal_height_stacks(tensor.row_counts, tensor.num_cols, threads)
 
     bases = [None] * tensor.num_slices
     rights = [None] * tensor.num_slices
@@ -96,7 +94,7 @@ def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None, thre
         for k, u, right in zip(ks, trip.U, trip.V * trip.S[:, None, :]):
             bases[k], rights[k] = u, right
 
-    map_stacks(sketch, tensor.slices, stacks, groups, threads)
+    map_stacks(sketch, tensor.slices, stacks, groups)
     # J x KR concatenation of the slice right parts C_k B_k, in slice order.
     merged = np.concatenate(rights, axis=1)
     shared = randomized_svd(merged, replace(params, seed=derived_seed(base.seed, tensor.num_slices)))

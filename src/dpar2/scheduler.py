@@ -2,13 +2,15 @@
 
 Slices of an irregular tensor have unequal row counts, so naive contiguous
 chunking can leave one worker with most of the rows.  ``greedy_partition``
-balances load with longest-processing-time-first assignment, and
-``equal_height_stacks`` groups each worker's slices by row count, so
-compression and ALS make one batched call per stack; ``map_stacks`` runs
-every such stack and names the lowest failing slice.  All parallel loops
-write results into per-slice slots and reduce in ascending slice order
-afterwards, so the outcome, errors included, is the same for any thread
-count.
+balances load with longest-processing-time-first assignment.
+``equal_height_stacks`` is the one call that plans a stacked pass: it
+resolves the thread count, partitions the slices greedily and groups each
+worker's slices by row count, so compression and ALS make one batched call
+per stack, which ``map_stacks`` runs.  Both runners, ``parallel_slice_map``
+and ``map_stacks``, follow one failure rule: every slice runs, then the
+lowest failing slice's error is raised.  Results land in per-slice slots
+and reduce in ascending slice order afterwards, so the outcome, errors
+included, is the same for any thread count.
 
 These worker threads are the package's only parallelism: importing the
 package sets numpy's bundled OpenBLAS to one thread for the whole process
@@ -20,7 +22,6 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -35,10 +36,6 @@ class PartitionPlan:
 
     sets: list = field(default_factory=list)
     loads: list = field(default_factory=list)
-
-    @property
-    def workers(self):
-        return len(self.sets)
 
 
 def greedy_partition(row_counts, workers):
@@ -72,16 +69,17 @@ def greedy_partition(row_counts, workers):
 _STACK_FLOATS = 1 << 18
 
 
-def equal_height_stacks(plan, row_counts, cols):
-    """Each worker's slices grouped by row count into stacks.
+def equal_height_stacks(row_counts, cols, threads=None):
+    """The plan of a stacked pass: the slices split over the ``threads``
+    workers (see ``resolve_threads``) by ``greedy_partition``, and each
+    worker's slices grouped by row count into stacks.
 
     Returns the stacks (lists of slice indices, ascending within a stack)
-    and, per worker of ``plan``, the indices of its stacks.  A stack holds
-    at most ``_STACK_FLOATS`` floats of slices ``cols`` wide, and at least
-    one slice.
+    and, per worker, the indices of its stacks.  A stack holds at most
+    ``_STACK_FLOATS`` floats of slices ``cols`` wide, and at least one slice.
     """
     stacks, groups = [], []
-    for owned in plan.sets:
+    for owned in greedy_partition(row_counts, resolve_threads(threads)).sets:
         by_rows = {}
         for k in owned:
             by_rows.setdefault(row_counts[k], []).append(k)
@@ -135,10 +133,9 @@ def parallel_slice_map(fn, num_slices, threads=None, groups=None):
     ``groups`` (a list of index lists, e.g. ``PartitionPlan.sets``) controls
     which worker owns which slices; by default slices are chunked
     contiguously.  Each result lands in its own slot, so the returned list
-    is in ascending slice order regardless of scheduling.  Once a slice
-    fails, workers skip the slices above the lowest failure seen so far but
-    still run the ones below it, so the exception re-raised is always the
-    lowest failing slice's, whatever the thread count or grouping.
+    is in ascending slice order regardless of scheduling.  Every slice
+    runs; then the lowest failing slice's exception is re-raised, whatever
+    the thread count or grouping.
     """
     threads = resolve_threads(threads)
     if groups is None:
@@ -146,19 +143,13 @@ def parallel_slice_map(fn, num_slices, threads=None, groups=None):
     groups = [g for g in groups if g]
     results = [None] * num_slices
     failures = {}
-    lowest = [num_slices]  # lowest failing slice so far
-    lock = threading.Lock()
 
     def run(group):
         for k in group:
-            if k > lowest[0]:
-                continue
             try:
                 results[k] = fn(k)
             except Exception as exc:  # noqa: BLE001 - propagated below
-                with lock:
-                    failures[k] = exc
-                    lowest[0] = min(lowest[0], k)
+                failures[k] = exc  # one key per slice, so the workers need no lock
 
     if threads <= 1 or len(groups) <= 1:
         for group in groups:
@@ -167,20 +158,21 @@ def parallel_slice_map(fn, num_slices, threads=None, groups=None):
         with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as pool:
             list(pool.map(run, groups))
     if failures:
-        raise failures[lowest[0]]
+        raise failures[min(failures)]
     return results
 
 
-def map_stacks(fn, slices, stacks, groups, threads=None):
+def map_stacks(fn, slices, stacks, groups):
     """``fn(x, ks)`` for every stack ``ks`` of ``stacks``, in stack order;
-    worker i runs the stacks ``groups[i]``.
+    one worker per group, worker i running the stacks ``groups[i]``.
 
     ``x`` holds the stack's slices: a view for a stack of one or for a
     contiguous run of an array ``slices``, else their ``np.stack``.  Every
     stack runs.  A :class:`NumericFailure` at position i of ``x`` is
     re-raised naming slice ``ks[i]``; one with no position names the stack
-    (a stack of one, its slice) and counts as its lowest slice.  The lowest
-    slice's failure is raised, whatever the stacking or thread count.
+    by its size and its lowest and highest slice (a stack of one, its slice)
+    and counts as its lowest slice.  The lowest slice's failure is raised,
+    whatever the stacking or thread count.
     """
     failures = {}  # the slice each failing stack names (unnamed: its lowest) -> error
 
@@ -197,12 +189,13 @@ def map_stacks(fn, slices, stacks, groups, threads=None):
         except NumericFailure as exc:
             k = ks[exc.slice_index or 0]
             if exc.slice_index is None and len(ks) > 1:
-                failures[k] = NumericFailure(f"{exc.reason} in the stack of slices {ks}")
+                failures[k] = NumericFailure(f"{exc.reason} in the stack of {len(ks)} "
+                                             f"slices (lowest {ks[0]}, highest {ks[-1]})")
             else:
                 failures[k] = NumericFailure(exc.reason, slice_index=k)
             failures[k].__cause__ = exc
 
-    results = parallel_slice_map(run, len(stacks), threads=threads, groups=groups)
+    results = parallel_slice_map(run, len(stacks), threads=max(1, len(groups)), groups=groups)
     if failures:
         raise failures[min(failures)]
     return results

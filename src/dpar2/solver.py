@@ -90,7 +90,7 @@ def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
         z, p = fix_signs(zc, np.ascontiguousarray(pt.transpose(0, 2, 1)))
         return z, p, sig, (p @ z.transpose(0, 2, 1)) @ x
 
-    parts = map_stacks(solve, cores, chunks, [[c] for c in range(len(chunks))], workers)
+    parts = map_stacks(solve, cores, chunks, [[c] for c in range(len(chunks))])
     return RotationStack(*(np.concatenate(piece) for piece in zip(*parts)))
 
 

@@ -18,7 +18,7 @@ from dpar2.analysis import (
     similarity,
 )
 from dpar2.baseline import fit_baseline, reconstruction_error
-from dpar2.errors import DegenerateInputError, IsolatedNodeError, ShapeMismatchError
+from dpar2.errors import DegenerateInputError, IsolatedNodeError, NumericFailure, ShapeMismatchError
 from dpar2.factors import Parafac2Factors, SolverOptions
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
 
@@ -68,6 +68,27 @@ class TestFitness:
         _, factors = exact_factors_for(3, rows=(3, 2), cols=4)
         with pytest.raises(DegenerateInputError):
             fitness(t, factors)
+
+    def test_total_norm_that_overflows_is_rescaled(self):
+        # Every ||X_k||^2 is finite but their sum is not: the score was 1.0,
+        # after an overflow warning.  Scaling X and H by 2^-510 is exact, so
+        # the score must equal the scaled problem's bit for bit.
+        rng = np.random.default_rng(0)
+        unit = IrregularTensor([rng.random((rows, 8)) for rows in (12, 9, 15)])
+        t = IrregularTensor([x * 10.0**153.125 for x in unit.slices])
+        assert t.total_sq_norm() == np.inf
+        factors, _ = fit_baseline(t, 2, SolverOptions(threads=1))
+        small = IrregularTensor([np.ldexp(x, -510) for x in t.slices])
+        score = fitness(t, factors)
+        assert score == fitness(small, replace(factors, H=np.ldexp(factors.H, -510)))
+        unit_factors, _ = fit_baseline(unit, 2, SolverOptions(threads=1))
+        assert score == pytest.approx(fitness(unit, unit_factors), abs=1e-12)
+
+    def test_slice_norm_that_overflows_raises(self):
+        t, factors = exact_factors_for(0)
+        huge = IrregularTensor([x * 1e160 for x in t.slices])
+        with pytest.raises(NumericFailure, match="fitness sums are not finite"):
+            fitness(huge, factors)
 
     def test_slice_count_mismatch(self):
         t, factors = exact_factors_for(4)

@@ -191,6 +191,22 @@ class TestDecompose:
         assert cli.main(["decompose", str(path), "--rank", "3", "--max-iters", "1"]) == 4
         assert "objective is not finite" in capsys.readouterr().err
 
+    def test_fitness_of_a_fit_whose_total_norm_overflows(self, tmp_path):
+        # Sum_k ||X_k||^2 overflows though each term does not; the report
+        # read fitness 1.0, after an overflow warning.
+        reports = []
+        for scale in (1.0, 10.0**153.125):
+            rng = np.random.default_rng(0)
+            path, report = tmp_path / f"x{scale:g}.irt", tmp_path / f"x{scale:g}.csv"
+            save_archive(IrregularTensor([rng.random((rows, 8)) * scale
+                                          for rows in (12, 9, 15)]), path)
+            assert cli.main(["decompose", str(path), "--method", "als", "--rank", "2",
+                             "--threads", "1", "--report-fitness", "--out-report", str(report)]) == 0
+            header, rows = read_csv(report)
+            reports.append(float(rows[-1][header.index("fitness")]))
+        assert reports[1] == pytest.approx(reports[0], abs=1e-12)
+        assert reports[1] < 0.9
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_in_als_sweep_exits_4(self, tmp_path, capsys):
         # x1e160 is finite, but the sweep's Gram products overflow; x1e150 still fits.

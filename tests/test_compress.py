@@ -1,18 +1,15 @@
 """Two-stage compression: accuracy, size accounting, determinism."""
-import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dpar2 import scheduler
 from dpar2.compress import compress, reconstruct_slice
 from dpar2.errors import NumericFailure, RankTooLargeError
 from dpar2.linalg import RsvdParams, derived_seed, randomized_svd
 from dpar2.scheduler import PartitionPlan, greedy_partition
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
-
-# The module itself: the package's ``compress`` attribute is the function.
-compress_module = importlib.import_module("dpar2.compress")
 
 
 def planted(seed=0, rows=24, cols=12, k=6, rank=3, noise=0.0):
@@ -106,7 +103,7 @@ class TestDeterminism:
             order = list(range(len(rows)))[::-1]
             return PartitionPlan(sets=[order[i::3] for i in range(3)])
 
-        monkeypatch.setattr(compress_module, "greedy_partition", shuffled)
+        monkeypatch.setattr(scheduler, "greedy_partition", shuffled)
         variants.append(compress(t, 3, threads=2))
         for other in variants:
             assert other.col_basis.tobytes() == ref.col_basis.tobytes()
@@ -126,7 +123,7 @@ class TestDeterminism:
         rng = np.random.Generator(np.random.PCG64(15))
         t = IrregularTensor([rng.standard_normal((r, 4000)) for r in rows])
         if plan_workers is not None:
-            monkeypatch.setattr(compress_module, "greedy_partition",
+            monkeypatch.setattr(scheduler, "greedy_partition",
                                 lambda counts, n: greedy_partition(counts, plan_workers))
         comp = compress(t, 3, rsvd=RsvdParams(rank=3, seed=21), threads=threads)
 
@@ -220,7 +217,7 @@ class TestErrorsAndEdges:
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
         t = IrregularTensor([np.eye(6)[:, :4] + k for k in range(3)])
-        stack = r"factorization failed in the stack of slices \[0, 1, 2\]"
+        stack = r"^sketch factorization failed in the stack of 3 slices \(lowest 0, highest 2\)$"
         with pytest.raises(NumericFailure, match=stack):
             compress(t, 2, threads=1)
 

@@ -56,3 +56,17 @@ def test_threads_start_only_in_the_scheduler():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "parallel_slice_map"]
     assert found == []
+
+
+def test_stacked_passes_plan_through_one_call():
+    # scheduler.equal_height_stacks resolves the threads and partitions the
+    # slices; the stacked passes call it, not the steps it is made of.
+    sources = dict(parsed_sources())
+    found = [f"{name} references {ident}" for name in ("compress.py", "baseline.py")
+             for node in ast.walk(sources[name])
+             for ident in (getattr(node, "id", None), getattr(node, "attr", None),
+                           getattr(node, "name", None))
+             if ident in ("greedy_partition", "resolve_threads")]
+    assert found == []
+    assert list(inspect.signature(dpar2.scheduler.map_stacks).parameters) == [
+        "fn", "slices", "stacks", "groups"]

@@ -47,7 +47,7 @@ class TestGreedyPartition:
 
     def test_single_worker_gets_everything(self):
         plan = greedy_partition([3, 1, 4], 1)
-        assert plan.workers == 1
+        assert len(plan.sets) == 1
         assert sorted(plan.sets[0]) == [0, 1, 2]
         assert plan.loads == [8]
 
@@ -90,7 +90,7 @@ class TestEqualHeightStacks:
     )
     def test_each_worker_stacks_its_own_slices_by_height(self, counts, cols, workers):
         plan = greedy_partition(counts, workers)
-        stacks, groups = equal_height_stacks(plan, counts, cols)
+        stacks, groups = equal_height_stacks(counts, cols, workers)
         assert sorted(i for g in groups for i in g) == list(range(len(stacks)))
         for owned, mine in zip(plan.sets, groups):
             assert sorted(k for i in mine for k in stacks[i]) == sorted(owned)
@@ -160,6 +160,23 @@ class TestParallelSliceMap:
         with pytest.raises(RuntimeError, match="boom at 2"):
             parallel_slice_map(work, len(counts), threads=threads, groups=groups)
 
+    @settings(max_examples=50, deadline=None)
+    @given(counts=st.lists(st.integers(1, 10), min_size=1, max_size=30), data=st.data())
+    def test_every_slice_runs_then_the_lowest_failure_is_raised(self, counts, data):
+        bad = data.draw(st.sets(st.integers(0, len(counts) - 1), min_size=1))
+        for threads in (1, 2, 3):
+            for groups in (None, greedy_partition(counts, threads).sets):
+                ran = []
+
+                def work(k):
+                    if k in bad:
+                        raise RuntimeError(f"boom at {k}")
+                    ran.append(k)
+
+                with pytest.raises(RuntimeError, match=f"^boom at {min(bad)}$"):
+                    parallel_slice_map(work, len(counts), threads=threads, groups=groups)
+                assert sorted(ran) == [k for k in range(len(counts)) if k not in bad]
+
     def test_custom_groups(self):
         plan_sets = [[2, 0], [1]]
         got = parallel_slice_map(lambda k: k * k, 3, threads=2, groups=plan_sets)
@@ -169,9 +186,11 @@ class TestParallelSliceMap:
 class TestMapStacks:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_results_come_back_in_stack_order(self, threads):
+        # One worker per group; a single group runs inline.
+        groups = {1: [[3, 1, 0, 2]], 2: [[3, 1], [0, 2]], 3: [[3, 1], [0], [2]]}[threads]
         slices = np.arange(5 * 2 * 3, dtype=float).reshape(5, 2, 3)
         stacks = [[1, 2, 3], [0, 4], [4], [0]]
-        got = map_stacks(lambda x, ks: (x, ks), slices, stacks, [[3, 1], [0], [2]], threads)
+        got = map_stacks(lambda x, ks: (x, ks), slices, stacks, groups)
         assert [ks for _, ks in got] == stacks
         for x, ks in got:
             assert x.tobytes() == slices[ks].tobytes()
@@ -191,9 +210,9 @@ class TestMapStacks:
                 raise NumericFailure("bad slice", slice_index=named[0])
 
         for threads in (1, 2, 3):
-            stacks, groups = equal_height_stacks(greedy_partition(counts, threads), counts, 2)
+            stacks, groups = equal_height_stacks(counts, 2, threads)
             with pytest.raises(NumericFailure) as err:
-                map_stacks(fail, slices, stacks, groups, threads)
+                map_stacks(fail, slices, stacks, groups)
             assert err.value.slice_index == min(bad)
             assert str(err.value) == f"bad slice (slice {min(bad)})"
 
@@ -208,16 +227,32 @@ class TestMapStacks:
 
         slices = [np.zeros((2, 2))] * 6
         stacks = [[0, 1], [2, 4], [3, 5]]
-        with pytest.raises(NumericFailure, match=r"^no convergence in the stack of slices \[3, 5\]$") as err:
-            map_stacks(fail, slices, stacks, [[0, 1], [2]], threads)
+        groups = [[0, 1, 2]] if threads == 1 else [[0, 1], [2]]
+        named = r"^no convergence in the stack of 2 slices \(lowest 3, highest 5\)$"
+        with pytest.raises(NumericFailure, match=named) as err:
+            map_stacks(fail, slices, stacks, groups)
         assert err.value.slice_index is None
+
+    def test_unnamed_failure_of_a_large_stack_stays_short(self):
+        # Two stacks of 1001 and 1000 (5, 5) cores; the message names the
+        # failing one by its size and its lowest and highest slice.
+        def fail(x, ks):
+            if len(ks) == 1000:
+                raise NumericFailure("rotation SVD did not converge")
+
+        cores = np.zeros((2001, 5, 5))
+        stacks = [list(range(1001)), list(range(1001, 2001))]
+        with pytest.raises(NumericFailure) as err:
+            map_stacks(fail, cores, stacks, [[0], [1]])
+        assert str(err.value) == ("rotation SVD did not converge in the stack of 1000 slices "
+                                  "(lowest 1001, highest 2000)")
 
     def test_unnamed_failure_of_a_stack_of_one_names_its_slice(self):
         def fail(x, ks):
             raise NumericFailure("no convergence")
 
         with pytest.raises(NumericFailure, match=r"^no convergence \(slice 4\)$") as err:
-            map_stacks(fail, [np.zeros((2, 2))] * 6, [[4], [5]], [[1, 0]], 1)
+            map_stacks(fail, [np.zeros((2, 2))] * 6, [[4], [5]], [[1, 0]])
         assert err.value.slice_index == 4
 
 
