@@ -6,8 +6,9 @@ Four subcommands: ``generate`` writes synthetic tensor archives,
 explores saved factors (similarity graph, k-NN, random walk with restart,
 feature correlations).
 
-Exit codes: 0 success, 2 usage errors (argparse), 3 malformed input or
-impossible rank, 4 numeric failure inside a kernel.
+Exit codes: 0 success, 2 usage errors (argparse), 3 malformed input,
+impossible rank or a file that cannot be read or written, 4 numeric
+failure inside a kernel.
 
 The report CSV is one row per iteration with the run configuration and
 summary repeated on every row:
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ from . import analysis
 from .baseline import fit_baseline
 from .errors import DecompositionError, NumericFailure
 from .factors import (
-    FitTrace,
     SolverOptions,
     load_factors,
     save_factors,
@@ -73,52 +72,23 @@ _MODE_ALIASES = {
     MODE_PLANTED: MODE_PLANTED,
 }
 
-
-@dataclass
-class RunReport:
-    """Config echo plus timing summary for one decomposition run."""
-
-    input: str
-    method: str
-    rank: int
-    threads: int
-    seed: int
-    max_iters: int
-    tol: float
-    trace: FitTrace
-    total_seconds: float
-    fitness: float | None = None
-
-    def rows(self):
-        prefix = [self.input, self.method, self.rank, self.threads,
-                  self.seed, self.max_iters, self.tol]
-        suffix = [self.trace.preprocess_seconds, self.total_seconds,
-                  self.trace.iterations, self.fitness,
-                  self.trace.compressed_float_count]
-        out = []
-        for i, (obj, sec) in enumerate(zip(self.trace.objective, self.trace.seconds)):
-            out.append(prefix + [i, obj, sec] + suffix)
-        return out
+SOLVERS = {"dpar2": fit_dpar2, "als": fit_baseline}
 
 
 def _load_tensor(path, threads):
     p = Path(path)
-    if not p.exists():
-        raise DecompositionError(f"{path}: no such file or directory")
     if p.is_dir():
         return load_csv_dir(p)
     return load_archive(p, threads=threads)
 
 
-def _run_method(tensor, method, rank, opts):
+def _fit(tensor, method, rank, opts, report_fitness):
+    """Fit and time ``SOLVERS[method]``; score fitness on ``opts.threads`` if asked, else None."""
     started = time.perf_counter()
-    if method == "dpar2":
-        factors, trace = fit_dpar2(tensor, rank, opts)
-    elif method == "als":
-        factors, trace = fit_baseline(tensor, rank, opts)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return factors, trace, time.perf_counter() - started
+    factors, trace = SOLVERS[method](tensor, rank, opts)
+    total = time.perf_counter() - started
+    fit_value = analysis.fitness(tensor, factors, threads=opts.threads) if report_fitness else None
+    return factors, trace, total, fit_value
 
 
 def cmd_generate(args):
@@ -138,14 +108,9 @@ def cmd_decompose(args):
     threads = resolve_threads(args.threads)
     tensor = _load_tensor(args.input, threads)
     opts = SolverOptions(max_iters=args.max_iters, tol=args.tol, seed=args.seed,
-                         threads=args.threads)
-    factors, trace, total = _run_method(tensor, args.method, args.rank, opts)
-    fit_value = analysis.fitness(tensor, factors, threads=threads) if args.report_fitness else None
-    report = RunReport(
-        input=str(args.input), method=args.method, rank=args.rank,
-        threads=threads, seed=args.seed, max_iters=args.max_iters,
-        tol=args.tol, trace=trace, total_seconds=total, fitness=fit_value,
-    )
+                         threads=threads)
+    factors, trace, total, fit_value = _fit(tensor, args.method, args.rank, opts,
+                                            args.report_fitness)
     if args.out_factors:
         extra = {
             "method": args.method,
@@ -155,10 +120,16 @@ def cmd_decompose(args):
         }
         save_factors(factors, args.out_factors, manifest_extra=extra)
     if args.out_report:
-        write_csv_rows(args.out_report, REPORT_HEADER, report.rows())
-    last = trace.objective[-1] if trace.objective else float("nan")
+        config = [str(args.input), args.method, args.rank, threads, args.seed,
+                  args.max_iters, args.tol]
+        summary = [trace.preprocess_seconds, total, trace.iterations, fit_value,
+                   trace.compressed_float_count]
+        write_csv_rows(args.out_report, REPORT_HEADER, [
+            config + [i, obj, sec] + summary
+            for i, (obj, sec) in enumerate(zip(trace.objective, trace.seconds))
+        ])
     line = (f"{args.method} rank={args.rank} iters={trace.iterations} "
-            f"objective={last:.6e} total={total:.3f}s")
+            f"objective={trace.objective[-1]:.6e} total={total:.3f}s")
     if fit_value is not None:
         line += f" fitness={fit_value:.6f}"
     print(line)
@@ -181,16 +152,19 @@ def _parse_sizes(values):
     return sizes
 
 
-def _parse_int_list(text):
-    return [int(p) for p in text.split(",") if p.strip()]
+def _parse_list(text, what, convert):
+    items = [convert(p.strip()) for p in text.split(",") if p.strip()]
+    if not items:
+        raise ValueError(f"no {what} given")
+    return items
 
 
 def cmd_bench(args):
     sizes = _parse_sizes(args.sizes)
-    ranks = _parse_int_list(args.ranks)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    ranks = _parse_list(args.ranks, "ranks", int)
+    methods = _parse_list(args.methods, "methods", str)
     for m in methods:
-        if m not in ("als", "dpar2"):
+        if m not in SOLVERS:
             raise ValueError(f"unknown method {m!r}")
     threads = resolve_threads(args.threads)
     rows = []
@@ -204,12 +178,10 @@ def cmd_bench(args):
             for method in methods:
                 opts = SolverOptions(max_iters=args.max_iters, tol=args.tol,
                                      seed=args.seed, threads=threads)
-                factors, trace, total = _run_method(tensor, method, rank, opts)
-                fit_value = analysis.fitness(tensor, factors, threads=threads)
-                mean_iter = (float(np.mean(trace.seconds)) if trace.seconds else None)
+                _, trace, total, fit_value = _fit(tensor, method, rank, opts, True)
                 rows.append([
                     rows_i, cols_j, slices_k, rank, method, threads,
-                    trace.preprocess_seconds, mean_iter, total,
+                    trace.preprocess_seconds, float(np.mean(trace.seconds)), total,
                     trace.iterations, fit_value, trace.compressed_float_count,
                 ])
                 print(f"bench I={rows_i} J={cols_j} K={slices_k} rank={rank} "
@@ -231,7 +203,8 @@ def cmd_analyze(args):
     write_csv_rows(outdir / "similarity.csv",
                    ["node"] + [f"n{j}" for j in range(n)], sim_rows)
 
-    neighbours = analysis.knn(graph, args.target, args.knn)
+    k = min(10, n - 1) if args.knn is None else args.knn
+    neighbours = analysis.knn(graph, args.target, k)
     knn_rows = [[rank + 1, idx, graph.adjacency[args.target, idx]]
                 for rank, idx in enumerate(neighbours)]
     write_csv_rows(outdir / "knn.csv", ["rank", "node", "similarity"], knn_rows)
@@ -277,7 +250,7 @@ def build_parser():
 
     dec = sub.add_parser("decompose", help="fit PARAFAC2 factors to an archive")
     dec.add_argument("input", help="IRT1 archive or directory of slice_*.csv")
-    dec.add_argument("--method", choices=("dpar2", "als"), default="dpar2")
+    dec.add_argument("--method", choices=tuple(SOLVERS), default="dpar2")
     dec.add_argument("--rank", type=int, required=True)
     dec.add_argument("--threads", type=int, default=None,
                      help="worker threads (default: DPAR2_THREADS or CPU count)")
@@ -306,7 +279,8 @@ def build_parser():
     ana = sub.add_parser("analyze", help="similarity / k-NN / RWR over saved factors")
     ana.add_argument("factors", help="directory written by decompose --out-factors")
     ana.add_argument("--target", type=int, required=True)
-    ana.add_argument("--knn", type=int, default=10)
+    ana.add_argument("--knn", type=int, default=None,
+                     help="neighbours to list (default: min(10, K - 1))")
     ana.add_argument("--rwr", action="store_true")
     ana.add_argument("--rwr-iters", type=int, default=100)
     ana.add_argument("--strict-iters", action="store_true",
@@ -328,7 +302,7 @@ def main(argv=None):
     except NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DecompositionError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (DecompositionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

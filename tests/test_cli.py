@@ -159,6 +159,14 @@ class TestDecompose:
     def test_missing_input_exits_3(self, tmp_path):
         assert cli.main(["decompose", str(tmp_path / "nope.irt"), "--rank", "2"]) == 3
 
+    def test_out_factors_over_a_file_exits_3(self, tmp_path, capsys):
+        path = make_archive(tmp_path)
+        taken = tmp_path / "F"
+        taken.write_text("")
+        assert cli.main(["decompose", str(path), "--rank", "2",
+                         "--out-factors", str(taken)]) == 3
+        assert "File exists" in capsys.readouterr().err
+
     def test_corrupt_archive_exits_3(self, tmp_path):
         path = tmp_path / "bad.irt"
         path.write_bytes(b"IRT9" + b"\x00" * 20)
@@ -170,7 +178,7 @@ class TestDecompose:
         def explode(*args, **kwargs):
             raise NumericFailure("synthetic blow-up", slice_index=1)
 
-        monkeypatch.setattr(cli, "fit_dpar2", explode)
+        monkeypatch.setitem(cli.SOLVERS, "dpar2", explode)
         assert cli.main(["decompose", str(path), "--rank", "2"]) == 4
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -265,6 +273,33 @@ class TestBench:
         assert cli.main(["bench", "--sizes", "8x6x2", "--methods", "qr",
                          "--out", str(tmp_path / "x.csv")]) == 3
 
+    @pytest.mark.parametrize("flag", ["ranks", "methods"])
+    def test_empty_list_exits_3(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        assert cli.main(["bench", "--sizes", "8x6x2", f"--{flag}", "",
+                         "--out", str(out)]) == 3
+        assert f"no {flag} given" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["dpar2", "als"])
+    def test_matches_decompose_of_the_same_tensor(self, tmp_path, method):
+        # bench and decompose fit through one job function: same spec,
+        # same seed, same iterations and the same fitness text.
+        path, report, out = tmp_path / "t.irt", tmp_path / "report.csv", tmp_path / "bench.csv"
+        assert cli.main(["generate", "--I", "12", "--J", "8", "--K", "4", "--mode", "uniform",
+                         "--rank", "2", "--seed", "0", "--out", str(path)]) == 0
+        assert cli.main(["decompose", str(path), "--method", method, "--rank", "2",
+                         "--max-iters", "5", "--tol", "0", "--threads", "1",
+                         "--report-fitness", "--out-report", str(report)]) == 0
+        assert cli.main(["bench", "--sizes", "12x8x4", "--ranks", "2", "--methods", method,
+                         "--seed", "0", "--max-iters", "5", "--tol", "0", "--threads", "1",
+                         "--out", str(out)]) == 0
+        header, rows = read_csv(report)
+        bench_header, (bench_row,) = read_csv(out)
+        for column in ("iterations", "fitness"):
+            assert rows[-1][header.index(column)] == bench_row[bench_header.index(column)]
+        assert bench_row[bench_header.index("iterations")] == "5"
+
 
 class TestAnalyze:
     def fitted_dir(self, tmp_path, num_slices=6):
@@ -355,6 +390,22 @@ class TestAnalyze:
         assert cli.main(["analyze", str(factors), "--target", "0",
                          "--out-dir", str(tmp_path / "b")]) == 3
         assert "num_slices" in capsys.readouterr().err
+
+    def test_default_knn_fits_a_small_factor_set(self, tmp_path):
+        factors = self.fitted_dir(tmp_path, num_slices=4)
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", str(factors), "--target", "0",
+                         "--out-dir", str(out)]) == 0
+        _, rows = read_csv(out / "knn.csv")
+        assert [int(r[0]) for r in rows] == [1, 2, 3]
+
+    def test_out_dir_over_a_file_exits_3(self, tmp_path, capsys):
+        factors = self.fitted_dir(tmp_path)
+        taken = tmp_path / "F"
+        taken.write_text("")
+        assert cli.main(["analyze", str(factors), "--target", "0",
+                         "--out-dir", str(taken)]) == 3
+        assert "File exists" in capsys.readouterr().err
 
     def test_missing_manifest_exits_3(self, tmp_path):
         empty = tmp_path / "empty"
