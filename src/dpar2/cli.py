@@ -193,21 +193,20 @@ def cmd_bench(args):
 
 def cmd_analyze(args):
     factors = load_factors(args.factors)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     graph = analysis.build_similarity_graph(factors.U, gamma=args.gamma)
     n = graph.num_nodes
     if not 0 <= args.target < n:
         raise DecompositionError(f"target {args.target} out of range [0, {n})")
-    sim_rows = [[i] + list(graph.adjacency[i]) for i in range(n)]
-    write_csv_rows(outdir / "similarity.csv",
-                   ["node"] + [f"n{j}" for j in range(n)], sim_rows)
+    # Every table is computed before the first write, so a run that fails
+    # leaves no output behind.
+    tables = {"similarity.csv": (["node"] + [f"n{j}" for j in range(n)],
+                                 [[i] + list(graph.adjacency[i]) for i in range(n)])}
 
     k = min(10, n - 1) if args.knn is None else args.knn
     neighbours = analysis.knn(graph, args.target, k)
-    knn_rows = [[rank + 1, idx, graph.adjacency[args.target, idx]]
-                for rank, idx in enumerate(neighbours)]
-    write_csv_rows(outdir / "knn.csv", ["rank", "node", "similarity"], knn_rows)
+    tables["knn.csv"] = (["rank", "node", "similarity"],
+                         [[rank + 1, idx, graph.adjacency[args.target, idx]]
+                          for rank, idx in enumerate(neighbours)])
 
     if args.rwr:
         query = np.zeros(n)
@@ -217,15 +216,17 @@ def cmd_analyze(args):
             stop_tol=None if args.strict_iters else 1e-10, query=query,
         )
         scores = analysis.rwr(graph, params)
-        write_csv_rows(outdir / "rwr.csv", ["node", "score"],
-                       [[i, scores[i]] for i in range(n)])
+        tables["rwr.csv"] = (["node", "score"], [[i, scores[i]] for i in range(n)])
 
     if args.pcc:
         corr = analysis.pcc_matrix(factors.V)
-        write_csv_rows(outdir / "pcc.csv",
-                       ["feature"] + [f"f{j}" for j in range(corr.shape[0])],
-                       [[i] + list(corr[i]) for i in range(corr.shape[0])])
+        tables["pcc.csv"] = (["feature"] + [f"f{j}" for j in range(corr.shape[0])],
+                             [[i] + list(corr[i]) for i in range(corr.shape[0])])
 
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv_rows(outdir / name, header, rows)
     print(f"analyzed {n} slices; outputs in {outdir}")
     return 0
 

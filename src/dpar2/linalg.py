@@ -5,6 +5,9 @@ SVD-based pseudoinverse, and the Gram and Khatri-Rao products the
 alternating solvers are built from.  Everything is float64 and pure: given
 the same arguments (including seeds) every function returns bit-identical
 results, so the kernels can run from worker threads without coordination.
+Randomness is a counter hash (splitmix64), not a generator: a sketch's test
+matrix and a derived seed are integer functions of their seed, with the
+same bits on every platform.
 """
 from __future__ import annotations
 
@@ -15,6 +18,11 @@ import numpy as np
 from .errors import NonFiniteInputError, NumericFailure, RankTooLargeError, ShapeMismatchError
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's counter increment, 2^64 / phi
+
+# A core whose r-th singular value is below the largest over this ratio is
+# factorized by SVD, not through its Gram matrix (see ``randomized_svd``).
+_GRAM_RATIO = 128.0
 
 # The power step sweeps its input in row blocks of about this many floats
 # (65 rows at 500 columns), so that each block A_b is still in L2 when
@@ -28,7 +36,7 @@ _SWEEP_MIN_ROWS = 32
 @dataclass(frozen=True)
 class RsvdParams:
     """What a caller chooses in :func:`randomized_svd`: the rank kept and
-    the seed of the Gaussian test matrix.  The rest of the recipe is fixed:
+    the seed of the uniform test matrix.  The rest of the recipe is fixed:
     ``min(10, min(m, n) - rank)`` extra sketch columns, so the test matrix
     is never wider than the short side of the input, and one power step.
     """
@@ -100,17 +108,16 @@ def truncated_svd(a, rank):
 
 
 def randomized_svd(a, params: RsvdParams, seeds=None):
-    """Gaussian-sketch randomized SVD with one power step.
+    """Randomized SVD with a uniform test matrix and one power step.
 
     ``a`` is one (m, n) matrix or a (G, m, n) stack of them.  Each matrix
-    draws its test matrix Omega, ``params.rank + min(10, min(m, n) -
-    params.rank)`` columns wide, from a PCG64 stream of its own seed:
-    ``params.seed`` for a single matrix, ``seeds[g]`` for matrix g of a
-    stack (standard normals via numpy's ziggurat sampler, so the sketch is
-    platform-independent).  It forms ``Y = (A A^T) A Omega`` as
-    ``A (A^T A) Omega``, orthonormalizes it with a thin QR, and takes the
-    exact SVD of the small projected matrix ``Q^T A``, truncated to
-    ``params.rank`` columns.
+    gets its own test matrix Omega, ``params.rank + min(10, min(m, n) -
+    params.rank)`` columns wide, hashed from its seed (``params.seed`` for
+    a single matrix, ``seeds[g]`` for matrix g of a stack; see
+    :func:`_range_sketch`).  It forms ``Y = (A A^T) A Omega`` as
+    ``A (A^T A) Omega``, orthonormalizes it with a thin QR, and factorizes
+    the small projected matrix ``Q^T A``, truncated to ``params.rank``
+    columns.
 
     The input is read three times: once for the power step, once for the
     range sketch ``Y = (S^T A^T)^T`` (the orientation OpenBLAS runs fastest
@@ -121,15 +128,24 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     where ``A^T (A S)`` reads it twice.  Each matrix's S is then scaled by
     the power of two that brings its largest entry into [0.5, 1), so Y
     scales like A, not like A^3: it neither overflows nor underflows where
-    A and A^T A do not.  ``Q^T A`` is scaled the same way before its SVD,
-    which keeps LAPACK's own rescaling of very large or small inputs out.
-    Powers of two are exact, so scaling A by 2^k scales S by exactly 2^k
-    and leaves U and V bit for bit.
+    A and A^T A do not.  ``Q^T A`` is scaled the same way before it is
+    factorized, which keeps LAPACK's own rescaling of very large or small
+    inputs out.  Powers of two are exact, so scaling A by 2^k scales S by
+    exactly 2^k and leaves U and V bit for bit.
+
+    The core ``C = Q^T A`` is short and wide (w x n, w <= n), so its top
+    ``params.rank`` factors come from the w x w Gram matrix: ``eigh(C C^T)``
+    gives the left vectors U_c (top eigenvectors, descending), ``C^T U_c``
+    is V diag(S), S its column norms and V its columns over S.  That route
+    loses about eps (S_0 / S_{r-1})^2 of V's orthonormality, so a core
+    without ``S_{r-1} > S_0 / _GRAM_RATIO`` (a zero, rank-deficient or
+    ill-conditioned core) is factorized by ``np.linalg.svd`` instead; the
+    Gram route then keeps V orthonormal to about 4e-12.
 
     A stack returns U (G, m, R), S (G, R) and V (G, n, R), and every matrix
     gets the same bits as it would alone: the block boundaries depend only
-    on (m, n), and the linalg gufuncs and matmul work on a stack one matrix
-    at a time.
+    on (m, n), the linalg gufuncs and matmul work on a stack one matrix at
+    a time, and the SVD route is chosen per matrix.
 
     The input is not scanned for NaN or infinity up front: any such value
     makes the sketch non-finite, and only then is the matrix checked, to
@@ -164,29 +180,63 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     try:
         q, _ = np.linalg.qr(y)
         small, exponent = _unit_scale(np.swapaxes(q, -1, -2) @ a)
-        small_u, s, small_vt = np.linalg.svd(small, full_matrices=False)
+        small_u, s, v = _core_factors(small, r)
     except np.linalg.LinAlgError as exc:
         raise NumericFailure("sketch factorization failed") from exc
-    u, v = fix_signs(q @ small_u[..., :r], np.swapaxes(small_vt[..., :r, :], -1, -2).copy())
-    s = np.ldexp(s[..., :r], exponent[:, None])
+    u, v = fix_signs(q @ small_u, v)
+    s = np.ldexp(s, exponent[:, None])
     if single:
         return SvdTriple(u[0], s[0], v[0])
     return SvdTriple(u, s, v)
 
 
-def _range_sketch(a, seeds, width):
-    """Y = A (A^T A) Omega 2^-e for a (count, m, n) stack, Omega drawn per
-    seed and e chosen per matrix by the power step's largest entry.
+def _core_factors(small, r):
+    """Top-r U (G, w, r), S (G, r), V (G, n, r) of a (G, w, n) stack of
+    short, wide cores: through each core's Gram matrix, or by SVD for the
+    cores that route would lose accuracy on."""
+    _, vecs = np.linalg.eigh(small @ np.swapaxes(small, -1, -2))
+    small_u = vecs[..., ::-1][..., :r].copy()
+    rights = np.swapaxes(small, -1, -2) @ small_u
+    s = np.sqrt((rights * rights).sum(axis=-2))
+    with np.errstate(divide="ignore", invalid="ignore"):  # weak cores are redone
+        v = rights / s[:, None, :]
+    # Strict, so that a zero core (0 > 0) and a NaN one count as weak too.
+    weak = ~(s[:, -1] * _GRAM_RATIO > s[:, 0])
+    if weak.any():
+        w_u, w_s, w_vt = np.linalg.svd(small[weak], full_matrices=False)
+        small_u[weak], s[weak] = w_u[..., :r], w_s[..., :r]
+        v[weak] = np.swapaxes(w_vt[..., :r, :], -1, -2)
+    return small_u, s, v
 
-    The (count, n, width) test matrices live only here, so they are freed
-    before the factorizations start.
+
+def _range_sketch(a, seeds, width):
+    """Y = A (A^T A) Omega 2^-e for a (count, m, n) stack, with e chosen per
+    matrix by the power step's largest entry.
+
+    Omega_g is n x ``width``; its entry i, counted row-major from 0, is
+    ``(mix64(seed_g + (i + 1) * 0x9E3779B97F4A7C15) >> 11) 2^-52 - 1``, a
+    uniform value in [-1, 1) (splitmix64: mix64 is its finalizer, all
+    arithmetic mod 2^64).  The whole stack is hashed in one pass over
+    uint64 arrays, and the 53-bit integers convert to float64 exactly, so
+    Omega has the same bits on every platform.  The (count, n, width) test
+    matrices live only here, so they are freed before the factorizations
+    start.
     """
-    omega = np.empty((a.shape[0], a.shape[-1], width))
-    for g, seed in enumerate(seeds):
-        np.random.Generator(np.random.PCG64(seed & _MASK64)).standard_normal(out=omega[g])
+    count, n = len(seeds), a.shape[-1]
+    start = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
+    steps = np.arange(1, n * width + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    bits = _mix64(start[:, None] + steps) >> np.uint64(11)
+    omega = (bits.astype(np.float64) * 2.0**-52 - 1.0).reshape(count, n, width)
     # t holds S^T, (count, width, n): the test matrix after the power step.
     t, _ = _unit_scale(_gram_sweep(a, np.swapaxes(omega, -1, -2)))
     return np.swapaxes(t @ np.swapaxes(a, -1, -2), -1, -2)
+
+
+def _mix64(z):
+    """The splitmix64 finalizer, mod 2^64, of a Python int or a uint64 array."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _gram_sweep(a, t):
@@ -269,10 +319,11 @@ def khatri_rao(a, b):
 
 
 def derived_seed(seed, index):
-    """Stable 64-bit child seed for per-slice random streams.
+    """Stable 64-bit child seed for per-slice sketches:
+    ``mix64(seed * 0x9E3779B97F4A7C15 + index + 1)`` mod 2^64.
 
-    Uses numpy's SeedSequence hash, so the child stream depends only on
-    (seed, index), never on thread count or work order.
+    The child depends only on (seed, index), never on thread count or work
+    order, and since mix64 is a bijection, distinct indices under one seed
+    get distinct children.
     """
-    ss = np.random.SeedSequence([seed & _MASK64, int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return _mix64((seed * _GOLDEN + int(index) + 1) & _MASK64)

@@ -367,6 +367,17 @@ class TestAnalyze:
         assert cli.main(["analyze", str(factors), "--target", "99",
                          "--out-dir", str(tmp_path / "a")]) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--target", "0", "--knn", "99"],
+        ["--target", "99"],
+        ["--target", "0", "--rwr", "--restart", "1.5"],
+    ], ids=["knn", "target", "rwr-restart"])
+    def test_failed_analysis_leaves_no_output(self, tmp_path, flags):
+        factors = self.fitted_dir(tmp_path)
+        out = tmp_path / "a"
+        assert cli.main(["analyze", str(factors), *flags, "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
     def test_smaller_save_over_a_larger_one_is_read_by_its_manifest(self, tmp_path):
         # U_0003.csv and U_0004.csv of the first save stay behind.
         self.fitted_dir(tmp_path, num_slices=5)

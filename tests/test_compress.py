@@ -216,6 +216,7 @@ class TestErrorsAndEdges:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
         t = IrregularTensor([np.eye(6)[:, :4] + k for k in range(3)])
         stack = r"^sketch factorization failed in the stack of 3 slices \(lowest 0, highest 2\)$"
         with pytest.raises(NumericFailure, match=stack):

@@ -17,6 +17,7 @@ from dpar2.errors import (
     RankTooLargeError,
     ShapeMismatchError,
 )
+from dpar2 import linalg
 from dpar2.linalg import (
     _SWEEP_FLOATS,
     _SWEEP_MIN_ROWS,
@@ -105,11 +106,26 @@ class TestTruncatedSvd:
         assert (np.diff(trip.S) <= 1e-12).all()
 
 
-def gaussian_sketch(params, m, n):
-    """The Gaussian test matrix Omega that ``randomized_svd`` draws."""
-    over = min(10, min(m, n) - params.rank)
-    rng = np.random.Generator(np.random.PCG64(params.seed & (2**64 - 1)))
-    return rng.standard_normal((n, params.rank + over))
+MASK64 = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z):
+    """The splitmix64 finalizer on one Python int, mod 2^64."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def uniform_sketch(params, m, n):
+    """The test matrix Omega that ``randomized_svd`` hashes from
+    ``params.seed``, one entry at a time in row-major order: entry i is
+    (mix64(seed + (i + 1) * GOLDEN) >> 11) 2^-52 - 1."""
+    width = params.rank + min(10, min(m, n) - params.rank)
+    seed = params.seed & MASK64
+    flat = [(mix64((seed + (i + 1) * GOLDEN) & MASK64) >> 11) * 2.0**-52 - 1.0
+            for i in range(n * width)]
+    return np.array(flat).reshape(n, width)
 
 
 def scaled_to_unit(x):
@@ -118,15 +134,27 @@ def scaled_to_unit(x):
     return np.ldexp(x, -e), e
 
 
+def core_factors(small, rank):
+    """Top-``rank`` factors of one short, wide core through its Gram
+    matrix, unless S[r-1] <= S[0] / 128 (a zero core included): then by SVD."""
+    _, vecs = np.linalg.eigh(small @ small.T)
+    small_u = vecs[:, ::-1][:, :rank].copy()
+    rights = small.T @ small_u
+    s = np.sqrt((rights * rights).sum(axis=0))
+    if s[-1] > s[0] / 128:
+        return small_u, s, rights / s
+    u, s, vt = np.linalg.svd(small, full_matrices=False)
+    return u[:, :rank].copy(), s[:rank].copy(), vt[:rank].T.copy()
+
+
 def per_matrix_rsvd(a, params):
-    """Reference randomized SVD of one matrix built on ``truncated_svd``:
-    Gaussian sketch S; one power step S <- (A^T A) S summed as
-    (A_b S)^T A_b over the same row blocks, in block order, then scaled to
-    a largest entry in [0.5, 1); the range sketch Y = (S^T A^T)^T; QR;
-    ``truncated_svd`` of Q^T A scaled the same way (with its own sign fix),
-    then U = Q U_small and a second sign fix."""
+    """Reference randomized SVD of one matrix: uniform sketch S; one power
+    step S <- (A^T A) S summed as (A_b S)^T A_b over the same row blocks,
+    in block order, then scaled to a largest entry in [0.5, 1); the range
+    sketch Y = (S^T A^T)^T; QR; the core Q^T A scaled the same way and
+    factorized by ``core_factors``; then U = Q U_small and a sign fix."""
     m, n = a.shape
-    s = gaussian_sketch(params, m, n)
+    s = uniform_sketch(params, m, n)
     rows = max(_SWEEP_MIN_ROWS, _SWEEP_FLOATS // n)
     total = None
     for start in range(0, m, rows):
@@ -137,15 +165,15 @@ def per_matrix_rsvd(a, params):
     y = (s.T @ a.T).T
     q, _ = np.linalg.qr(y)
     small, e = scaled_to_unit(q.T @ a)
-    small = truncated_svd(small, params.rank)
-    u, v = fix_signs(q @ small.U, small.V)
-    return u, np.ldexp(small.S, e), v
+    small_u, small_s, small_v = core_factors(small, params.rank)
+    u, v = fix_signs(q @ small_u, small_v)
+    return u, np.ldexp(small_s, e), v
 
 
 def textbook_rsvd(a, params, power_steps):
     """The unblocked Halko-Martinsson-Tropp range finder on the same Omega:
     Y = (A A^T)^q A Omega, QR, exact truncated SVD of Q^T A."""
-    y = a @ gaussian_sketch(params, *a.shape)
+    y = a @ uniform_sketch(params, *a.shape)
     for _ in range(power_steps):
         y = a @ (a.T @ y)
     q, _ = np.linalg.qr(y)
@@ -228,6 +256,56 @@ class TestRandomizedSvd:
             assert got.U.tobytes() == want.U.tobytes()
             assert got.V.tobytes() == want.V.tobytes()
             assert got.S.tobytes() == np.ldexp(want.S, k).tobytes()
+
+    def test_stacked_test_matrices_equal_the_scalar_hash(self, monkeypatch):
+        seen = []
+        sweep = linalg._gram_sweep
+
+        def spy(a, t):
+            seen.append(np.swapaxes(t, -1, -2).copy())
+            return sweep(a, t)
+
+        monkeypatch.setattr(linalg, "_gram_sweep", spy)
+        rng = np.random.Generator(np.random.PCG64(20))
+        seeds = [0, derived_seed(5, 1), -1]
+        randomized_svd(rng.standard_normal((3, 12, 20)), RsvdParams(rank=3), seeds=seeds)
+        (omega,) = seen
+        assert omega.shape == (3, 20, 12)
+        assert ((omega >= -1.0) & (omega < 1.0)).all()
+        for g, seed in enumerate(seeds):
+            want = uniform_sketch(RsvdParams(rank=3, seed=seed), 12, 20)
+            assert omega[g].tobytes() == want.tobytes()
+
+    def test_weak_cores_alone_take_the_svd_path(self, monkeypatch):
+        # A well-conditioned core goes through its Gram matrix; a
+        # rank-deficient and an all-zero one fall back to the SVD.
+        rng = np.random.Generator(np.random.PCG64(19))
+        stack = np.stack([rng.standard_normal((10, 6)),
+                          rng.standard_normal((10, 2)) @ rng.standard_normal((2, 6)),
+                          np.zeros((10, 6))])
+        exact = [truncated_svd(a, 3).S for a in stack]
+        params = RsvdParams(rank=3)
+        seeds = [derived_seed(9, g) for g in range(3)]
+        svd = np.linalg.svd
+        factored = []
+
+        def spy(x, *args, **kwargs):
+            factored.append(len(x))
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        stacked = randomized_svd(stack, params, seeds=seeds)
+        assert factored == [2]
+        for g, seed in enumerate(seeds):
+            factored.clear()
+            alone = randomized_svd(stack[g], replace(params, seed=seed))
+            assert factored == ([] if g == 0 else [1])
+            for got_alone, got_stacked in zip((alone.U, alone.S, alone.V),
+                                              (stacked.U[g], stacked.S[g], stacked.V[g])):
+                assert got_alone.tobytes() == got_stacked.tobytes()
+            assert_orthonormal(alone.U)
+            assert_orthonormal(alone.V)
+            assert np.abs(alone.S - exact[g]).max() <= 1e-12 * exact[0][0]
 
     def test_stack_needs_one_seed_per_matrix(self):
         stack = np.ones((2, 5, 4))
@@ -390,3 +468,11 @@ def test_derived_seed_stable_and_distinct():
     assert derived_seed(7, 3) != derived_seed(7, 4)
     assert derived_seed(8, 3) != derived_seed(7, 3)
     assert 0 <= derived_seed(-1, 0) < 2**64
+
+
+def test_derived_seed_is_the_hash_and_distinct_over_a_grid():
+    grid = {(seed, index): derived_seed(seed, index)
+            for seed in (0, 1, 2, 7, 2**32, 2**63, -1) for index in range(300)}
+    assert len(set(grid.values())) == len(grid)
+    for (seed, index), child in grid.items():
+        assert child == mix64((seed * GOLDEN + index + 1) & MASK64)

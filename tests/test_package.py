@@ -70,3 +70,15 @@ def test_stacked_passes_plan_through_one_call():
     assert found == []
     assert list(inspect.signature(dpar2.scheduler.map_stacks).parameters) == [
         "fn", "slices", "stacks", "groups"]
+
+
+def test_sketches_draw_from_no_generator():
+    # Test matrices and derived seeds are hashed from their seeds, so the
+    # sketch cannot drift back to seeding a generator per slice.
+    tree = dict(parsed_sources())["linalg.py"]
+    found = [ast.unparse(node) for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and ast.unparse(node) == "np.random")
+             or getattr(node, "id", None) == "SeedSequence"
+             or getattr(node, "attr", None) == "SeedSequence"
+             or (isinstance(node, ast.ImportFrom) and node.module == "numpy.random")]
+    assert found == []
