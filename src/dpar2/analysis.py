@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import reconstruction_error
+from .baseline import reconstruction_terms
 from .errors import DegenerateInputError, IsolatedNodeError, NumericFailure, ShapeMismatchError
 from .factors import Parafac2Factors
 from .tensor import IrregularTensor
@@ -24,18 +24,19 @@ def fitness(tensor: IrregularTensor, factors: Parafac2Factors, threads=None):
     """1 - sum_k ||X_k - Xhat_k||_F^2 / sum_k ||X_k||_F^2.
 
     1 is a perfect fit; 0 means no better than predicting zero.  Raises on
-    an all-zero tensor, where the ratio is undefined.  The residual is
-    :func:`~dpar2.baseline.reconstruction_error`, which checks the factor
-    shapes against the tensor and forms no I_k x J array.  Both sums are
-    scaled by 2^-e, 2^e just above the largest ||X_k||^2, so ||X||^2 fits
-    in a float wherever each ||X_k||^2 does, and the ratio keeps its bits.
-    A sum that overflows all the same raises :class:`NumericFailure`.
+    an all-zero tensor, where the ratio is undefined.  The residual terms
+    are :func:`~dpar2.baseline.reconstruction_terms`, which checks the
+    factor shapes against the tensor and forms no I_k x J array.  Every
+    term of both sums is scaled by 2^-e, 2^e just above the largest
+    ||X_k||^2, before the sums are reduced, so each sum fits in a float
+    wherever its terms do, and the ratio keeps its bits.  A sum that
+    overflows all the same raises :class:`NumericFailure`.
     """
     x_sq = np.array(tensor.sq_norms)
     shift = -int(np.frexp(x_sq.max())[1])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        resid = np.ldexp(reconstruction_error(tensor, factors.Q, factors.H, factors.V,
-                                              factors.W, threads), shift)
+        terms = reconstruction_terms(tensor, factors.Q, factors.H, factors.V, factors.W, threads)
+        resid = np.add.reduce(np.ldexp(terms, shift))
         total = np.add.reduce(np.ldexp(x_sq, shift))
     if total == 0.0:
         raise DegenerateInputError("fitness undefined for an all-zero tensor")
@@ -44,8 +45,18 @@ def fitness(tensor: IrregularTensor, factors: Parafac2Factors, threads=None):
     return float(1.0 - resid / total)
 
 
+def _check_gamma(gamma):
+    """The kernel width must be finite and positive, or similarities leave (0, 1]."""
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+
+
 def similarity(u_a, u_b, gamma=DEFAULT_GAMMA):
-    """exp(-gamma ||U_a - U_b||_F^2); 1 iff equal, in (0, 1] always."""
+    """exp(-gamma ||U_a - U_b||_F^2); 1 iff equal, in (0, 1] always.
+
+    Raises ``ValueError`` unless ``gamma`` is finite and positive.
+    """
+    _check_gamma(gamma)
     u_a = np.asarray(u_a, dtype=np.float64)
     u_b = np.asarray(u_b, dtype=np.float64)
     if u_a.shape != u_b.shape:
@@ -77,8 +88,10 @@ def build_similarity_graph(u_list, gamma=DEFAULT_GAMMA):
     as G_aa + G_bb - 2 G_ab.  That expansion cannot resolve a distance
     below its rounding bound d eps (G_aa + G_bb), d the factor size, so
     such a distance is 0 and equal factors score exactly 1.  The upper
-    triangle is mirrored so the adjacency is exactly symmetric.
+    triangle is mirrored so the adjacency is exactly symmetric.  Raises
+    ``ValueError`` unless ``gamma`` is finite and positive.
     """
+    _check_gamma(gamma)
     if len(u_list) < 1:
         raise ShapeMismatchError("need at least one factor")
     mats = [np.asarray(u, dtype=np.float64) for u in u_list]
@@ -168,8 +181,17 @@ def rwr(graph: SimilarityGraph, params: RwrParams):
 
 
 def pcc_matrix(v):
-    """Pearson correlations between the rows of ``v`` (feature-by-feature)."""
+    """Pearson correlations between the rows of ``v`` (feature-by-feature).
+
+    A row whose entries are all equal has zero variance, so its
+    correlations are undefined: :class:`DegenerateInputError` names the
+    first such row.  Every row of a rank-1 V is one.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[0] < 2:
         raise ShapeMismatchError("need a 2-D matrix with at least two rows")
+    flat = np.flatnonzero(v.min(axis=1) == v.max(axis=1))
+    if flat.size:
+        raise DegenerateInputError(f"row {int(flat[0])} of V has zero variance; "
+                                   "its correlations are undefined")
     return np.corrcoef(v)

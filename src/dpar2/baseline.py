@@ -197,7 +197,13 @@ def residual_terms(x_sq, cores, grams, h, v, w):
 
 
 def reconstruction_error(tensor, q, h, v, w, threads=None):
-    """sum_k ||X_k - Q_k (H S_k) V^T||_F^2, reduced in slice order.
+    """sum_k ||X_k - Q_k (H S_k) V^T||_F^2: the :func:`reconstruction_terms`
+    reduced in slice order."""
+    return float(np.add.reduce(reconstruction_terms(tensor, q, h, v, w, threads)))
+
+
+def reconstruction_terms(tensor, q, h, v, w, threads=None):
+    """||X_k - Q_k (H S_k) V^T||_F^2 of every slice, as one array.
 
     One pass over X forms Y_k = Q_k^T X_k and Q_k^T Q_k for
     :func:`residual_terms`, so no I_k x J residual is formed.  Before that
@@ -224,5 +230,4 @@ def reconstruction_error(tensor, q, h, v, w, threads=None):
         return q[k].T @ tensor.slices[k], q[k].T @ q[k]
 
     cores, grams = zip(*parallel_slice_map(project, tensor.num_slices, threads=threads))
-    terms = residual_terms(np.array(tensor.sq_norms), cores, grams, h, v, w)
-    return float(np.add.reduce(terms))
+    return residual_terms(np.array(tensor.sq_norms), cores, grams, h, v, w)

@@ -1,4 +1,4 @@
-"""Work partitioning and deterministic thread-parallel slice loops.
+"""Work partitioning and the package's one thread runner.
 
 Slices of an irregular tensor have unequal row counts, so naive contiguous
 chunking can leave one worker with most of the rows.  ``greedy_partition``
@@ -6,11 +6,11 @@ balances load with longest-processing-time-first assignment.
 ``equal_height_stacks`` is the one call that plans a stacked pass: it
 resolves the thread count, partitions the slices greedily and groups each
 worker's slices by row count, so compression and ALS make one batched call
-per stack, which ``map_stacks`` runs.  Both runners, ``parallel_slice_map``
-and ``map_stacks``, follow one failure rule: every slice runs, then the
-lowest failing slice's error is raised.  Results land in per-slice slots
-and reduce in ascending slice order afterwards, so the outcome, errors
-included, is the same for any thread count.
+per stack.  ``map_stacks`` runs every threaded pass, by stack or by slice
+(``parallel_slice_map``): every slice runs, then the lowest failing slice's
+error is raised.  Results land in per-slice slots and reduce in ascending
+slice order afterwards, so the outcome, errors included, is the same for
+any thread count.
 
 These worker threads are the package's only parallelism: importing the
 package sets numpy's bundled OpenBLAS to one thread for the whole process
@@ -22,7 +22,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,74 +130,71 @@ def resolve_threads(threads=None):
 def parallel_slice_map(fn, num_slices, threads=None, groups=None):
     """Evaluate ``fn(k)`` for ``k in range(num_slices)`` across worker threads.
 
-    ``groups`` (a list of index lists, e.g. ``PartitionPlan.sets``) controls
-    which worker owns which slices; by default slices are chunked
-    contiguously.  Each result lands in its own slot, so the returned list
-    is in ascending slice order regardless of scheduling.  Every slice
-    runs; then the lowest failing slice's exception is re-raised, whatever
-    the thread count or grouping.
+    :func:`map_stacks` with every slice a stack of its own.  ``groups``
+    (index lists, e.g. ``PartitionPlan.sets``) gives one worker per
+    non-empty group; by default the slices are chunked contiguously over
+    ``resolve_threads(threads)`` workers, the only use of ``threads``.
     """
-    threads = resolve_threads(threads)
     if groups is None:
-        groups = contiguous_chunks(num_slices, threads)
-    groups = [g for g in groups if g]
-    results = [None] * num_slices
-    failures = {}
-
-    def run(group):
-        for k in group:
-            try:
-                results[k] = fn(k)
-            except Exception as exc:  # noqa: BLE001 - propagated below
-                failures[k] = exc  # one key per slice, so the workers need no lock
-
-    if threads <= 1 or len(groups) <= 1:
-        for group in groups:
-            run(group)
-    else:
-        with ThreadPoolExecutor(max_workers=min(threads, len(groups))) as pool:
-            list(pool.map(run, groups))
-    if failures:
-        raise failures[min(failures)]
-    return results
+        groups = contiguous_chunks(num_slices, resolve_threads(threads))
+    return map_stacks(lambda _, ks: fn(ks[0]), None, [[k] for k in range(num_slices)], groups)
 
 
 def map_stacks(fn, slices, stacks, groups):
     """``fn(x, ks)`` for every stack ``ks`` of ``stacks``, in stack order;
-    one worker per group, worker i running the stacks ``groups[i]``.
+    worker i runs the stacks ``groups[i]``, the first non-empty group on the
+    calling thread and each other one on a thread of its own.
 
-    ``x`` holds the stack's slices: a view for a stack of one or for a
-    contiguous run of an array ``slices``, else their ``np.stack``.  Every
-    stack runs.  A :class:`NumericFailure` at position i of ``x`` is
-    re-raised naming slice ``ks[i]``; one with no position names the stack
-    by its size and its lowest and highest slice (a stack of one, its slice)
-    and counts as its lowest slice.  The lowest slice's failure is raised,
-    whatever the stacking or thread count.
+    ``x`` holds the stack's slices: None if ``slices`` is, a view for a
+    stack of one or a contiguous run of an array ``slices``, else their
+    ``np.stack``.  A :class:`NumericFailure` at position i of ``x`` names
+    slice ``ks[i]``; one with no position names the stack by its size and
+    lowest and highest slice (a stack of one, its slice) and counts as its
+    lowest slice, as any other error does.  Every stack runs and every
+    worker is joined, then an interrupt or exit (not an ``Exception``; it
+    also ends its worker) is raised, else the lowest slice's failure.
     """
-    failures = {}  # the slice each failing stack names (unnamed: its lowest) -> error
+    results = [None] * len(stacks)
+    failures = {}  # slice -> error; the stacks are disjoint, so the workers need no lock
 
-    def run(i):
-        ks = stacks[i]
-        if len(ks) == 1:
-            x = slices[ks[0]][None]
-        elif isinstance(slices, np.ndarray) and ks[-1] - ks[0] == len(ks) - 1:
-            x = slices[ks[0] : ks[-1] + 1]
-        else:
-            x = np.stack([slices[k] for k in ks])
-        try:
-            return fn(x, ks)
-        except NumericFailure as exc:
-            k = ks[exc.slice_index or 0]
-            if exc.slice_index is None and len(ks) > 1:
-                failures[k] = NumericFailure(f"{exc.reason} in the stack of {len(ks)} "
-                                             f"slices (lowest {ks[0]}, highest {ks[-1]})")
-            else:
-                failures[k] = NumericFailure(exc.reason, slice_index=k)
-            failures[k].__cause__ = exc
+    def run(group):
+        for i in group:
+            ks = stacks[i]
+            try:
+                if slices is None:
+                    x = None
+                elif len(ks) == 1:
+                    x = slices[ks[0]][None]
+                elif isinstance(slices, np.ndarray) and ks[-1] - ks[0] == len(ks) - 1:
+                    x = slices[ks[0] : ks[-1] + 1]
+                else:
+                    x = np.stack([slices[k] for k in ks])
+                results[i] = fn(x, ks)
+            except NumericFailure as exc:
+                k = ks[exc.slice_index or 0] if len(ks) > 1 else ks[0]
+                if exc.slice_index is None and len(ks) > 1:
+                    failures[k] = NumericFailure(f"{exc.reason} in the stack of {len(ks)} "
+                                                 f"slices (lowest {ks[0]}, highest {ks[-1]})")
+                else:
+                    failures[k] = NumericFailure(exc.reason, slice_index=k)
+                failures[k].__cause__ = exc
+            except BaseException as exc:  # noqa: BLE001 - raised below
+                failures[ks[0]] = exc
+                if not isinstance(exc, Exception):
+                    return
 
-    results = parallel_slice_map(run, len(stacks), threads=max(1, len(groups)), groups=groups)
-    if failures:
-        raise failures[min(failures)]
+    first, *rest = [g for g in groups if g] or [[]]
+    workers = [threading.Thread(target=run, args=(group,)) for group in rest]
+    try:
+        for worker in workers:
+            worker.start()
+        run(first)
+    finally:
+        for worker in workers:
+            if worker.ident is not None:  # it started
+                worker.join()
+    if failures:  # an interrupt or exit before any error, then the lowest slice
+        raise min(failures.items(), key=lambda item: (isinstance(item[1], Exception), item[0]))[1]
     return results
 
 

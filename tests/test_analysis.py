@@ -20,6 +20,7 @@ from dpar2.analysis import (
 from dpar2.baseline import fit_baseline, reconstruction_error
 from dpar2.errors import DegenerateInputError, IsolatedNodeError, NumericFailure, ShapeMismatchError
 from dpar2.factors import Parafac2Factors, SolverOptions
+from dpar2.solver import fit_dpar2
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
 
 
@@ -83,6 +84,19 @@ class TestFitness:
         assert score == fitness(small, replace(factors, H=np.ldexp(factors.H, -510)))
         unit_factors, _ = fit_baseline(unit, 2, SolverOptions(threads=1))
         assert score == pytest.approx(fitness(unit, unit_factors), abs=1e-12)
+
+    def test_residual_sum_that_overflows_is_rescaled(self):
+        # Each ||X_k||^2 is 1.6e308 and the residual terms are finite, but
+        # their sum is not: each term is scaled before the reduce, so the
+        # score keeps the bits of the same fit at a quarter of the scale.
+        rng = np.random.default_rng(1)
+        unit = [rng.standard_normal((rows, 8)) for rows in (12, 9, 15)]
+        t = IrregularTensor([x * np.sqrt(4e307 / np.sum(x * x)) for x in unit])
+        factors, _ = fit_dpar2(t, 1, SolverOptions(max_iters=10, threads=1))
+        doubled = IrregularTensor([2.0 * x for x in t.slices])
+        score = fitness(doubled, replace(factors, W=2.0 * factors.W))
+        assert score == fitness(t, factors)
+        assert float.hex(score) == "0x1.92560c1a9ce24p-3"
 
     def test_slice_norm_that_overflows_raises(self):
         t, factors = exact_factors_for(0)
@@ -183,6 +197,15 @@ class TestSimilarity:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             similarity(np.zeros((2, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+    def test_gamma_must_be_finite_and_positive(self, gamma):
+        # gamma -1 scored 1.213 and nan scored nan, outside (0, 1].
+        mats = [np.zeros((2, 2)), np.ones((2, 2))]
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            similarity(*mats, gamma=gamma)
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            build_similarity_graph(mats, gamma=gamma)
 
     def test_graph_structure(self):
         rng = np.random.Generator(np.random.PCG64(6))
@@ -361,3 +384,11 @@ class TestPcc:
     def test_needs_two_rows(self):
         with pytest.raises(ShapeMismatchError):
             pcc_matrix(np.ones((1, 5)))
+
+    @pytest.mark.parametrize("v, row", [(np.arange(4.0)[:, None], 0),
+                                        ([[1.0, 2.0, 3.0], [0.1, 0.1, 0.1], [2.0, 2.0, 2.0]], 1)],
+                             ids=["rank-1", "constant-rows"])
+    def test_row_without_variance_is_named(self, v, row):
+        # Its correlations are nan; a rank-1 V has only such rows.
+        with pytest.raises(DegenerateInputError, match=f"^row {row} of V has zero variance"):
+            pcc_matrix(v)

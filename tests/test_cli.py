@@ -378,6 +378,28 @@ class TestAnalyze:
         assert cli.main(["analyze", str(factors), *flags, "--out-dir", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
+    def test_bad_gamma_exits_3_with_no_output(self, tmp_path, capsys, gamma):
+        factors = self.fitted_dir(tmp_path)
+        out = tmp_path / "a"
+        assert cli.main(["analyze", str(factors), "--target", "0", "--rwr", "--gamma", gamma,
+                         "--out-dir", str(out)]) == 3
+        assert "gamma must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pcc_of_a_rank_1_fit_exits_3_with_no_output(self, tmp_path, capsys):
+        archive = tmp_path / "u.irt"
+        assert cli.main(["generate", "--I", "12", "--J", "6", "--K", "4", "--mode", "uniform",
+                         "--out", str(archive)]) == 0
+        factors = tmp_path / "fu"
+        assert cli.main(["decompose", str(archive), "--rank", "1",
+                         "--out-factors", str(factors)]) == 0
+        out = tmp_path / "au"
+        assert cli.main(["analyze", str(factors), "--target", "0", "--pcc",
+                         "--out-dir", str(out)]) == 3
+        assert "row 0 of V has zero variance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_smaller_save_over_a_larger_one_is_read_by_its_manifest(self, tmp_path):
         # U_0003.csv and U_0004.csv of the first save stay behind.
         self.fitted_dir(tmp_path, num_slices=5)

@@ -58,6 +58,22 @@ def test_threads_start_only_in_the_scheduler():
     assert found == []
 
 
+def test_one_thread_runner():
+    # scheduler.map_stacks is the package's only thread runner, so no
+    # executor or second runner can come back with its own failure rule.
+    found = []
+    for name, tree in parsed_sources():
+        found += [f"{name} imports concurrent" for root in absolute_imports(tree)
+                  if root == "concurrent"]
+        owner = {id(node): fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        found += [f"{name}:{node.lineno} starts a thread in {owner.get(id(node))}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) in ("threading.Thread", "Thread")
+                  and (name, owner.get(id(node))) != ("scheduler.py", "map_stacks")]
+    assert found == []
+
+
 def test_stacked_passes_plan_through_one_call():
     # scheduler.equal_height_stacks resolves the threads and partitions the
     # slices; the stacked passes call it, not the steps it is made of.

@@ -3,6 +3,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -254,6 +255,74 @@ class TestMapStacks:
         with pytest.raises(NumericFailure, match=r"^no convergence \(slice 4\)$") as err:
             map_stacks(fail, [np.zeros((2, 2))] * 6, [[4], [5]], [[1, 0]])
         assert err.value.slice_index == 4
+
+
+class TestOneRunner:
+    @pytest.mark.parametrize("groups", [[[0, 1]], [[0], [1]]], ids=["one-group", "two-groups"])
+    def test_lowest_slice_wins_across_error_kinds(self, groups):
+        # Slice 0 fails numerically and slice 1 with an ordinary error; both
+        # runners raise slice 0's error under either grouping.
+        def fail(k):
+            if k == 0:
+                raise NumericFailure("not finite")
+            raise ValueError("bad slice 1")
+
+        with pytest.raises(NumericFailure, match=r"^not finite \(slice 0\)$"):
+            map_stacks(lambda x, ks: fail(ks[0]), [np.zeros((1, 1))] * 2, [[0], [1]], groups)
+        with pytest.raises(NumericFailure, match=r"^not finite \(slice 0\)$"):
+            parallel_slice_map(fail, 2, groups=groups)
+
+    def test_each_group_but_the_first_starts_one_thread(self, monkeypatch):
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spy)
+        slices = np.arange(6 * 2 * 2, dtype=float).reshape(6, 2, 2)
+        stacks = [[0, 1], [2], [3, 4], [5]]
+
+        def total(x, ks):
+            return x.sum(axis=(1, 2)).tolist()
+
+        def fail(x, ks):
+            if 3 in ks:
+                raise NumericFailure("bad core", slice_index=ks.index(3))
+            if 5 in ks:
+                raise ValueError("bad slice 5")
+            return total(x, ks)
+
+        outcomes = set()
+        for groups, threads in (([[0, 1, 2, 3]], 0), ([[0, 2], [1, 3]], 1),
+                                ([[0], [1, 3], [], [2]], 2)):
+            started.clear()
+            got = map_stacks(total, slices, stacks, groups)
+            with pytest.raises(NumericFailure) as err:
+                map_stacks(fail, slices, stacks, groups)
+            assert len(started) == 2 * threads
+            outcomes.add((repr(got), str(err.value), err.value.slice_index))
+        assert outcomes == {(repr([[6.0, 22.0], [38.0], [54.0, 70.0], [86.0]]),
+                             "bad core (slice 3)", 3)}
+
+    @pytest.mark.parametrize("groups", [[[1, 2], [0]], [[0], [1, 2]]],
+                             ids=["calling-thread", "worker-thread"])
+    def test_interrupt_is_raised_after_every_worker_is_joined(self, groups):
+        # Slice 1 is interrupted, which ends its worker before slice 2; the
+        # slow slice 0 finishes first, and its lower error does not win.
+        ran = []
+
+        def work(k):
+            if k == 1:
+                raise KeyboardInterrupt
+            time.sleep(0.2)
+            ran.append(k)
+            raise ValueError(f"bad slice {k}")
+
+        with pytest.raises(KeyboardInterrupt):
+            parallel_slice_map(work, 3, groups=groups)
+        assert ran == [0]
 
 
 class TestResolveThreads:
