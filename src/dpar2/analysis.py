@@ -159,6 +159,8 @@ def rwr(graph: SimilarityGraph, params: RwrParams):
     c = params.restart
     if not 0.0 < c < 1.0:
         raise ValueError(f"restart must be in (0, 1), got {c}")
+    if params.max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {params.max_iters}")
     q = np.asarray(params.query, dtype=np.float64)
     if q.shape != (n,):
         raise ShapeMismatchError(f"query has shape {q.shape}, graph has {n} nodes")

@@ -77,13 +77,15 @@ def iterate(step, state, opts: SolverOptions, trace: FitTrace):
     """Both solvers' iteration loop; returns the last state.
 
     Runs ``state, objective = step(*state)`` and records each objective and
-    its wall time in ``trace``.  Stops after ``max_iters`` steps, or sets
-    ``trace.converged`` and stops once the objective changed by at most
-    ``tol`` times its previous value (or that value was 0).  An objective
-    that is not finite raises :class:`NumericFailure`.
+    its wall time in ``trace``.  Stops after ``max_iters`` (>= 1) steps, or
+    sets ``trace.converged`` and stops once the objective changed by at most
+    ``tol`` (finite, >= 0) times its previous value (or that value was 0).
+    An objective that is not finite raises :class:`NumericFailure`.
     """
     if opts.max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if not 0.0 <= opts.tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {opts.tol}")
     for _ in range(opts.max_iters):
         started = time.perf_counter()
         state, objective = step(*state)

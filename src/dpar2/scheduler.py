@@ -10,7 +10,8 @@ per stack.  ``map_stacks`` runs every threaded pass, by stack or by slice
 (``parallel_slice_map``): every slice runs, then the lowest failing slice's
 error is raised.  Results land in per-slice slots and reduce in ascending
 slice order afterwards, so the outcome, errors included, is the same for
-any thread count.
+any thread count.  Every pass runs on min(``resolve_threads(threads)``, K)
+workers, K being the slices or blocks it splits; no pass has its own rule.
 
 These worker threads are the package's only parallelism: importing the
 package sets numpy's bundled OpenBLAS to one thread for the whole process
@@ -70,16 +71,17 @@ _STACK_FLOATS = 1 << 18
 
 
 def equal_height_stacks(row_counts, cols, threads=None):
-    """The plan of a stacked pass: the slices split over the ``threads``
+    """The plan of a stacked pass: the slices split over min(``threads``, K)
     workers (see ``resolve_threads``) by ``greedy_partition``, and each
     worker's slices grouped by row count into stacks.
 
     Returns the stacks (lists of slice indices, ascending within a stack)
-    and, per worker, the indices of its stacks.  A stack holds at most
-    ``_STACK_FLOATS`` floats of slices ``cols`` wide, and at least one slice.
+    and min(threads, K) groups, each a worker's stack indices.  A stack holds
+    at most ``_STACK_FLOATS`` floats of slices ``cols`` wide, and at least one.
     """
     stacks, groups = [], []
-    for owned in greedy_partition(row_counts, resolve_threads(threads)).sets:
+    workers = min(resolve_threads(threads), len(row_counts))
+    for owned in greedy_partition(row_counts, workers).sets:
         by_rows = {}
         for k in owned:
             by_rows.setdefault(row_counts[k], []).append(k)

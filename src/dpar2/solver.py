@@ -18,7 +18,8 @@ batched array operation over the (K, R, R) stack of slices:
   which equals the residual against the compressed slices because the
   Frobenius norm ignores the orthonormal left factors A_k Z_k.
 
-The rotations run one contiguous chunk of slices per worker through
+The rotations run one contiguous chunk of slices per worker, on
+min(threads, K) workers as every threaded pass does, through
 ``scheduler.map_stacks`` and the ALS baseline's Procrustes kernel
 :func:`~dpar2.baseline.procrustes_svd`.  Each worker also builds its
 chunk's Theta_k, and the returned :class:`RotationStack` carries Theta to
@@ -39,13 +40,6 @@ from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, 
 from .linalg import RsvdParams, fix_signs, gram
 from .scheduler import contiguous_chunks, map_stacks, resolve_threads
 from .tensor import IrregularTensor
-
-
-# Fewest R x R target floats worth a worker of the rotation pass.  Smaller
-# chunks lose more to starting the workers and to their GIL-held small
-# products than the extra core saves: on a 2-core host, 200 targets of
-# 10 x 10 took as long in two chunks as in one, and 400 took 1.2-1.4x less.
-_MIN_CHUNK_FLOATS = 1 << 14
 
 
 @dataclass
@@ -73,8 +67,8 @@ def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
     """Solve every slice's orthogonal Procrustes problem in R x R space.
 
     The slices are split into one contiguous chunk per worker thread
-    (``threads``, resolved as everywhere else, but at most one worker per
-    2^14 target floats).  Each worker factorizes its chunk with
+    (``threads``, resolved as everywhere else, and at most one worker per
+    slice).  Each worker factorizes its chunk with
     :func:`~dpar2.baseline.procrustes_svd` and builds the chunk's Theta_k,
     which the returned stack carries.  Every matrix is factorized on its
     own, so the result is bit-identical at any thread count, and a failure
@@ -82,8 +76,7 @@ def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
     """
     core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)  # E D^T V, shared by all slices
     cores = comp.core_stack()
-    workers = min(resolve_threads(threads), max(1, cores.size // _MIN_CHUNK_FLOATS))
-    chunks = contiguous_chunks(comp.num_slices, workers)
+    chunks = contiguous_chunks(comp.num_slices, resolve_threads(threads))
 
     def solve(x, ks):
         zc, sig, pt = procrustes_svd(x, core_cols, h, w[ks[0] : ks[-1] + 1])

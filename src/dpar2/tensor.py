@@ -218,7 +218,7 @@ def save_archive(tensor: IrregularTensor, path):
 
 
 def load_archive(path, threads=None):
-    """Read an IRT1 archive on ``threads`` workers (see ``resolve_threads``).
+    """Read an IRT1 archive on min(``threads``, K) workers (see ``resolve_threads``).
 
     The headers are walked first, so a bad magic, dimension or row count,
     a truncated header or payload and trailing bytes all raise before any
@@ -282,9 +282,8 @@ def load_archive(path, threads=None):
             x.setflags(write=False)
             return sq
 
-        workers = resolve_threads(threads)
-        plan = greedy_partition(row_counts, workers)
-        sq_norms = parallel_slice_map(read, num_slices, threads=workers, groups=plan.sets)
+        plan = greedy_partition(row_counts, min(resolve_threads(threads), num_slices))
+        sq_norms = parallel_slice_map(read, num_slices, groups=plan.sets)
     return IrregularTensor._from_checked(slices, sq_norms)
 
 

@@ -350,6 +350,14 @@ class TestRwr:
         with pytest.raises(ShapeMismatchError):
             rwr(graph, RwrParams(query=np.array([1.0, 0.0])))
 
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_rejects_fewer_than_one_step(self, iters):
+        # Zero steps returned the query itself as the scores.
+        for graph, q in ((ring_graph(3), np.array([1.0, 0.0, 0.0])),
+                         (SimilarityGraph(adjacency=np.zeros((1, 1))), np.array([1.0]))):
+            with pytest.raises(ValueError, match="max_iters must be >= 1"):
+                rwr(graph, RwrParams(max_iters=iters, query=q))
+
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 8), seed=st.integers(0, 10 ** 6))
     def test_property_agrees_with_solve(self, n, seed):

@@ -156,6 +156,14 @@ class TestDecompose:
         assert cli.main(["decompose", str(path), "--rank", "100"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tol_exits_3(self, tmp_path, capsys, tol):
+        archive = tmp_path / "u.irt"
+        assert cli.main(["generate", "--I", "12", "--J", "6", "--K", "4", "--mode", "uniform",
+                         "--out", str(archive)]) == 0
+        assert cli.main(["decompose", str(archive), "--rank", "2", "--tol", tol]) == 3
+        assert "tol must be finite and >= 0" in capsys.readouterr().err
+
     def test_missing_input_exits_3(self, tmp_path):
         assert cli.main(["decompose", str(tmp_path / "nope.irt"), "--rank", "2"]) == 3
 
@@ -385,6 +393,15 @@ class TestAnalyze:
         assert cli.main(["analyze", str(factors), "--target", "0", "--rwr", "--gamma", gamma,
                          "--out-dir", str(out)]) == 3
         assert "gamma must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_rwr_without_a_step_exits_3_with_no_output(self, tmp_path, capsys, iters):
+        factors = self.fitted_dir(tmp_path)
+        out = tmp_path / "a"
+        assert cli.main(["analyze", str(factors), "--target", "0", "--rwr", "--rwr-iters", iters,
+                         "--out-dir", str(out)]) == 3
+        assert "max_iters must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_pcc_of_a_rank_1_fit_exits_3_with_no_output(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Package surface: the public exports, the settable sketch options, the
-runtime dependencies and where worker threads start."""
+runtime dependencies, where worker threads start and the README example."""
 import ast
 import dataclasses
 import inspect
+import re
 import sys
 from pathlib import Path
 
@@ -98,3 +99,13 @@ def test_sketches_draw_from_no_generator():
              or getattr(node, "attr", None) == "SeedSequence"
              or (isinstance(node, ast.ImportFrom) and node.module == "numpy.random")]
     assert found == []
+
+
+def test_readme_library_example_runs(capsys):
+    # The first python block of README.md is the "Library" example; running
+    # it keeps the documented calls in step with the API.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    fit_value, iterations, _ = capsys.readouterr().out.split()
+    assert 0.0 < float(fit_value) <= 1.0 and 1 <= int(iterations) <= 32

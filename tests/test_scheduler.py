@@ -99,6 +99,12 @@ class TestEqualHeightStacks:
             assert ks == sorted(ks) and len({counts[k] for k in ks}) == 1
             assert len(ks) == 1 or len(ks) * counts[ks[0]] * cols <= _STACK_FLOATS
 
+    def test_plans_no_worker_past_the_last_slice(self):
+        # Planning 300 000 workers for 3 slices cost O(K * threads).
+        stacks, groups = equal_height_stacks([5, 5, 5], 3, threads=300_000)
+        assert groups == [[0], [1], [2]]
+        assert stacks == [[0], [1], [2]]
+
 
 class TestContiguousChunks:
     def test_covers_range_in_order(self):

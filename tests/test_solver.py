@@ -1,4 +1,5 @@
 """Compressed-space solver: rotation algebra, contraction kernels, full fits."""
+import threading
 import traceback
 
 import numpy as np
@@ -117,6 +118,25 @@ class TestRotations:
                 rots = update_rotations(comp, h, v, w, threads=threads)
                 for got, want in ((rots.Z, ref.Z), (rots.P, ref.P), (rots.Sig, ref.Sig)):
                     assert got.tobytes() == want.tobytes(), (num, threads)
+
+    @pytest.mark.parametrize("num, rank", [(100, 10), (3, 5)], ids=["paper-blocks", "tiny"])
+    def test_two_threads_split_any_stack(self, monkeypatch, num, rank):
+        # No size floor: two threads split the targets over two workers, the
+        # second a started thread, however small the R x R blocks are.
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spy)
+        comp = manual_compressed(14, rank=rank, cols=12, num=num, rows=12)
+        h, v, w = initial_factors(12, num, rank)
+        for threads, starts in ((1, 0), (2, 1)):
+            started.clear()
+            update_rotations(comp, h, v, w, threads=threads)
+            assert len(started) == starts, threads
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_targets_in_two_chunks_name_the_lower_slice(self):
@@ -449,3 +469,11 @@ class TestFitDpar2:
         t = IrregularTensor([np.ones((4, 4))])
         with pytest.raises(ValueError):
             fit_dpar2(t, 1, SolverOptions(max_iters=0))
+
+    @pytest.mark.parametrize("solver", [fit_dpar2, fit_baseline], ids=["dpar2", "als"])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_tol_validation(self, solver, tol):
+        # A NaN or negative tol silently ran every iteration; inf stopped at 2.
+        t = IrregularTensor([np.ones((4, 4))])
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            solver(t, 1, SolverOptions(tol=tol))

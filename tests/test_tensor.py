@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import dpar2
 from dpar2.baseline import residual_terms
 from dpar2.errors import ArchiveFormatError, NonFiniteInputError, ShapeMismatchError
+from dpar2.scheduler import greedy_partition
 from dpar2.tensor import (
     MODE_PLANTED,
     MODE_UNIFORM,
@@ -217,6 +218,22 @@ class TestParallelLoad:
             assert a.tobytes() == b.tobytes()
             assert not a.flags.writeable
         assert [x.hex() for x in back.sq_norms] == [x.hex() for x in t.sq_norms]
+
+    def test_plans_no_worker_past_the_last_slice(self, tmp_path, monkeypatch):
+        planned = []
+
+        def spy(row_counts, workers):
+            planned.append(workers)
+            return greedy_partition(row_counts, workers)
+
+        monkeypatch.setattr(dpar2.tensor, "greedy_partition", spy)
+        t = irregular_tensor(counts=(4, 2, 3))
+        path = tmp_path / "t.irt"
+        save_archive(t, path)
+        back = load_archive(path, threads=300_000)
+        assert planned == [3]
+        for a, b in zip(back.slices, t.slices):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_lowest_non_finite_slice_is_named(self, tmp_path, threads):
