@@ -106,9 +106,9 @@ def cmd_generate(args):
 
 def cmd_decompose(args):
     threads = resolve_threads(args.threads)
-    tensor = _load_tensor(args.input, threads)
     opts = SolverOptions(max_iters=args.max_iters, tol=args.tol, seed=args.seed,
                          threads=threads)
+    tensor = _load_tensor(args.input, threads)
     factors, trace, total, fit_value = _fit(tensor, args.method, args.rank, opts,
                                             args.report_fitness)
     if args.out_factors:
@@ -167,17 +167,17 @@ def cmd_bench(args):
         if m not in SOLVERS:
             raise ValueError(f"unknown method {m!r}")
     threads = resolve_threads(args.threads)
+    opts = SolverOptions(max_iters=args.max_iters, tol=args.tol, seed=args.seed,
+                         threads=threads)
     rows = []
     for rows_i, cols_j, slices_k in sizes:
         spec = SyntheticSpec(rows=rows_i, cols=cols_j, num_slices=slices_k,
                              mode=_MODE_ALIASES[args.mode],
                              true_rank=max(max(ranks), 1), noise_level=args.noise,
                              seed=args.seed)
-        tensor = generate(spec)
+        tensor = generate(spec, threads=threads)
         for rank in ranks:
             for method in methods:
-                opts = SolverOptions(max_iters=args.max_iters, tol=args.tol,
-                                     seed=args.seed, threads=threads)
                 _, trace, total, fit_value = _fit(tensor, method, rank, opts, True)
                 rows.append([
                     rows_i, cols_j, slices_k, rank, method, threads,

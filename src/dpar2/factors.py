@@ -19,17 +19,26 @@ import numpy as np
 from .errors import ArchiveFormatError, NumericFailure, ShapeMismatchError
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
-    """Knobs shared by both solvers.
+    """Knobs shared by both solvers, checked when they are made.
 
-    ``threads=None`` defers to DPAR2_THREADS or the CPU count.
+    ``max_iters`` must be >= 1 and ``tol`` finite and >= 0; anything else
+    raises ``ValueError`` here, so a bad value fails before any work, and
+    the options cannot be changed afterwards.  ``threads=None`` defers to
+    DPAR2_THREADS or the CPU count.
     """
 
     max_iters: int = 32
     tol: float = 1e-6
     seed: int = 0
     threads: int | None = None
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass
@@ -77,15 +86,11 @@ def iterate(step, state, opts: SolverOptions, trace: FitTrace):
     """Both solvers' iteration loop; returns the last state.
 
     Runs ``state, objective = step(*state)`` and records each objective and
-    its wall time in ``trace``.  Stops after ``max_iters`` (>= 1) steps, or
-    sets ``trace.converged`` and stops once the objective changed by at most
-    ``tol`` (finite, >= 0) times its previous value (or that value was 0).
-    An objective that is not finite raises :class:`NumericFailure`.
+    its wall time in ``trace``.  Stops after ``max_iters`` steps, or sets
+    ``trace.converged`` and stops once the objective changed by at most
+    ``tol`` times its previous value (or that value was 0).  An objective
+    that is not finite raises :class:`NumericFailure`.
     """
-    if opts.max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if not 0.0 <= opts.tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {opts.tol}")
     for _ in range(opts.max_iters):
         started = time.perf_counter()
         state, objective = step(*state)

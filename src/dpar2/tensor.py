@@ -11,8 +11,8 @@ worker threads.  A directory of ``slice_*.csv`` files is accepted as a
 human-editable alternative.
 
 Every tensor keeps the ||X_k||_F^2 of its slices.  Each is computed once,
-where the slice is checked for NaN and inf: on the worker that read it, or
-in the constructor.  Fitness, the ALS objective and ``total_sq_norm`` read
+where the slice is checked for NaN and inf: on the worker that read or drew
+it, or in the constructor.  Fitness, the ALS objective and ``total_sq_norm`` read
 these instead of passing over X again.
 """
 from __future__ import annotations
@@ -32,7 +32,13 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import _MASK64
-from .scheduler import greedy_partition, parallel_slice_map, resolve_threads
+from .scheduler import (
+    contiguous_chunks,
+    greedy_partition,
+    map_stacks,
+    parallel_slice_map,
+    resolve_threads,
+)
 
 _MAGIC = b"IRT1"
 
@@ -163,21 +169,27 @@ def _resolve_rows(spec, rng):
     return [int(r) for r in rng.integers(lower, rows + 1, size=spec.num_slices)]
 
 
-def generate(spec: SyntheticSpec):
+def generate(spec: SyntheticSpec, threads=None):
     """Build the synthetic tensor described by ``spec``.
 
     All randomness comes from one PCG64 stream seeded with ``spec.seed``
     and is drawn in a fixed order, so equal specs give bit-equal tensors.
+    Uniform mode draws its slices on min(``threads``, K) workers (see
+    ``resolve_threads``), with the same bytes at any thread count (see
+    :func:`_uniform_slices`).  Planted mode draws serially: its normals come
+    from a ziggurat that takes a variable number of draws, so where a slice
+    starts in the stream is known only once the slices before it are drawn.
     """
     if spec.num_slices < 1 or spec.cols < 1:
         raise ShapeMismatchError("need num_slices >= 1 and cols >= 1")
     if spec.mode not in (MODE_UNIFORM, MODE_PLANTED):
         raise ValueError(f"unknown mode {spec.mode!r}")
+    workers = min(resolve_threads(threads), spec.num_slices)
     rng = np.random.Generator(np.random.PCG64(spec.seed & _MASK64))
     rows = _resolve_rows(spec, rng)
 
     if spec.mode == MODE_UNIFORM:
-        return IrregularTensor([rng.random((r, spec.cols)) for r in rows])
+        return _uniform_slices(spec.seed, rows[0], spec.cols, spec.num_slices, workers)
 
     r = spec.true_rank
     if r < 1 or r > min(min(rows), spec.cols):
@@ -207,14 +219,44 @@ def generate(spec: SyntheticSpec):
     return IrregularTensor(slices)
 
 
+def _uniform_slices(seed, rows, cols, num_slices, workers):
+    """``num_slices`` slices of uniform [0, 1) draws, filled on ``workers`` threads.
+
+    ``Generator.random`` takes exactly one 64-bit PCG64 draw per float64, so
+    slice k starts k * rows * cols draws into the stream.  The slices are
+    views of one (K, rows, cols) array, split into one contiguous run per
+    worker.  Each worker fills its run with one call to a PCG64 of its own,
+    advanced once to the run's first slice, so every slice gets the bits
+    one serial stream gives it.  One call per run, not per slice, keeps many
+    tiny slices from handing the GIL back and forth.  The worker then takes
+    each slice's ||X_k||^2, its finiteness check.  The array is allocated
+    here and faulted in by the workers.
+    """
+    stack = np.empty((num_slices, rows, cols))
+    runs = contiguous_chunks(num_slices, workers)
+
+    def fill(run, ks):
+        bitgen = np.random.PCG64(seed & _MASK64)
+        bitgen.advance(ks[0] * rows * cols)
+        np.random.Generator(bitgen).random(out=run)
+        return [_checked_sq_norm(x, k) for x, k in zip(run, ks)]
+
+    parts = map_stacks(fill, stack, runs, [[i] for i in range(len(runs))])
+    stack.setflags(write=False)
+    return IrregularTensor._from_checked(list(stack), [sq for part in parts for sq in part])
+
+
 def save_archive(tensor: IrregularTensor, path):
-    """Write the binary archive; round-trips bit-exactly through load_archive."""
+    """Write the binary archive; round-trips bit-exactly through load_archive.
+
+    Each slice is written from its own little-endian buffer, not a copy.
+    """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", tensor.num_slices, tensor.num_cols))
         for x in tensor.slices:
             fh.write(struct.pack("<I", x.shape[0]))
-            fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
+            fh.write(memoryview(np.ascontiguousarray(x, dtype="<f8")).cast("B"))
 
 
 def load_archive(path, threads=None):

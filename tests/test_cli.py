@@ -50,14 +50,25 @@ class TestGenerate:
         assert tensor.num_slices == 5
         assert tensor.num_cols == 8
 
-    def test_matches_library_generation(self, tmp_path):
-        path = make_archive(tmp_path, seed=11)
-        tensor = load_archive(path)
+    def test_matches_library_generation(self, tmp_path, monkeypatch):
         spec = SyntheticSpec(rows=14, cols=8, num_slices=5, mode=MODE_PLANTED,
                              true_rank=2, noise_level=0.0, seed=11)
         direct = generate(spec)
-        for a, b in zip(tensor.slices, direct.slices):
-            assert a.tobytes() == b.tobytes()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DPAR2_THREADS", threads)
+            tensor = load_archive(make_archive(tmp_path, name=f"t{threads}.irt", seed=11))
+            for a, b in zip(tensor.slices, direct.slices):
+                assert a.tobytes() == b.tobytes()
+
+    def test_uniform_bytes_at_any_thread_count(self, tmp_path, monkeypatch):
+        blobs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DPAR2_THREADS", threads)
+            path = tmp_path / f"t{threads}.irt"
+            assert cli.main(["generate", "--I", "9", "--J", "5", "--K", "7", "--mode", "uniform",
+                             "--seed", "4", "--out", str(path)]) == 0
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -163,6 +174,18 @@ class TestDecompose:
                          "--out", str(archive)]) == 0
         assert cli.main(["decompose", str(archive), "--rank", "2", "--tol", tol]) == 3
         assert "tol must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-iters", "0"], "max_iters must be >= 1"),
+        (["--tol", "-1"], "tol must be finite and >= 0"),
+    ])
+    def test_bad_options_exit_3_before_loading(self, tmp_path, monkeypatch, capsys, flags,
+                                               message):
+        loads = []
+        monkeypatch.setattr(cli, "_load_tensor", lambda *args: loads.append(args))
+        assert cli.main(["decompose", str(tmp_path / "t.irt"), "--rank", "2", *flags]) == 3
+        assert message in capsys.readouterr().err
+        assert loads == []
 
     def test_missing_input_exits_3(self, tmp_path):
         assert cli.main(["decompose", str(tmp_path / "nope.irt"), "--rank", "2"]) == 3
@@ -280,6 +303,19 @@ class TestBench:
     def test_unknown_method_exits_3(self, tmp_path):
         assert cli.main(["bench", "--sizes", "8x6x2", "--methods", "qr",
                          "--out", str(tmp_path / "x.csv")]) == 3
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-iters", "0"], "max_iters must be >= 1"),
+        (["--tol", "nan"], "tol must be finite and >= 0"),
+    ])
+    def test_bad_options_exit_3_before_generating(self, tmp_path, monkeypatch, capsys, flags,
+                                                  message):
+        made = []
+        monkeypatch.setattr(cli, "generate", lambda *args, **kw: made.append(args))
+        out = tmp_path / "x.csv"
+        assert cli.main(["bench", "--sizes", "8x6x2", *flags, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert made == [] and not out.exists()
 
     @pytest.mark.parametrize("flag", ["ranks", "methods"])
     def test_empty_list_exits_3(self, tmp_path, capsys, flag):

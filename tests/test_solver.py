@@ -1,4 +1,5 @@
 """Compressed-space solver: rotation algebra, contraction kernels, full fits."""
+import dataclasses
 import threading
 import traceback
 
@@ -469,6 +470,20 @@ class TestFitDpar2:
         t = IrregularTensor([np.ones((4, 4))])
         with pytest.raises(ValueError):
             fit_dpar2(t, 1, SolverOptions(max_iters=0))
+
+    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": -1.0}], ids=["max_iters", "tol"])
+    def test_bad_options_raise_before_compress(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(dpar2.solver, "compress", lambda *args, **kw: calls.append(args))
+        t = IrregularTensor([np.ones((4, 4))])
+        with pytest.raises(ValueError):
+            fit_dpar2(t, 1, SolverOptions(**bad))
+        assert calls == []
+
+    def test_options_cannot_be_changed_after_their_check(self):
+        opts = SolverOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opts.max_iters = 0
 
     @pytest.mark.parametrize("solver", [fit_dpar2, fit_baseline], ids=["dpar2", "als"])
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])

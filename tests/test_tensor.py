@@ -1,6 +1,7 @@
 """Tensor container, synthetic generators, and archive round-trips."""
 import os
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import dpar2
 from dpar2.baseline import residual_terms
 from dpar2.errors import ArchiveFormatError, NonFiniteInputError, ShapeMismatchError
+from dpar2.factors import sha256_file
 from dpar2.scheduler import greedy_partition
 from dpar2.tensor import (
     MODE_PLANTED,
@@ -190,6 +192,56 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(SyntheticSpec(rows=4, cols=3, num_slices=2, mode="banana"))
 
+    @pytest.mark.parametrize("mode", [MODE_UNIFORM, MODE_PLANTED])
+    def test_bad_thread_count_rejected(self, mode):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            generate(SyntheticSpec(rows=4, cols=3, num_slices=2, mode=mode), threads=0)
+
+
+UNIFORM_SPEC = SyntheticSpec(rows=13, cols=7, num_slices=6, seed=21)
+PLANTED_SPEC = SyntheticSpec(rows=14, cols=8, num_slices=5, mode=MODE_PLANTED, true_rank=2,
+                             noise_level=0.1, seed=21)
+# sha256 of save_archive(generate(spec)), recorded when every slice was
+# drawn serially from one stream.
+PINNED_DIGESTS = {
+    MODE_UNIFORM: "dc115a44ed63198affcb464a122ac6578b08a1f24c04cbc7ca01d1503f14d30b",
+    MODE_PLANTED: "c992a200a46acda35c753357f326233837eac5ffb71339345b1696437a9b4596",
+}
+
+
+class TestGenerationAcrossThreads:
+    @pytest.mark.parametrize("threads", [1, 2, 9])
+    @pytest.mark.parametrize("spec", [UNIFORM_SPEC, PLANTED_SPEC], ids=["uniform", "planted"])
+    def test_archive_matches_the_serial_stream(self, tmp_path, spec, threads):
+        path = tmp_path / "t.irt"
+        save_archive(generate(spec, threads=threads), path)
+        assert sha256_file(path) == PINNED_DIGESTS[spec.mode]
+
+    def test_uniform_bytes_and_norms_do_not_depend_on_threads(self):
+        k = UNIFORM_SPEC.num_slices
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers switch often, so an overlap would show
+        try:
+            one, *others = [generate(UNIFORM_SPEC, threads=n) for n in (1, 2, k + 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for t in others:
+            assert [x.tobytes() for x in t.slices] == [x.tobytes() for x in one.slices]
+            assert [x.hex() for x in t.sq_norms] == [x.hex() for x in one.sq_norms]
+            assert not any(x.flags.writeable for x in t.slices)
+
+    def test_uniform_builds_one_generator_per_worker(self, monkeypatch):
+        made = []
+        real = np.random.PCG64
+
+        def counting(seed):
+            made.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        generate(SyntheticSpec(rows=3, cols=2, num_slices=40, seed=5), threads=2)
+        assert len(made) == 3  # the serial stream, then one per worker
+
 
 def irregular_tensor(seed=0, counts=(7, 1, 12, 3, 9, 12, 2, 5), cols=6):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -311,19 +363,21 @@ def reference_sq_norms(tensor):
     return [float(np.dot(x.ravel(), x.ravel())) for x in tensor.slices]
 
 
-def loaded_and_in_memory(tmp_path):
+def kept_norm_sources(tmp_path):
     spec = SyntheticSpec(rows=30, cols=11, num_slices=9, mode=MODE_PLANTED,
                          true_rank=3, noise_level=0.1, seed=8)
     t = generate(spec)
     path = tmp_path / "t.irt"
     save_archive(t, path)
-    return {"in_memory": t, "loaded": load_archive(path, threads=2)}
+    return {"in_memory": t, "loaded": load_archive(path, threads=2),
+            "generated": generate(SyntheticSpec(rows=30, cols=11, num_slices=9, seed=8),
+                                  threads=2)}
 
 
 class TestKeptNorms:
-    @pytest.mark.parametrize("source", ["in_memory", "loaded"])
+    @pytest.mark.parametrize("source", ["in_memory", "loaded", "generated"])
     def test_norms_and_total_match_recomputation_bitwise(self, tmp_path, source):
-        t = loaded_and_in_memory(tmp_path)[source]
+        t = kept_norm_sources(tmp_path)[source]
         ref = reference_sq_norms(t)
         assert [x.hex() for x in t.sq_norms] == [x.hex() for x in ref]
         total = 0  # left-to-right Python sum, as before the norms were kept
@@ -331,9 +385,9 @@ class TestKeptNorms:
             total += x
         assert t.total_sq_norm().hex() == float(total).hex()
 
-    @pytest.mark.parametrize("source", ["in_memory", "loaded"])
+    @pytest.mark.parametrize("source", ["in_memory", "loaded", "generated"])
     def test_fitness_and_als_objective_match_recomputed_norms(self, tmp_path, source):
-        t = loaded_and_in_memory(tmp_path)[source]
+        t = kept_norm_sources(tmp_path)[source]
         opts = dpar2.SolverOptions(max_iters=4, tol=0.0)
         factors, trace = dpar2.fit_baseline(t, 3, opts)
         # The same tensor with its norms recomputed from the slices.
