@@ -130,7 +130,10 @@ def _write_matrix(path, arr):
 
 
 def _read_matrix(path):
-    return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    matrix = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        raise ArchiveFormatError(f"{path}: non-finite values")
+    return matrix
 
 
 def sha256_file(path):
@@ -182,7 +185,8 @@ def load_factors(path):
 
     Reads ``U_{k:04d}.csv`` for k below the manifest's ``num_slices``, so
     files left by an earlier, larger save are ignored.  A missing manifest,
-    ``num_slices`` or U file raises :class:`ArchiveFormatError` naming it.
+    ``num_slices`` or U file, or a file holding NaN or inf, raises
+    :class:`ArchiveFormatError` naming it.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"

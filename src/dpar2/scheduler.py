@@ -1,17 +1,18 @@
-"""Work partitioning and the package's one thread runner.
+"""Work planning and the package's one thread runner.
 
-Slices of an irregular tensor have unequal row counts, so naive contiguous
-chunking can leave one worker with most of the rows.  ``greedy_partition``
-balances load with longest-processing-time-first assignment.
-``equal_height_stacks`` is the one call that plans a stacked pass: it
-resolves the thread count, partitions the slices greedily and groups each
-worker's slices by row count, so compression and ALS make one batched call
-per stack.  ``map_stacks`` runs every threaded pass, by stack or by slice
-(``parallel_slice_map``): every slice runs, then the lowest failing slice's
-error is raised.  Results land in per-slice slots and reduce in ascending
-slice order afterwards, so the outcome, errors included, is the same for
-any thread count.  Every pass runs on min(``resolve_threads(threads)``, K)
-workers, K being the slices or blocks it splits; no pass has its own rule.
+Every threaded pass runs on min(``resolve_threads(threads)``, K) workers,
+K being the slices or R x R blocks it splits.  That rule is ``_workers``,
+and only the three planners call it.  ``equal_height_stacks`` plans
+``compress`` and ``fit_baseline``: ``greedy_partition`` balances the
+slices' unequal row counts over the workers, and each worker's slices are
+stacked by row count, one batched call per stack.  ``contiguous_runs``
+plans ``update_rotations`` and uniform ``generate``: one contiguous run of
+slices per worker, a view of a stacked array.  ``parallel_slice_map``
+splits the per-slice passes, ``load_archive`` and ``fitness``, the same
+way and calls ``fn(k)`` per slice.  ``map_stacks`` runs every pass: every
+slice runs, then the lowest failing slice's error is raised.  Results land
+in per-slice slots and reduce in ascending slice order afterwards, so the
+outcome, errors included, is the same for any thread count.
 
 These worker threads are the package's only parallelism: importing the
 package sets numpy's bundled OpenBLAS to one thread for the whole process
@@ -70,18 +71,22 @@ def greedy_partition(row_counts, workers):
 _STACK_FLOATS = 1 << 18
 
 
+def _workers(threads, count):
+    """The worker rule of every pass: min(``resolve_threads(threads)``,
+    ``count``), and one worker, the calling thread, for no work at all."""
+    return max(1, min(resolve_threads(threads), count))
+
+
 def equal_height_stacks(row_counts, cols, threads=None):
-    """The plan of a stacked pass: the slices split over min(``threads``, K)
-    workers (see ``resolve_threads``) by ``greedy_partition``, and each
-    worker's slices grouped by row count into stacks.
+    """The plan of a stacked pass: the slices split over the workers by
+    ``greedy_partition``, and each worker's slices grouped by row count.
 
     Returns the stacks (lists of slice indices, ascending within a stack)
-    and min(threads, K) groups, each a worker's stack indices.  A stack holds
-    at most ``_STACK_FLOATS`` floats of slices ``cols`` wide, and at least one.
+    and the groups, each a worker's stack indices.  A stack holds at most
+    ``_STACK_FLOATS`` floats of slices ``cols`` wide, and at least one.
     """
     stacks, groups = [], []
-    workers = min(resolve_threads(threads), len(row_counts))
-    for owned in greedy_partition(row_counts, workers).sets:
+    for owned in greedy_partition(row_counts, _workers(threads, len(row_counts))).sets:
         by_rows = {}
         for k in owned:
             by_rows.setdefault(row_counts[k], []).append(k)
@@ -95,19 +100,20 @@ def equal_height_stacks(row_counts, cols, threads=None):
     return stacks, groups
 
 
+def contiguous_runs(n, threads=None):
+    """The plan of a pass over runs: range(n) split into one contiguous run
+    per worker, returned as ``map_stacks``' stacks and groups."""
+    runs = contiguous_chunks(n, _workers(threads, n))
+    return runs, [[i] for i in range(len(runs))]
+
+
 def contiguous_chunks(n, parts):
-    """Split range(n) into at most ``parts`` contiguous runs of near-equal length."""
+    """Split range(n) into ``parts`` contiguous runs of near-equal length."""
     if parts < 1:
         raise ValueError("need at least one part")
-    parts = min(parts, n) if n > 0 else 1
     base, extra = divmod(n, parts)
-    chunks = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        chunks.append(list(range(start, start + size)))
-        start += size
-    return chunks
+    starts = [i * base + min(i, extra) for i in range(parts + 1)]  # the first `extra` one longer
+    return [list(range(a, b)) for a, b in zip(starts, starts[1:])]
 
 
 def resolve_threads(threads=None):
@@ -134,11 +140,11 @@ def parallel_slice_map(fn, num_slices, threads=None, groups=None):
 
     :func:`map_stacks` with every slice a stack of its own.  ``groups``
     (index lists, e.g. ``PartitionPlan.sets``) gives one worker per
-    non-empty group; by default the slices are chunked contiguously over
-    ``resolve_threads(threads)`` workers, the only use of ``threads``.
+    non-empty group; by default each worker takes one contiguous run of
+    the slices, the only use of ``threads``.
     """
     if groups is None:
-        groups = contiguous_chunks(num_slices, resolve_threads(threads))
+        groups = contiguous_chunks(num_slices, _workers(threads, num_slices))
     return map_stacks(lambda _, ks: fn(ks[0]), None, [[k] for k in range(num_slices)], groups)
 
 

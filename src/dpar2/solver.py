@@ -18,14 +18,13 @@ batched array operation over the (K, R, R) stack of slices:
   which equals the residual against the compressed slices because the
   Frobenius norm ignores the orthonormal left factors A_k Z_k.
 
-The rotations run one contiguous chunk of slices per worker, on
-min(threads, K) workers as every threaded pass does, through
-``scheduler.map_stacks`` and the ALS baseline's Procrustes kernel
-:func:`~dpar2.baseline.procrustes_svd`.  Each worker also builds its
-chunk's Theta_k, and the returned :class:`RotationStack` carries Theta to
-the sweep and the metric, so it is formed once per iteration.  Every
-R x R matrix is factorized on its own, so no result depends on the thread
-count.
+The rotations run one contiguous chunk of slices per worker, planned by
+``scheduler.contiguous_runs``, through ``scheduler.map_stacks`` and the
+ALS baseline's Procrustes kernel :func:`~dpar2.baseline.procrustes_svd`.
+Each worker also builds its chunk's Theta_k, and the returned
+:class:`RotationStack` carries Theta to the sweep and the metric, so it
+is formed once per iteration.  Every R x R matrix is factorized on its
+own, so no result depends on the thread count.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ from .baseline import als_sweep, procrustes_svd, rhs_mode1, rhs_mode2, rhs_mode3
 from .compress import CompressedTensor, compress
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, iterate
 from .linalg import RsvdParams, fix_signs, gram
-from .scheduler import contiguous_chunks, map_stacks, resolve_threads
+from .scheduler import contiguous_runs, map_stacks
 from .tensor import IrregularTensor
 
 
@@ -66,9 +65,8 @@ class RotationStack:
 def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
     """Solve every slice's orthogonal Procrustes problem in R x R space.
 
-    The slices are split into one contiguous chunk per worker thread
-    (``threads``, resolved as everywhere else, and at most one worker per
-    slice).  Each worker factorizes its chunk with
+    The slices are split into one contiguous chunk per worker of
+    ``threads`` (see ``scheduler``).  Each worker factorizes its chunk with
     :func:`~dpar2.baseline.procrustes_svd` and builds the chunk's Theta_k,
     which the returned stack carries.  Every matrix is factorized on its
     own, so the result is bit-identical at any thread count, and a failure
@@ -76,14 +74,13 @@ def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
     """
     core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)  # E D^T V, shared by all slices
     cores = comp.core_stack()
-    chunks = contiguous_chunks(comp.num_slices, resolve_threads(threads))
 
     def solve(x, ks):
         zc, sig, pt = procrustes_svd(x, core_cols, h, w[ks[0] : ks[-1] + 1])
         z, p = fix_signs(zc, np.ascontiguousarray(pt.transpose(0, 2, 1)))
         return z, p, sig, (p @ z.transpose(0, 2, 1)) @ x
 
-    parts = map_stacks(solve, cores, chunks, [[c] for c in range(len(chunks))])
+    parts = map_stacks(solve, cores, *contiguous_runs(comp.num_slices, threads))
     return RotationStack(*(np.concatenate(piece) for piece in zip(*parts)))
 
 

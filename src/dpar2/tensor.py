@@ -32,13 +32,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import _MASK64
-from .scheduler import (
-    contiguous_chunks,
-    greedy_partition,
-    map_stacks,
-    parallel_slice_map,
-    resolve_threads,
-)
+from .scheduler import contiguous_runs, map_stacks, parallel_slice_map
 
 _MAGIC = b"IRT1"
 
@@ -174,30 +168,31 @@ def generate(spec: SyntheticSpec, threads=None):
 
     All randomness comes from one PCG64 stream seeded with ``spec.seed``
     and is drawn in a fixed order, so equal specs give bit-equal tensors.
-    Uniform mode draws its slices on min(``threads``, K) workers (see
-    ``resolve_threads``), with the same bytes at any thread count (see
+    Uniform mode draws its slices on the workers of ``threads`` (see
+    ``scheduler``), with the same bytes at any thread count (see
     :func:`_uniform_slices`).  Planted mode draws serially: its normals come
     from a ziggurat that takes a variable number of draws, so where a slice
     starts in the stream is known only once the slices before it are drawn.
+    Both modes reject a bad ``threads``.
     """
     if spec.num_slices < 1 or spec.cols < 1:
         raise ShapeMismatchError("need num_slices >= 1 and cols >= 1")
     if spec.mode not in (MODE_UNIFORM, MODE_PLANTED):
         raise ValueError(f"unknown mode {spec.mode!r}")
-    workers = min(resolve_threads(threads), spec.num_slices)
+    plan = contiguous_runs(spec.num_slices, threads)
     rng = np.random.Generator(np.random.PCG64(spec.seed & _MASK64))
     rows = _resolve_rows(spec, rng)
 
     if spec.mode == MODE_UNIFORM:
-        return _uniform_slices(spec.seed, rows[0], spec.cols, spec.num_slices, workers)
+        return _uniform_slices(spec.seed, rows[0], spec.cols, spec.num_slices, plan)
 
     r = spec.true_rank
     if r < 1 or r > min(min(rows), spec.cols):
         raise RankTooLargeError(
             f"true_rank {r} not in [1, min(rows, cols)] for rows>={min(rows)}, cols={spec.cols}"
         )
-    if spec.noise_level < 0:
-        raise ValueError("noise_level must be >= 0")
+    if not 0.0 <= spec.noise_level < math.inf:
+        raise ValueError(f"noise_level must be finite and >= 0, got {spec.noise_level}")
     core = _random_orthonormal(rng, r, r)
     v = _random_orthonormal(rng, spec.cols, r)
     # Geometrically separated component magnitudes keep the instance easy
@@ -219,13 +214,14 @@ def generate(spec: SyntheticSpec, threads=None):
     return IrregularTensor(slices)
 
 
-def _uniform_slices(seed, rows, cols, num_slices, workers):
-    """``num_slices`` slices of uniform [0, 1) draws, filled on ``workers`` threads.
+def _uniform_slices(seed, rows, cols, num_slices, plan):
+    """``num_slices`` slices of uniform [0, 1) draws, filled on the runs of ``plan``.
 
     ``Generator.random`` takes exactly one 64-bit PCG64 draw per float64, so
     slice k starts k * rows * cols draws into the stream.  The slices are
-    views of one (K, rows, cols) array, split into one contiguous run per
-    worker.  Each worker fills its run with one call to a PCG64 of its own,
+    views of one (K, rows, cols) array, which ``plan``, a
+    ``scheduler.contiguous_runs`` plan, splits into one run per worker.
+    Each worker fills its run with one call to a PCG64 of its own,
     advanced once to the run's first slice, so every slice gets the bits
     one serial stream gives it.  One call per run, not per slice, keeps many
     tiny slices from handing the GIL back and forth.  The worker then takes
@@ -233,7 +229,6 @@ def _uniform_slices(seed, rows, cols, num_slices, workers):
     here and faulted in by the workers.
     """
     stack = np.empty((num_slices, rows, cols))
-    runs = contiguous_chunks(num_slices, workers)
 
     def fill(run, ks):
         bitgen = np.random.PCG64(seed & _MASK64)
@@ -241,7 +236,7 @@ def _uniform_slices(seed, rows, cols, num_slices, workers):
         np.random.Generator(bitgen).random(out=run)
         return [_checked_sq_norm(x, k) for x, k in zip(run, ks)]
 
-    parts = map_stacks(fill, stack, runs, [[i] for i in range(len(runs))])
+    parts = map_stacks(fill, stack, *plan)
     stack.setflags(write=False)
     return IrregularTensor._from_checked(list(stack), [sq for part in parts for sq in part])
 
@@ -260,19 +255,20 @@ def save_archive(tensor: IrregularTensor, path):
 
 
 def load_archive(path, threads=None):
-    """Read an IRT1 archive on min(``threads``, K) workers (see ``resolve_threads``).
+    """Read an IRT1 archive on the workers of ``threads`` (see ``scheduler``).
 
     The headers are walked first, so a bad magic, dimension or row count,
     a truncated header or payload and trailing bytes all raise before any
     slice is allocated.  Each slice's array is then allocated here (in the
     workers, the allocations measured a higher peak memory on many small
-    slices) and filled by a worker with ``os.preadv`` from the file: the
-    payload is copied once, peak memory is the tensor's size, and the page
-    faults of filling it are shared by the workers (``preadv`` releases the
-    GIL).  Right after its read, while the slice is still in cache, the
-    worker computes ||X_k||^2, which is also the slice's finiteness check,
-    and the tensor keeps it.  NaN or inf raises naming the lowest such
-    slice.  The bytes and norms loaded do not depend on the thread count.
+    slices).  Each worker fills one contiguous run of the slices, so one
+    run of the file, with ``os.preadv``: the payload is copied once, peak
+    memory is the tensor's size, and the page faults of filling it are
+    shared by the workers (``preadv`` releases the GIL).  Right after its
+    read, while the slice is still in cache, the worker computes
+    ||X_k||^2, which is also the slice's finiteness check, and the tensor
+    keeps it.  NaN or inf raises naming the lowest such slice.  The bytes
+    and norms loaded do not depend on the thread count.
 
     One buffer for the whole file, viewed slice by slice, would not do:
     the 4-byte row-count headers leave every other slice misaligned for
@@ -324,8 +320,7 @@ def load_archive(path, threads=None):
             x.setflags(write=False)
             return sq
 
-        plan = greedy_partition(row_counts, min(resolve_threads(threads), num_slices))
-        sq_norms = parallel_slice_map(read, num_slices, groups=plan.sets)
+        sq_norms = parallel_slice_map(read, num_slices, threads=threads)
     return IrregularTensor._from_checked(slices, sq_norms)
 
 

@@ -70,6 +70,13 @@ class TestGenerate:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_non_finite_noise_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "t.irt"
+        assert cli.main(["generate", "--I", "6", "--J", "4", "--K", "3", "--mode", "planted",
+                         "--noise", "nan", "--out", str(out)]) == 3
+        assert "noise_level must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["generate", "--I", "4", "--J", "4", "--K", "2"])
@@ -317,6 +324,13 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert made == [] and not out.exists()
 
+    def test_non_finite_noise_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main(["bench", "--sizes", "8x6x2", "--ranks", "2", "--mode", "planted",
+                         "--noise", "nan", "--out", str(out)]) == 3
+        assert "noise_level must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["ranks", "methods"])
     def test_empty_list_exits_3(self, tmp_path, capsys, flag):
         out = tmp_path / "x.csv"
@@ -476,6 +490,19 @@ class TestAnalyze:
         assert cli.main(["analyze", str(factors), "--target", "0",
                          "--out-dir", str(tmp_path / "b")]) == 3
         assert "num_slices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value", [("U_0001.csv", "nan"), ("V.csv", "inf")])
+    def test_non_finite_factor_file_exits_3_with_no_output(self, tmp_path, capsys, name,
+                                                           value):
+        factors = self.fitted_dir(tmp_path)
+        path = factors / name
+        text = path.read_text()
+        path.write_text(value + text[text.index(","):])  # the first entry
+        out = tmp_path / "a"
+        assert cli.main(["analyze", str(factors), "--target", "0", "--knn", "3", "--rwr",
+                         "--pcc", "--out-dir", str(out)]) == 3
+        assert f"{name}: non-finite values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_knn_fits_a_small_factor_set(self, tmp_path):
         factors = self.fitted_dir(tmp_path, num_slices=4)

@@ -331,6 +331,37 @@ class TestOneRunner:
         assert ran == [0]
 
 
+class TestWorkerRule:
+    # A pass over K slices starts min(threads, K) - 1 threads: its first
+    # worker is the calling thread, and no worker plans past the last slice.
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    @pytest.mark.parametrize("name", ["fitness", "uniform-generate", "load_archive"])
+    def test_pass_starts_one_thread_per_worker_but_the_first(self, tmp_path, monkeypatch,
+                                                              name, threads):
+        rng = np.random.Generator(np.random.PCG64(0))
+        tensor = dpar2.IrregularTensor([rng.standard_normal((r, 3)) for r in (4, 2, 3, 5, 1)])
+        factors = dpar2.Parafac2Factors(H=np.eye(1), V=np.ones((3, 1)), W=np.ones((5, 1)),
+                                        Q=[np.ones((r, 1)) for r in tensor.row_counts])
+        path = tmp_path / "t.irt"
+        dpar2.save_archive(tensor, path)
+        run = {
+            "fitness": lambda: dpar2.fitness(tensor, factors, threads=threads),
+            "uniform-generate": lambda: dpar2.generate(
+                dpar2.SyntheticSpec(rows=3, cols=2, num_slices=5), threads=threads),
+            "load_archive": lambda: dpar2.load_archive(path, threads=threads),
+        }[name]
+        started = []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spy)
+        run()
+        assert len(started) == min(threads, 5) - 1
+
+
 class TestResolveThreads:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("DPAR2_THREADS", "6")

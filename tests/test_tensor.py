@@ -2,6 +2,7 @@
 import os
 import struct
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ import dpar2
 from dpar2.baseline import residual_terms
 from dpar2.errors import ArchiveFormatError, NonFiniteInputError, ShapeMismatchError
 from dpar2.factors import sha256_file
-from dpar2.scheduler import greedy_partition
 from dpar2.tensor import (
     MODE_PLANTED,
     MODE_UNIFORM,
@@ -192,6 +192,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(SyntheticSpec(rows=4, cols=3, num_slices=2, mode="banana"))
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_noise_level_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match="noise_level must be finite and >= 0"):
+            generate(SyntheticSpec(rows=4, cols=3, num_slices=2, mode=MODE_PLANTED,
+                                   noise_level=noise))
+
     @pytest.mark.parametrize("mode", [MODE_UNIFORM, MODE_PLANTED])
     def test_bad_thread_count_rejected(self, mode):
         with pytest.raises(ValueError, match="threads must be >= 1"):
@@ -272,18 +278,19 @@ class TestParallelLoad:
         assert [x.hex() for x in back.sq_norms] == [x.hex() for x in t.sq_norms]
 
     def test_plans_no_worker_past_the_last_slice(self, tmp_path, monkeypatch):
-        planned = []
+        started = []
 
-        def spy(row_counts, workers):
-            planned.append(workers)
-            return greedy_partition(row_counts, workers)
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        monkeypatch.setattr(dpar2.tensor, "greedy_partition", spy)
+        monkeypatch.setattr(threading, "Thread", Spy)
         t = irregular_tensor(counts=(4, 2, 3))
         path = tmp_path / "t.irt"
         save_archive(t, path)
         back = load_archive(path, threads=300_000)
-        assert planned == [3]
+        assert len(started) == 2  # 3 workers, the first on the calling thread
         for a, b in zip(back.slices, t.slices):
             assert a.tobytes() == b.tobytes()
 
