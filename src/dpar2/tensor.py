@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,7 +135,8 @@ class SyntheticSpec:
     Every slice gets ``rows`` rows in uniform mode; planted mode draws I_k
     uniformly from [rows//2, rows].  ``true_rank`` and ``noise_level`` only
     apply to planted mode, where each slice is Q_k H S_k V^T plus white
-    noise scaled to ``noise_level`` times the slice signal norm.
+    noise scaled to ``noise_level`` times the slice signal norm; uniform
+    mode rejects a nonzero ``noise_level``.
     """
 
     rows: int
@@ -173,12 +175,17 @@ def generate(spec: SyntheticSpec, threads=None):
     :func:`_uniform_slices`).  Planted mode draws serially: its normals come
     from a ziggurat that takes a variable number of draws, so where a slice
     starts in the stream is known only once the slices before it are drawn.
-    Both modes reject a bad ``threads``.
+    Both modes reject a bad ``threads`` and a ``noise_level`` that is not
+    finite and >= 0; uniform mode also rejects a nonzero one.
     """
     if spec.num_slices < 1 or spec.cols < 1:
         raise ShapeMismatchError("need num_slices >= 1 and cols >= 1")
     if spec.mode not in (MODE_UNIFORM, MODE_PLANTED):
         raise ValueError(f"unknown mode {spec.mode!r}")
+    if not 0.0 <= spec.noise_level < math.inf:
+        raise ValueError(f"noise_level must be finite and >= 0, got {spec.noise_level}")
+    if spec.noise_level and spec.mode != MODE_PLANTED:
+        raise ValueError("noise_level applies to planted mode only")
     plan = contiguous_runs(spec.num_slices, threads)
     rng = np.random.Generator(np.random.PCG64(spec.seed & _MASK64))
     rows = _resolve_rows(spec, rng)
@@ -191,8 +198,6 @@ def generate(spec: SyntheticSpec, threads=None):
         raise RankTooLargeError(
             f"true_rank {r} not in [1, min(rows, cols)] for rows>={min(rows)}, cols={spec.cols}"
         )
-    if not 0.0 <= spec.noise_level < math.inf:
-        raise ValueError(f"noise_level must be finite and >= 0, got {spec.noise_level}")
     core = _random_orthonormal(rng, r, r)
     v = _random_orthonormal(rng, spec.cols, r)
     # Geometrically separated component magnitudes keep the instance easy
@@ -244,14 +249,31 @@ def _uniform_slices(seed, rows, cols, num_slices, plan):
 def save_archive(tensor: IrregularTensor, path):
     """Write the binary archive; round-trips bit-exactly through load_archive.
 
-    Each slice is written from its own little-endian buffer, not a copy.
+    An existing file at ``path`` is rewritten in place, not truncated
+    first: the magic's four bytes are written as zeros, then the header
+    and each slice from its own little-endian buffer (no copy), then the
+    file is cut to the written length and the magic goes in last.  The
+    overwrite reuses the page-cache pages and disk blocks the file
+    already has, where truncating it would free them (and, on ext4, make
+    the close start writeback).  A save that stops partway leaves a file
+    that ``load_archive`` rejects as "bad magic", never old and new
+    slices under a valid header.  Nothing is fsynced, so none of this
+    holds across a crash of the machine, and a reader that opened the old
+    archive before the save can see its bytes change.  A target that is
+    not a regular file (``os.devnull``, a pipe) gets the plain stream,
+    magic first.
     """
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        in_place = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        fh.write(bytes(len(_MAGIC)) if in_place else _MAGIC)
         fh.write(struct.pack("<II", tensor.num_slices, tensor.num_cols))
         for x in tensor.slices:
             fh.write(struct.pack("<I", x.shape[0]))
             fh.write(memoryview(np.ascontiguousarray(x, dtype="<f8")).cast("B"))
+        if in_place:
+            fh.truncate()
+            fh.seek(0)
+            fh.write(_MAGIC)
 
 
 def load_archive(path, threads=None):

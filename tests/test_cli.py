@@ -77,6 +77,17 @@ class TestGenerate:
         assert "noise_level must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise, message", [
+        ("nan", "noise_level must be finite and >= 0"),
+        ("0.1", "noise_level applies to planted mode only"),
+    ])
+    def test_uniform_noise_exits_3(self, tmp_path, capsys, noise, message):
+        out = tmp_path / "t.irt"
+        assert cli.main(["generate", "--I", "6", "--J", "4", "--K", "3", "--mode", "uniform",
+                         "--noise", noise, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["generate", "--I", "4", "--J", "4", "--K", "2"])
@@ -329,6 +340,17 @@ class TestBench:
         assert cli.main(["bench", "--sizes", "8x6x2", "--ranks", "2", "--mode", "planted",
                          "--noise", "nan", "--out", str(out)]) == 3
         assert "noise_level must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise, message", [
+        ("nan", "noise_level must be finite and >= 0"),
+        ("0.1", "noise_level applies to planted mode only"),
+    ])
+    def test_uniform_noise_exits_3(self, tmp_path, capsys, noise, message):
+        out = tmp_path / "x.csv"
+        assert cli.main(["bench", "--sizes", "8x6x2", "--ranks", "2", "--mode", "uniform",
+                         "--noise", noise, "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["ranks", "methods"])

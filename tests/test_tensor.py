@@ -121,6 +121,65 @@ class TestArchive:
             load_archive(p)
 
 
+class TestOverwrite:
+    @pytest.mark.parametrize("counts", [(2, 1), (3, 5, 2), (9, 8, 7, 6)],
+                             ids=["smaller", "same_size", "larger"])
+    def test_overwrite_equals_a_fresh_write(self, tmp_path, counts):
+        new = small_tensor(seed=1, counts=counts)
+        fresh = tmp_path / "fresh.irt"
+        save_archive(new, fresh)
+        path = tmp_path / "t.irt"
+        save_archive(small_tensor(), path)
+        inode = path.stat().st_ino
+        save_archive(new, path)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.stat().st_ino == inode
+        back = load_archive(path)  # trailing bytes would raise
+        assert [x.tobytes() for x in back.slices] == [x.tobytes() for x in new.slices]
+
+    def test_interrupted_overwrite_leaves_bad_magic(self, tmp_path):
+        class Unwritable:
+            shape = (4, 4)
+
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("device gone")
+
+        path = tmp_path / "t.irt"
+        save_archive(small_tensor(), path)
+        broken = small_tensor(seed=1, counts=(6, 2, 3))
+        broken.slices = [broken.slices[0], Unwritable(), broken.slices[2]]
+        with pytest.raises(OSError, match="device gone"):
+            save_archive(broken, path)
+        blob = path.read_bytes()
+        assert blob[:4] == bytes(4)
+        assert blob[4:16] == struct.pack("<III", 3, 4, 6)  # the new header went in
+        with pytest.raises(ArchiveFormatError, match="bad magic"):
+            load_archive(path)
+
+    def test_devnull_takes_the_plain_stream(self):
+        save_archive(small_tensor(), os.devnull)
+
+    def test_pipe_reads_the_same_bytes_as_a_file(self, tmp_path):
+        t = small_tensor()
+        fresh = tmp_path / "fresh.irt"
+        save_archive(t, fresh)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        save_archive(t, fifo)
+        reader.join(timeout=10)
+        assert got == [fresh.read_bytes()]
+
+    def test_new_file_gets_the_default_mode(self, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        path = tmp_path / "t.irt"
+        save_archive(small_tensor(), path)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 class TestCsvDir:
     def test_loads_sorted_slices(self, tmp_path):
         np.savetxt(tmp_path / "slice_0001.csv", np.full((2, 3), 2.0), delimiter=",")
@@ -197,6 +256,15 @@ class TestGenerate:
         with pytest.raises(ValueError, match="noise_level must be finite and >= 0"):
             generate(SyntheticSpec(rows=4, cols=3, num_slices=2, mode=MODE_PLANTED,
                                    noise_level=noise))
+
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_uniform_noise_level_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match="noise_level must be finite and >= 0"):
+            generate(SyntheticSpec(rows=4, cols=3, num_slices=2, noise_level=noise))
+
+    def test_uniform_rejects_a_nonzero_noise_level(self):
+        with pytest.raises(ValueError, match="noise_level applies to planted mode only"):
+            generate(SyntheticSpec(rows=4, cols=3, num_slices=2, noise_level=0.1))
 
     @pytest.mark.parametrize("mode", [MODE_UNIFORM, MODE_PLANTED])
     def test_bad_thread_count_rejected(self, mode):
