@@ -14,6 +14,14 @@ slice runs, then the lowest failing slice's error is raised.  Results land
 in per-slice slots and reduce in ascending slice order afterwards, so the
 outcome, errors included, is the same for any thread count.
 
+A pass runs its first group on the calling thread and hands each other
+group to an idle worker, a daemon thread kept between passes; only when
+none is idle does it start one.  A worker takes one group at a time and
+rejoins the idle stack when its group is done, so a pass never waits on a
+busy worker (a pass started inside a group, or two passes at once), and
+there are never more workers than were ever busy at once.  A forked child
+starts with none: the parent's threads do not exist in it.
+
 These worker threads are the package's only parallelism: importing the
 package sets numpy's bundled OpenBLAS to one thread for the whole process
 (``pin_blas_threads``), so BLAS calls never start threads of their own on
@@ -24,6 +32,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import queue
 import threading
 from dataclasses import dataclass, field
 
@@ -151,7 +160,8 @@ def parallel_slice_map(fn, num_slices, threads=None, groups=None):
 def map_stacks(fn, slices, stacks, groups):
     """``fn(x, ks)`` for every stack ``ks`` of ``stacks``, in stack order;
     worker i runs the stacks ``groups[i]``, the first non-empty group on the
-    calling thread and each other one on a thread of its own.
+    calling thread and each other one on a worker thread of its own, an
+    idle one if there is one (see the module docstring).
 
     ``x`` holds the stack's slices: None if ``slices`` is, a view for a
     stack of one or a contiguous run of an array ``slices``, else their
@@ -159,8 +169,9 @@ def map_stacks(fn, slices, stacks, groups):
     slice ``ks[i]``; one with no position names the stack by its size and
     lowest and highest slice (a stack of one, its slice) and counts as its
     lowest slice, as any other error does.  Every stack runs and every
-    worker is joined, then an interrupt or exit (not an ``Exception``; it
-    also ends its worker) is raised, else the lowest slice's failure.
+    group finishes, then an interrupt or exit (not an ``Exception``; it
+    also ends its group) is raised, else the lowest slice's failure.  When
+    this returns, no worker holds ``fn``, ``slices`` or a result.
     """
     results = [None] * len(stacks)
     failures = {}  # slice -> error; the stacks are disjoint, so the workers need no lock
@@ -192,18 +203,52 @@ def map_stacks(fn, slices, stacks, groups):
                     return
 
     first, *rest = [g for g in groups if g] or [[]]
-    workers = [threading.Thread(target=run, args=(group,)) for group in rest]
+    done = queue.SimpleQueue()  # one item per finished group
+    handed = 0
     try:
-        for worker in workers:
-            worker.start()
+        for group in rest:
+            try:
+                inbox = _idle.pop()
+            except IndexError:  # every worker is busy: add one
+                inbox = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(inbox,), daemon=True).start()
+            inbox.put((run, group, done))
+            handed += 1
         run(first)
     finally:
-        for worker in workers:
-            if worker.ident is not None:  # it started
-                worker.join()
+        for _ in range(handed):
+            done.get()
     if failures:  # an interrupt or exit before any error, then the lowest slice
         raise min(failures.items(), key=lambda item: (isinstance(item[1], Exception), item[0]))[1]
     return results
+
+
+# Inboxes of the idle workers, used as a stack: the worker that went idle
+# last takes the next group.  list.pop and list.append are atomic, so
+# taking a worker and putting one back need no lock.
+_idle = []
+
+
+def _serve(inbox):
+    """Body of a worker: run each group posted to ``inbox``.  The pass's
+    runner is dropped before the worker rejoins ``_idle``, and the worker
+    rejoins it before it reports the group done, so when a pass returns
+    its workers hold nothing of it and can all take the next pass."""
+    while True:
+        run, group, done = inbox.get()
+        run(group)  # records every error itself, so the worker never dies
+        del run, group
+        _idle.append(inbox)
+        done.put(None)
+
+
+def _forget_workers():
+    """In a forked child: the parent's workers were not copied into it."""
+    global _idle
+    _idle = []
+
+
+os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _openblas_libraries():

@@ -33,9 +33,10 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import _MASK64
-from .scheduler import contiguous_runs, map_stacks, parallel_slice_map
+from .scheduler import contiguous_runs, map_stacks
 
 _MAGIC = b"IRT1"
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one preadv call may take
 
 MODE_UNIFORM = "uniform_random"
 MODE_PLANTED = "planted_parafac2"
@@ -281,20 +282,20 @@ def load_archive(path, threads=None):
 
     The headers are walked first, so a bad magic, dimension or row count,
     a truncated header or payload and trailing bytes all raise before any
-    slice is allocated.  Each slice's array is then allocated here (in the
-    workers, the allocations measured a higher peak memory on many small
-    slices).  Each worker fills one contiguous run of the slices, so one
-    run of the file, with ``os.preadv``: the payload is copied once, peak
-    memory is the tensor's size, and the page faults of filling it are
-    shared by the workers (``preadv`` releases the GIL).  Right after its
-    read, while the slice is still in cache, the worker computes
-    ||X_k||^2, which is also the slice's finiteness check, and the tensor
-    keeps it.  NaN or inf raises naming the lowest such slice.  The bytes
-    and norms loaded do not depend on the thread count.
-
-    One buffer for the whole file, viewed slice by slice, would not do:
-    the 4-byte row-count headers leave every other slice misaligned for
-    float64, and numpy copies misaligned operands on every matrix product.
+    slice is allocated.  The tensor is then allocated here as one buffer,
+    each slice a view of it: every payload is a whole number of float64s,
+    so every view is aligned.  Each worker reads one contiguous run of the
+    slices, so one run of the file, with scatter ``os.preadv`` calls of at
+    most ``SC_IOV_MAX`` buffers: the payloads go straight into their
+    slices and each row-count header after the first into a 4-byte
+    scratch buffer.  A short read resumes at the exact byte it reached.
+    The payload is copied once, peak memory is the tensor's size, and
+    ``preadv`` releases the GIL, so the page faults of filling the buffer
+    are shared by the workers.  As each slice completes, while it is
+    still in cache, the worker computes ||X_k||^2, which is also the
+    slice's finiteness check, and the tensor keeps it.  NaN or inf raises
+    naming the lowest such slice.  The bytes and norms loaded do not
+    depend on the thread count.
     """
     with open(path, "rb") as fh:
         fd = fh.fileno()
@@ -324,26 +325,46 @@ def load_archive(path, threads=None):
             off += nbytes
         if off != size:
             raise ArchiveFormatError(f"{path}: {size - off} trailing bytes after last slice")
-        slices = [np.empty((rows, cols), dtype="<f8") for rows in row_counts]
+        flat = np.empty(sum(row_counts) * cols, dtype="<f8")
+        bounds = np.cumsum([0] + row_counts) * cols
+        slices = [flat[a:b].reshape(rows, cols)
+                  for a, b, rows in zip(bounds, bounds[1:], row_counts)]
 
-        def read(k):
-            x = slices[k]
-            buf = memoryview(x).cast("B")
-            done = 0
-            while done < len(buf):
-                got = os.preadv(fd, [buf[done:]], offsets[k] + done)
+        def read(_, ks):
+            # The run's file bytes as (buffer, slice, is payload) pieces in
+            # file order: a header lands in scratch, a payload in its slice.
+            scratch = memoryview(bytearray(4))
+            pieces = []
+            for k in ks:
+                if k != ks[0]:
+                    pieces.append((scratch, k, False))
+                pieces.append((memoryview(slices[k]).cast("B"), k, True))
+            norms = []
+            pos, i = offsets[ks[0]], 0
+            while i < len(pieces):
+                got = os.preadv(fd, [buf for buf, _, _ in pieces[i : i + _IOV_MAX]], pos)
                 if got == 0:
-                    raise ArchiveFormatError(f"{path}: truncated payload in slice {k}")
-                done += got
-            try:
-                sq = _checked_sq_norm(x, k)
-            except NonFiniteInputError as exc:
-                raise ArchiveFormatError(f"{path}: {exc}") from exc
-            x.setflags(write=False)
-            return sq
+                    _, k, payload = pieces[i]
+                    where = f"payload in slice {k}" if payload else f"at slice {k} header"
+                    raise ArchiveFormatError(f"{path}: truncated {where}")
+                pos += got
+                while got:
+                    buf, k, payload = pieces[i]
+                    if got < len(buf):  # a short read stopped inside this piece
+                        pieces[i] = (buf[got:], k, payload)
+                        break
+                    got -= len(buf)
+                    i += 1
+                    if payload:
+                        try:
+                            norms.append(_checked_sq_norm(slices[k], k))
+                        except NonFiniteInputError as exc:
+                            raise ArchiveFormatError(f"{path}: {exc}") from exc
+                        slices[k].setflags(write=False)
+            return norms
 
-        sq_norms = parallel_slice_map(read, num_slices, threads=threads)
-    return IrregularTensor._from_checked(slices, sq_norms)
+        parts = map_stacks(read, None, *contiguous_runs(num_slices, threads))
+    return IrregularTensor._from_checked(slices, [sq for part in parts for sq in part])
 
 
 def load_csv_dir(path):

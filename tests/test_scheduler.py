@@ -1,10 +1,13 @@
 """Partitioning, parallel-loop determinism and BLAS thread pin checks."""
 import ctypes
+import gc
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -278,22 +281,17 @@ class TestOneRunner:
         with pytest.raises(NumericFailure, match=r"^not finite \(slice 0\)$"):
             parallel_slice_map(fail, 2, groups=groups)
 
-    def test_each_group_but_the_first_starts_one_thread(self, monkeypatch):
-        started = []
-
-        class Spy(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Spy)
+    def test_each_group_but_the_first_starts_one_thread(self):
+        ran = set()  # the threads that ran the pass's stacks
         slices = np.arange(6 * 2 * 2, dtype=float).reshape(6, 2, 2)
         stacks = [[0, 1], [2], [3, 4], [5]]
 
         def total(x, ks):
+            ran.add(threading.get_ident())
             return x.sum(axis=(1, 2)).tolist()
 
         def fail(x, ks):
+            ran.add(threading.get_ident())
             if 3 in ks:
                 raise NumericFailure("bad core", slice_index=ks.index(3))
             if 5 in ks:
@@ -301,13 +299,15 @@ class TestOneRunner:
             return total(x, ks)
 
         outcomes = set()
-        for groups, threads in (([[0, 1, 2, 3]], 0), ([[0, 2], [1, 3]], 1),
-                                ([[0], [1, 3], [], [2]], 2)):
-            started.clear()
+        for groups, others in (([[0, 1, 2, 3]], 0), ([[0, 2], [1, 3]], 1),
+                               ([[0], [1, 3], [], [2]], 2)):
+            ran.clear()
             got = map_stacks(total, slices, stacks, groups)
+            assert threading.get_ident() in ran and len(ran) - 1 == others
+            ran.clear()
             with pytest.raises(NumericFailure) as err:
                 map_stacks(fail, slices, stacks, groups)
-            assert len(started) == 2 * threads
+            assert threading.get_ident() in ran and len(ran) - 1 == others
             outcomes.add((repr(got), str(err.value), err.value.slice_index))
         assert outcomes == {(repr([[6.0, 22.0], [38.0], [54.0, 70.0], [86.0]]),
                              "bad core (slice 3)", 3)}
@@ -332,7 +332,7 @@ class TestOneRunner:
 
 
 class TestWorkerRule:
-    # A pass over K slices starts min(threads, K) - 1 threads: its first
+    # A pass over K slices runs on min(threads, K) threads: its first
     # worker is the calling thread, and no worker plans past the last slice.
     @pytest.mark.parametrize("threads", [1, 2, 8])
     @pytest.mark.parametrize("name", ["fitness", "uniform-generate", "load_archive"])
@@ -350,16 +350,181 @@ class TestWorkerRule:
                 dpar2.SyntheticSpec(rows=3, cols=2, num_slices=5), threads=threads),
             "load_archive": lambda: dpar2.load_archive(path, threads=threads),
         }[name]
-        started = []
-
-        class Spy(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Spy)
+        ran = record_stack_threads(monkeypatch)
         run()
-        assert len(started) == min(threads, 5) - 1
+        assert threading.get_ident() in ran and len(ran) - 1 == min(threads, 5) - 1
+
+
+def record_stack_threads(monkeypatch):
+    """Make every pass record the threads that run its stacks, in the set
+    returned; ``map_stacks`` is replaced where the passes look it up."""
+    ran = set()
+    real = map_stacks
+
+    def spy(fn, slices, stacks, groups):
+        def recorded(x, ks):
+            ran.add(threading.get_ident())
+            return fn(x, ks)
+
+        return real(recorded, slices, stacks, groups)
+
+    for module in (dpar2.scheduler, dpar2.tensor):
+        monkeypatch.setattr(module, "map_stacks", spy)
+    return ran
+
+
+def finish_in_time(call, timeout=60.0):
+    """``call()`` on a thread of its own, which must end within ``timeout``
+    seconds; its result, or its error raised here."""
+    out = []
+
+    def target():
+        try:
+            out.append((True, call()))
+        except BaseException as exc:  # noqa: BLE001 - raised below
+            out.append((False, exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the pass did not finish"
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+class TestWorkerPool:
+    # Workers outlive their passes: a pass hands each group but the first
+    # to an idle worker, and starts a thread only when none is idle.
+    def test_next_pass_reuses_the_idle_workers(self):
+        ran = []
+
+        def record(x, ks):
+            ran.append((ks[0], threading.get_ident()))
+
+        groups = [[0], [1], [2]]
+        idents = []
+        for _ in range(3):
+            ran.clear()
+            map_stacks(record, None, [[0], [1], [2]], groups)
+            idents.append({ident for k, ident in ran if k > 0})
+        assert len(idents[0]) == 2 and threading.get_ident() not in idents[0]
+        assert idents[1] == idents[0] and idents[2] == idents[0]
+
+    @pytest.mark.parametrize("groups", [[[0, 1]], [[0], [1]]], ids=["calling-thread", "worker"])
+    def test_finished_pass_leaves_no_reference(self, groups):
+        class Payload:
+            pass
+
+        captured, slices = Payload(), np.zeros((2, 3))
+        alive = [weakref.ref(captured), weakref.ref(slices)]
+
+        def fn(x, ks):
+            result = Payload()
+            result.owner = captured
+            alive.append(weakref.ref(result))
+            return result
+
+        got = map_stacks(fn, slices, [[0], [1]], groups)
+        assert [r.owner for r in got] == [captured, captured]
+        del fn, captured, slices, got
+        gc.collect()
+        assert len(alive) == 4 and [ref() for ref in alive] == [None] * 4
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_with_no_workers(self):
+        # The parent's idle worker does not exist in the child: a child
+        # that handed it a group would wait forever.
+        slices = np.arange(4.0).reshape(4, 1, 1)
+
+        def total(x, ks):
+            return float(x.sum())
+
+        stacks, groups = [[0, 1], [2, 3]], [[0], [1]]
+        assert map_stacks(total, slices, stacks, groups) == [1.0, 5.0]
+        pid = os.fork()
+        if pid == 0:
+            ok = False
+            try:
+                ok = map_stacks(total, slices, stacks, groups) == [1.0, 5.0]
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 60
+        while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if ended[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's pass did not finish")
+        assert os.waitstatus_to_exitcode(ended[1]) == 0
+
+    def test_pass_inside_a_group_waits_on_no_busy_worker(self):
+        # Both outer groups run an inner pass of two groups, and all four
+        # inner groups must run at once to pass the barrier.
+        barrier = threading.Barrier(4, timeout=30)
+
+        def inner(x, ks):
+            barrier.wait()
+            return ks[0]
+
+        def outer(x, ks):
+            return [ks[0], map_stacks(inner, None, [[0], [1]], [[0], [1]])]
+
+        got = finish_in_time(lambda: map_stacks(outer, None, [[0], [1]], [[0], [1]]))
+        assert got == [[0, [0, 1]], [1, [0, 1]]]
+
+    def test_two_passes_at_once_wait_on_no_busy_worker(self):
+        # Two user threads each run a pass of three groups; all six groups
+        # must run at once to pass the barrier.
+        barrier = threading.Barrier(6, timeout=30)
+
+        def work(x, ks):
+            barrier.wait()
+            return float(x.sum())
+
+        slices = np.arange(3.0).reshape(3, 1, 1)
+
+        def two_passes():
+            got = []
+            passes = [threading.Thread(target=lambda: got.append(
+                map_stacks(work, slices, [[0], [1], [2]], [[0], [1], [2]]))) for _ in range(2)]
+            for p in passes:
+                p.start()
+            for p in passes:
+                p.join()
+            return got
+
+        assert finish_in_time(two_passes) == [[0.0, 1.0, 2.0]] * 2
+
+    def test_concurrent_passes_under_fast_switching(self):
+        # More workers than cores and a short switch interval: every stack's
+        # result lands in its own slot, and the idle stack grows by no more
+        # than the workers busy at once (4 passes of 3 groups, 2 each).
+        before = len(dpar2.scheduler._idle)
+        slices = np.arange(12.0).reshape(12, 1, 1)
+        stacks = [[k] for k in range(12)]
+        groups = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+        wrong = []
+
+        def many():
+            for _ in range(100):
+                got = map_stacks(lambda x, ks: float(x.sum()) * 2, slices, stacks, groups)
+                if got != [2.0 * k for k in range(12)]:
+                    wrong.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            users = [threading.Thread(target=many, daemon=True) for _ in range(4)]
+            for user in users:
+                user.start()
+            for user in users:
+                user.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(user.is_alive() for user in users) and wrong == []
+        assert len(dpar2.scheduler._idle) <= max(before, 8)
 
 
 class TestResolveThreads:

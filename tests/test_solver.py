@@ -123,21 +123,21 @@ class TestRotations:
     @pytest.mark.parametrize("num, rank", [(100, 10), (3, 5)], ids=["paper-blocks", "tiny"])
     def test_two_threads_split_any_stack(self, monkeypatch, num, rank):
         # No size floor: two threads split the targets over two workers, the
-        # second a started thread, however small the R x R blocks are.
-        started = []
+        # second on a thread other than the caller's, however small the R x R
+        # blocks are.
+        ran = set()
 
-        class Spy(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        def spy(*args):
+            ran.add(threading.get_ident())
+            return procrustes_svd(*args)
 
-        monkeypatch.setattr(threading, "Thread", Spy)
+        monkeypatch.setattr(dpar2.solver, "procrustes_svd", spy)
         comp = manual_compressed(14, rank=rank, cols=12, num=num, rows=12)
         h, v, w = initial_factors(12, num, rank)
-        for threads, starts in ((1, 0), (2, 1)):
-            started.clear()
+        for threads, others in ((1, 0), (2, 1)):
+            ran.clear()
             update_rotations(comp, h, v, w, threads=threads)
-            assert len(started) == starts, threads
+            assert threading.get_ident() in ran and len(ran) - 1 == others, threads
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_targets_in_two_chunks_name_the_lower_slice(self):

@@ -346,19 +346,20 @@ class TestParallelLoad:
         assert [x.hex() for x in back.sq_norms] == [x.hex() for x in t.sq_norms]
 
     def test_plans_no_worker_past_the_last_slice(self, tmp_path, monkeypatch):
-        started = []
-
-        class Spy(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Spy)
         t = irregular_tensor(counts=(4, 2, 3))
         path = tmp_path / "t.irt"
         save_archive(t, path)
+        ran = set()  # the threads that checked a loaded slice
+        checked = dpar2.tensor._checked_sq_norm
+
+        def spy(x, k):
+            ran.add(threading.get_ident())
+            return checked(x, k)
+
+        monkeypatch.setattr(dpar2.tensor, "_checked_sq_norm", spy)
         back = load_archive(path, threads=300_000)
-        assert len(started) == 2  # 3 workers, the first on the calling thread
+        # 3 workers, the first on the calling thread
+        assert threading.get_ident() in ran and len(ran) - 1 == 2
         for a, b in zip(back.slices, t.slices):
             assert a.tobytes() == b.tobytes()
 
