@@ -6,13 +6,13 @@ and only the three planners call it.  ``equal_height_stacks`` plans
 ``compress`` and ``fit_baseline``: ``greedy_partition`` balances the
 slices' unequal row counts over the workers, and each worker's slices are
 stacked by row count, one batched call per stack.  ``contiguous_runs``
-plans ``update_rotations`` and uniform ``generate``: one contiguous run of
-slices per worker, a view of a stacked array.  ``parallel_slice_map``
-splits the per-slice passes, ``load_archive`` and ``fitness``, the same
-way and calls ``fn(k)`` per slice.  ``map_stacks`` runs every pass: every
-slice runs, then the lowest failing slice's error is raised.  Results land
-in per-slice slots and reduce in ascending slice order afterwards, so the
-outcome, errors included, is the same for any thread count.
+plans ``update_rotations``, ``load_archive`` and uniform ``generate``: one
+contiguous run of slices per worker.  ``parallel_slice_map`` splits the
+per-slice pass of ``fitness`` the same way and calls ``fn(k)`` per slice.
+``map_stacks`` runs every pass: every slice runs, then the lowest failing
+slice's error is raised.  Results land in per-slice slots and reduce in
+ascending slice order afterwards, so the outcome, errors included, is the
+same for any thread count.
 
 A pass runs its first group on the calling thread and hands each other
 group to an idle worker, a daemon thread kept between passes; only when
@@ -126,12 +126,13 @@ def contiguous_chunks(n, parts):
 
 
 def resolve_threads(threads=None):
-    """Worker count: explicit argument, else DPAR2_THREADS, else cpu count."""
+    """Worker count: an explicit integer, else DPAR2_THREADS, else cpu count."""
     if threads is not None:
-        t = int(threads)
-        if t < 1:
+        if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
+            raise ValueError(f"threads must be an integer, got {threads!r}")
+        if threads < 1:
             raise ValueError("threads must be >= 1")
-        return t
+        return int(threads)
     env = os.environ.get("DPAR2_THREADS")
     if env:
         try:
@@ -164,11 +165,10 @@ def map_stacks(fn, slices, stacks, groups):
     idle one if there is one (see the module docstring).
 
     ``x`` holds the stack's slices: None if ``slices`` is, a view for a
-    stack of one or a contiguous run of an array ``slices``, else their
-    ``np.stack``.  A :class:`NumericFailure` at position i of ``x`` names
-    slice ``ks[i]``; one with no position names the stack by its size and
-    lowest and highest slice (a stack of one, its slice) and counts as its
-    lowest slice, as any other error does.  Every stack runs and every
+    stack of one, else their ``np.stack``.  A :class:`NumericFailure` at
+    position i of ``x`` names slice ``ks[i]``; one with no position names
+    the stack by its size and lowest and highest slice (a stack of one, its
+    slice) and counts as its lowest slice, as any other error does.  Every stack runs and every
     group finishes, then an interrupt or exit (not an ``Exception``; it
     also ends its group) is raised, else the lowest slice's failure.  When
     this returns, no worker holds ``fn``, ``slices`` or a result.
@@ -184,8 +184,6 @@ def map_stacks(fn, slices, stacks, groups):
                     x = None
                 elif len(ks) == 1:
                     x = slices[ks[0]][None]
-                elif isinstance(slices, np.ndarray) and ks[-1] - ks[0] == len(ks) - 1:
-                    x = slices[ks[0] : ks[-1] + 1]
                 else:
                     x = np.stack([slices[k] for k in ks])
                 results[i] = fn(x, ks)

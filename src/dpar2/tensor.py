@@ -73,19 +73,12 @@ class IrregularTensor:
                 raise ShapeMismatchError(
                     f"inconsistent column counts: slice 0 has {cols}, slice {k} has {arr.shape[1]}"
                 )
-            norms.append(_checked_sq_norm(arr, k))
+            with np.errstate(over="ignore"):  # overflow is told apart in the check
+                norms.append(_checked_sq_norm(arr, k))
             arr.setflags(write=False)
             frozen.append(arr)
         self.slices = frozen
         self.sq_norms = norms
-
-    @classmethod
-    def _from_checked(cls, slices, sq_norms):
-        """A tensor of slices already converted, frozen and checked, with their norms."""
-        tensor = cls.__new__(cls)
-        tensor.slices = slices
-        tensor.sq_norms = sq_norms
-        return tensor
 
     @property
     def num_slices(self):
@@ -120,13 +113,41 @@ def _checked_sq_norm(x, k):
     NaN or inf anywhere in ``x`` makes the sum non-finite, so the full
     ``np.isfinite`` scan runs only then: it tells such input apart from a
     finite slice whose squares overflow, which is kept with an infinite norm.
+    Run it under ``np.errstate(over="ignore")``; :func:`_built` enters one per run.
     """
     flat = x.ravel()
-    with np.errstate(over="ignore"):  # overflow is told apart below
-        sq = float(np.dot(flat, flat))
+    sq = float(np.dot(flat, flat))
     if not math.isfinite(sq) and not np.isfinite(x).all():
         raise NonFiniteInputError(f"slice {k} contains non-finite values")
     return sq
+
+
+def _built(row_counts, cols, fill, plan):
+    """The tensor of slices ``row_counts[k]`` x ``cols``, filled on the workers.
+
+    The slices are aligned views of one little-endian float64 buffer.
+    Each worker of ``plan`` (``scheduler.contiguous_runs``) calls
+    ``fill(run, ks)``, ``run`` being the flat part of the buffer that holds
+    its slices ``ks``, then takes each slice's ||X_k||^2, its finiteness
+    check, under one ``np.errstate``.  NaN or inf raises naming the lowest
+    such slice.  Unlike the constructor, it copies nothing; the buffer is
+    frozen once every run is filled.
+    """
+    flat = np.empty(sum(row_counts) * cols, dtype="<f8")
+    bounds = np.cumsum([0] + row_counts) * cols
+
+    def build(_, ks):
+        fill(flat[bounds[ks[0]] : bounds[ks[-1] + 1]], ks)
+        with np.errstate(over="ignore"):  # overflow is told apart in the check
+            return [_checked_sq_norm(flat[bounds[k] : bounds[k + 1]], k) for k in ks]
+
+    parts = map_stacks(build, None, *plan)
+    flat.setflags(write=False)
+    tensor = IrregularTensor.__new__(IrregularTensor)
+    tensor.slices = [flat[a:b].reshape(rows, cols)
+                     for a, b, rows in zip(bounds, bounds[1:], row_counts)]
+    tensor.sq_norms = [sq for part in parts for sq in part]
+    return tensor
 
 
 @dataclass(frozen=True)
@@ -173,7 +194,7 @@ def generate(spec: SyntheticSpec, threads=None):
     and is drawn in a fixed order, so equal specs give bit-equal tensors.
     Uniform mode draws its slices on the workers of ``threads`` (see
     ``scheduler``), with the same bytes at any thread count (see
-    :func:`_uniform_slices`).  Planted mode draws serially: its normals come
+    :func:`_uniform_fill`).  Planted mode draws serially: its normals come
     from a ziggurat that takes a variable number of draws, so where a slice
     starts in the stream is known only once the slices before it are drawn.
     Both modes reject a bad ``threads`` and a ``noise_level`` that is not
@@ -192,7 +213,7 @@ def generate(spec: SyntheticSpec, threads=None):
     rows = _resolve_rows(spec, rng)
 
     if spec.mode == MODE_UNIFORM:
-        return _uniform_slices(spec.seed, rows[0], spec.cols, spec.num_slices, plan)
+        return _built(rows, spec.cols, _uniform_fill(spec.seed, rows[0] * spec.cols), plan)
 
     r = spec.true_rank
     if r < 1 or r > min(min(rows), spec.cols):
@@ -220,31 +241,22 @@ def generate(spec: SyntheticSpec, threads=None):
     return IrregularTensor(slices)
 
 
-def _uniform_slices(seed, rows, cols, num_slices, plan):
-    """``num_slices`` slices of uniform [0, 1) draws, filled on the runs of ``plan``.
+def _uniform_fill(seed, slice_floats):
+    """The :func:`_built` fill of uniform [0, 1) slices of ``slice_floats`` floats.
 
     ``Generator.random`` takes exactly one 64-bit PCG64 draw per float64, so
-    slice k starts k * rows * cols draws into the stream.  The slices are
-    views of one (K, rows, cols) array, which ``plan``, a
-    ``scheduler.contiguous_runs`` plan, splits into one run per worker.
-    Each worker fills its run with one call to a PCG64 of its own,
-    advanced once to the run's first slice, so every slice gets the bits
-    one serial stream gives it.  One call per run, not per slice, keeps many
-    tiny slices from handing the GIL back and forth.  The worker then takes
-    each slice's ||X_k||^2, its finiteness check.  The array is allocated
-    here and faulted in by the workers.
+    slice k starts k * ``slice_floats`` draws into the stream.  Each worker
+    fills its run with one call to a PCG64 of its own, advanced once to the
+    run's first slice, so every slice gets the bits one serial stream gives
+    it.  One call per run, not per slice, keeps many tiny slices from
+    handing the GIL back and forth.
     """
-    stack = np.empty((num_slices, rows, cols))
-
     def fill(run, ks):
         bitgen = np.random.PCG64(seed & _MASK64)
-        bitgen.advance(ks[0] * rows * cols)
+        bitgen.advance(ks[0] * slice_floats)
         np.random.Generator(bitgen).random(out=run)
-        return [_checked_sq_norm(x, k) for x, k in zip(run, ks)]
 
-    parts = map_stacks(fill, stack, *plan)
-    stack.setflags(write=False)
-    return IrregularTensor._from_checked(list(stack), [sq for part in parts for sq in part])
+    return fill
 
 
 def save_archive(tensor: IrregularTensor, path):
@@ -282,20 +294,18 @@ def load_archive(path, threads=None):
 
     The headers are walked first, so a bad magic, dimension or row count,
     a truncated header or payload and trailing bytes all raise before any
-    slice is allocated.  The tensor is then allocated here as one buffer,
-    each slice a view of it: every payload is a whole number of float64s,
-    so every view is aligned.  Each worker reads one contiguous run of the
-    slices, so one run of the file, with scatter ``os.preadv`` calls of at
-    most ``SC_IOV_MAX`` buffers: the payloads go straight into their
-    slices and each row-count header after the first into a 4-byte
-    scratch buffer.  A short read resumes at the exact byte it reached.
-    The payload is copied once, peak memory is the tensor's size, and
-    ``preadv`` releases the GIL, so the page faults of filling the buffer
-    are shared by the workers.  As each slice completes, while it is
-    still in cache, the worker computes ||X_k||^2, which is also the
-    slice's finiteness check, and the tensor keeps it.  NaN or inf raises
-    naming the lowest such slice.  The bytes and norms loaded do not
-    depend on the thread count.
+    slice is allocated.  The tensor is then made by :func:`_built`: each
+    worker reads one contiguous run of the slices, so one run of the file,
+    with scatter ``os.preadv`` calls of at most ``SC_IOV_MAX`` buffers.
+    The payloads go straight into their slices and each row-count header
+    after the first into a 4-byte scratch buffer.  A short read resumes at
+    the exact byte it reached.  The payload is copied once, peak memory is
+    the tensor's size, and ``preadv`` releases the GIL, so the page faults
+    of filling the buffer are shared by the workers.  Once its run is read,
+    the worker takes each slice's ||X_k||^2, which is also the slice's
+    finiteness check, and the tensor keeps it.  NaN or inf raises naming
+    the lowest such slice.  The bytes and norms loaded do not depend on
+    the thread count.
     """
     with open(path, "rb") as fh:
         fd = fh.fileno()
@@ -325,21 +335,19 @@ def load_archive(path, threads=None):
             off += nbytes
         if off != size:
             raise ArchiveFormatError(f"{path}: {size - off} trailing bytes after last slice")
-        flat = np.empty(sum(row_counts) * cols, dtype="<f8")
-        bounds = np.cumsum([0] + row_counts) * cols
-        slices = [flat[a:b].reshape(rows, cols)
-                  for a, b, rows in zip(bounds, bounds[1:], row_counts)]
 
-        def read(_, ks):
+        def read(run, ks):
             # The run's file bytes as (buffer, slice, is payload) pieces in
             # file order: a header lands in scratch, a payload in its slice.
             scratch = memoryview(bytearray(4))
-            pieces = []
+            payloads = memoryview(run).cast("B")
+            pieces, start = [], 0
             for k in ks:
                 if k != ks[0]:
                     pieces.append((scratch, k, False))
-                pieces.append((memoryview(slices[k]).cast("B"), k, True))
-            norms = []
+                end = start + row_counts[k] * cols * 8
+                pieces.append((payloads[start:end], k, True))
+                start = end
             pos, i = offsets[ks[0]], 0
             while i < len(pieces):
                 got = os.preadv(fd, [buf for buf, _, _ in pieces[i : i + _IOV_MAX]], pos)
@@ -355,16 +363,11 @@ def load_archive(path, threads=None):
                         break
                     got -= len(buf)
                     i += 1
-                    if payload:
-                        try:
-                            norms.append(_checked_sq_norm(slices[k], k))
-                        except NonFiniteInputError as exc:
-                            raise ArchiveFormatError(f"{path}: {exc}") from exc
-                        slices[k].setflags(write=False)
-            return norms
 
-        parts = map_stacks(read, None, *contiguous_runs(num_slices, threads))
-    return IrregularTensor._from_checked(slices, [sq for part in parts for sq in part])
+        try:
+            return _built(row_counts, cols, read, contiguous_runs(num_slices, threads))
+        except NonFiniteInputError as exc:
+            raise ArchiveFormatError(f"{path}: {exc}") from exc
 
 
 def load_csv_dir(path):

@@ -231,6 +231,10 @@ class TestSimilarity:
                     want = 0.0 if i == j else similarity(mats[i], mats[j])
                     assert adj[i, j] == pytest.approx(want, rel=1e-12, abs=0.0), (seed, i, j)
 
+    def test_graph_of_no_factors_is_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="need at least one factor"):
+            build_similarity_graph([])
+
     def test_graph_cross_shape_error_names_pair(self):
         mats = [np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((4, 2))]
         with pytest.raises(ShapeMismatchError, match="factor 2"):

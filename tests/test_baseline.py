@@ -210,6 +210,11 @@ class TestFitBaseline:
         with pytest.raises(RankTooLargeError):
             fit_baseline(t, 4)
 
+    def test_rank_zero(self):
+        t = IrregularTensor([np.ones((3, 6)), np.ones((8, 6))])
+        with pytest.raises(RankTooLargeError, match="rank must be >= 1, got 0"):
+            fit_baseline(t, 0)
+
     def test_rank_above_a_slice_names_it(self):
         t = IrregularTensor([np.ones((8, 6)), np.ones((3, 6)), np.ones((8, 6))])
         with pytest.raises(RankTooLargeError, match="slice 1"):

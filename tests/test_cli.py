@@ -11,7 +11,8 @@ import pytest
 
 from dpar2 import cli
 from dpar2.analysis import knn
-from dpar2.errors import NumericFailure
+from dpar2.errors import NumericFailure, ShapeMismatchError
+from dpar2.factors import load_factors
 from dpar2.tensor import (
     MODE_PLANTED,
     MODE_UNIFORM,
@@ -318,6 +319,12 @@ class TestBench:
         assert cli.main(["bench", "--sizes", "8x6", "--out",
                          str(tmp_path / "x.csv")]) == 3
 
+    def test_no_sizes_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.main(["bench", "--sizes", ";", "--out", str(out)]) == 3
+        assert "no sizes given" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_exits_3(self, tmp_path):
         assert cli.main(["bench", "--sizes", "8x6x2", "--methods", "qr",
                          "--out", str(tmp_path / "x.csv")]) == 3
@@ -541,6 +548,17 @@ class TestAnalyze:
         assert cli.main(["analyze", str(factors), "--target", "0",
                          "--out-dir", str(taken)]) == 3
         assert "File exists" in capsys.readouterr().err
+
+    def test_u_file_of_the_wrong_rank_is_rejected(self, tmp_path, capsys):
+        factors = self.fitted_dir(tmp_path)
+        path = factors / "U_0001.csv"
+        path.write_text("".join(line.split(",")[0] + "\n"
+                                for line in path.read_text().splitlines()))
+        with pytest.raises(ShapeMismatchError, match="U file 1 has 1 columns, expected 2"):
+            load_factors(factors)
+        assert cli.main(["analyze", str(factors), "--target", "0",
+                         "--out-dir", str(tmp_path / "a")]) == 3
+        assert "U file 1 has 1 columns" in capsys.readouterr().err
 
     def test_missing_manifest_exits_3(self, tmp_path):
         empty = tmp_path / "empty"

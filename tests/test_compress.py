@@ -168,6 +168,11 @@ class TestErrorsAndEdges:
         with pytest.raises(RankTooLargeError, match="slice 1"):
             compress(t, 3, threads=1)
 
+    def test_rank_zero(self):
+        t = IrregularTensor([np.ones((8, 3))])
+        with pytest.raises(RankTooLargeError, match="rank must be >= 1, got 0"):
+            compress(t, 0, threads=1)
+
     def test_rank_above_cols(self):
         t = IrregularTensor([np.ones((8, 3))])
         with pytest.raises(RankTooLargeError):

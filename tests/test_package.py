@@ -1,5 +1,6 @@
 """Package surface: the public exports, the settable sketch options, the
-runtime dependencies, where worker threads start and the README example."""
+runtime dependencies, where worker threads start, the one way round the
+tensor constructor and the README example."""
 import ast
 import dataclasses
 import inspect
@@ -40,6 +41,12 @@ def parsed_sources():
             for path in sorted(SRC.glob("*.py"))]
 
 
+def top_level_owners(tree):
+    """The name of the top-level function around each node of ``tree``, by node id."""
+    return {id(node): fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)}
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
     foreign = [f"{name}: {root}" for name, tree in parsed_sources()
                for root in absolute_imports(tree)
@@ -66,13 +73,25 @@ def test_one_thread_runner():
     for name, tree in parsed_sources():
         found += [f"{name} imports concurrent" for root in absolute_imports(tree)
                   if root == "concurrent"]
-        owner = {id(node): fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
-                 for node in ast.walk(fn)}
+        owner = top_level_owners(tree)
         found += [f"{name}:{node.lineno} starts a thread in {owner.get(id(node))}"
                   for node in ast.walk(tree) if isinstance(node, ast.Call)
                   and ast.unparse(node.func) in ("threading.Thread", "Thread")
                   and (name, owner.get(id(node))) != ("scheduler.py", "map_stacks")]
     assert found == []
+
+
+def test_only_the_builder_skips_the_constructor():
+    # The constructor converts, checks and freezes every slice.  A tensor
+    # made without it is made by tensor._built, which checks and freezes
+    # what its workers fill, so no second unchecked way in can come back.
+    calls = []
+    for name, tree in parsed_sources():
+        owner = top_level_owners(tree)
+        calls += [(name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__new__"]
+    assert calls == [("tensor.py", "_built")]
 
 
 def test_stacked_passes_plan_through_one_call():

@@ -204,8 +204,9 @@ class TestMapStacks:
         assert [ks for _, ks in got] == stacks
         for x, ks in got:
             assert x.tobytes() == slices[ks].tobytes()
-        # A stack of one, and a contiguous run of an array, is a view.
-        assert [np.shares_memory(x, slices) for x, _ in got] == [True, False, True, True]
+        # A stack of one is a view; a longer stack is a copy, even of a
+        # contiguous run of an array.
+        assert [np.shares_memory(x, slices) for x, _ in got] == [False, False, True, True]
 
     @settings(max_examples=50, deadline=None)
     @given(counts=st.lists(st.sampled_from([3, 4, 5]), min_size=1, max_size=40),
@@ -539,6 +540,20 @@ class TestResolveThreads:
     def test_default_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv("DPAR2_THREADS", raising=False)
         assert resolve_threads(None) >= 1
+
+    @pytest.mark.parametrize("threads", [1, 3, np.int64(2), np.uint8(1)])
+    def test_accepts_python_and_numpy_integers(self, threads):
+        got = resolve_threads(threads)
+        assert got == threads and type(got) is int
+
+    @pytest.mark.parametrize("threads", [1.5, 2.0, True, False, "2", np.float64(2.0)])
+    def test_rejects_a_count_that_is_not_an_integer(self, threads):
+        # Truncating 1.5 to 1 would quietly run one worker.
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            resolve_threads(threads)
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            dpar2.fit_dpar2(dpar2.IrregularTensor([np.eye(3)]), 1,
+                            dpar2.SolverOptions(threads=threads))
 
     def test_rejects_nonpositive(self, monkeypatch):
         with pytest.raises(ValueError):

@@ -93,6 +93,20 @@ class TestArchive:
         with pytest.raises(ArchiveFormatError, match="magic"):
             load_archive(p)
 
+    @pytest.mark.parametrize("size", [4, 7, 11])
+    def test_truncated_header(self, tmp_path, size):
+        p = tmp_path / "t.irt"
+        p.write_bytes((b"IRT1" + struct.pack("<II", 1, 1))[:size])
+        with pytest.raises(ArchiveFormatError, match="truncated header"):
+            load_archive(p)
+
+    @pytest.mark.parametrize("k, cols", [(0, 3), (2, 0)])
+    def test_invalid_dimensions(self, tmp_path, k, cols):
+        p = tmp_path / "t.irt"
+        p.write_bytes(b"IRT1" + struct.pack("<II", k, cols) + struct.pack("<I", 1))
+        with pytest.raises(ArchiveFormatError, match=f"invalid dimensions K={k}, J={cols}"):
+            load_archive(p)
+
     def test_truncated_payload(self, tmp_path):
         t = small_tensor()
         p = tmp_path / "t.irt"
@@ -246,6 +260,18 @@ class TestGenerate:
         with pytest.raises(dpar2.errors.RankTooLargeError):
             generate(SyntheticSpec(rows=4, cols=3, num_slices=2, mode=MODE_PLANTED,
                                    true_rank=5))
+
+    @pytest.mark.parametrize("mode", [MODE_UNIFORM, MODE_PLANTED])
+    @pytest.mark.parametrize("num_slices, cols", [(0, 3), (2, 0)])
+    def test_empty_shape_rejected(self, mode, num_slices, cols):
+        with pytest.raises(ShapeMismatchError, match="need num_slices >= 1 and cols >= 1"):
+            generate(SyntheticSpec(rows=4, cols=cols, num_slices=num_slices, mode=mode))
+
+    def test_planted_rank_above_cols_rejected(self):
+        # Rows admit rank 4, the 3 columns do not.
+        with pytest.raises(dpar2.errors.RankTooLargeError, match="true_rank 4 not in"):
+            generate(SyntheticSpec(rows=6, cols=3, num_slices=2, mode=MODE_PLANTED,
+                                   true_rank=4))
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -467,7 +493,8 @@ class TestKeptNorms:
         opts = dpar2.SolverOptions(max_iters=4, tol=0.0)
         factors, trace = dpar2.fit_baseline(t, 3, opts)
         # The same tensor with its norms recomputed from the slices.
-        recomputed = IrregularTensor._from_checked(t.slices, reference_sq_norms(t))
+        recomputed = IrregularTensor(t.slices)
+        recomputed.sq_norms = reference_sq_norms(t)
         _, ref_trace = dpar2.fit_baseline(recomputed, 3, opts)
         assert [x.hex() for x in trace.objective] == [x.hex() for x in ref_trace.objective]
 
