@@ -7,7 +7,8 @@ core stack Y_k = Q_k^T X_k in the same pass over X, and runs one
 :func:`als_sweep` over H, V, W on that stack.  Like stage-1 compression,
 it plans its stacks of equal row count with one
 ``scheduler.equal_height_stacks`` call and runs them through
-``scheduler.map_stacks``, one :func:`procrustes_svd` per stack; the
+``scheduler.map_stacks``, one :func:`procrustes_svd` per stack on the
+stack's view of the tensor, so no iteration copies a slice; the
 compressed solver's rotations call the same kernel on R x R cores.  The reconstruction error
 sum_k ||X_k - Q_k H S_k V^T||_F^2 drives the stopping rule; it is
 expanded over ||X_k||^2 (which the tensor keeps), Y_k and Q_k^T Q_k, so
@@ -144,8 +145,8 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
     error and wall time of every iteration; it stops by the rule of
     :func:`~dpar2.factors.iterate`.  ``equal_height_stacks`` plans the
     stacks once per fit; each iteration ``map_stacks`` solves and projects
-    every stack in one batched call.  No bit, and no error, depends on the
-    thread count.
+    every stack, a view of the tensor, in one batched call.  No bit, and no
+    error, depends on the thread count.
     """
     opts = opts or SolverOptions()
     check_rank(tensor, rank)
@@ -157,8 +158,9 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
         q = [None] * num
         cores, grams = np.empty((num, rank, cols)), np.empty((num, rank, rank))
 
-        def project(x, ks):
+        def project(ks):
             # U V^T needs no sign convention: a sign flip leaves it as it is.
+            x = tensor.stack(ks)
             u, _, vt = procrustes_svd(x, v, h, w[ks])
             qs = u @ vt
             qt = np.swapaxes(qs, 1, 2)
@@ -166,7 +168,7 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
             for k, q_k in zip(ks, qs):
                 q[k] = q_k
 
-        map_stacks(project, tensor.slices, stacks, groups)
+        map_stacks(project, stacks, groups)
         h, v, w = als_sweep(cores, None, h, v, w, normalize=False)
         with np.errstate(over="ignore", invalid="ignore"):  # iterate checks the objective
             objective = float(np.add.reduce(residual_terms(x_sq, cores, grams, h, v, w)))

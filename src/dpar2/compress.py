@@ -10,10 +10,11 @@ M ~ D diag(E) F^T, leaving
 where F_k is the k-th (R x R) block of F (KR x R).  Only A_k, D, E, F are
 kept: sum(I_k) R + K R^2 + J R + R floats in total.
 
-One ``scheduler.equal_height_stacks`` call splits the slices over the
-workers and groups each worker's into stacks of equal row count; each
-stack is one batched randomized SVD, run by ``scheduler.map_stacks``,
-which names the lowest failing slice at any thread count.  BLAS products
+One ``scheduler.equal_height_stacks`` call cuts the tensor into stacks
+of equal row count, each a view of the tensor's height-ordered buffer, and
+splits them over the workers; each stack is one batched randomized SVD on
+that view, run by ``scheduler.map_stacks``, which names the lowest failing
+slice at any thread count.  BLAS products
 and NumPy's linalg gufuncs release the GIL; the Python overhead of every
 call holds it.  Stacking turns thousands of tiny calls into a few large
 ones, so the workers' products and factorizations overlap: it is what
@@ -75,10 +76,10 @@ def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None, thre
 
     ``rsvd`` supplies the seed of both stages (its rank field is overridden
     by ``rank``); the concatenated stage draws from ``derived_seed(seed,
-    K)``.  ``equal_height_stacks`` splits the slices over the ``threads``
-    workers and groups them into stacks of equal row count, one sketch per
-    stack.  The thread count changes neither the values nor the slice a
-    failure names: every slice gets the bits of
+    K)``.  ``equal_height_stacks`` cuts the slices into stacks of equal
+    row count and splits them over the ``threads`` workers, one sketch per
+    stack, on the stack's view of the tensor (no copy).  The thread count
+    changes neither the values nor the slice a failure names: every slice gets the bits of
     ``randomized_svd(x_k, seed=derived_seed(seed, k))``.
     """
     check_rank(tensor, rank)
@@ -89,12 +90,13 @@ def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None, thre
     bases = [None] * tensor.num_slices
     rights = [None] * tensor.num_slices
 
-    def sketch(x, ks):
-        trip = randomized_svd(x, params, seeds=[derived_seed(base.seed, k) for k in ks])
+    def sketch(ks):
+        seeds = [derived_seed(base.seed, k) for k in ks]
+        trip = randomized_svd(tensor.stack(ks), params, seeds=seeds)
         for k, u, right in zip(ks, trip.U, trip.V * trip.S[:, None, :]):
             bases[k], rights[k] = u, right
 
-    map_stacks(sketch, tensor.slices, stacks, groups)
+    map_stacks(sketch, stacks, groups)
     # J x KR concatenation of the slice right parts C_k B_k, in slice order.
     merged = np.concatenate(rights, axis=1)
     shared = randomized_svd(merged, replace(params, seed=derived_seed(base.seed, tensor.num_slices)))

@@ -23,10 +23,11 @@ from .errors import ArchiveFormatError, NumericFailure, ShapeMismatchError
 class SolverOptions:
     """Knobs shared by both solvers, checked when they are made.
 
-    ``max_iters`` must be >= 1 and ``tol`` finite and >= 0; anything else
-    raises ``ValueError`` here, so a bad value fails before any work, and
-    the options cannot be changed afterwards.  ``threads=None`` defers to
-    DPAR2_THREADS or the CPU count.
+    ``max_iters`` must be an integer >= 1, ``seed`` an integer (a bool,
+    float or str is not one; a NumPy integer is kept as a Python int) and
+    ``tol`` finite and >= 0; anything else raises ``ValueError`` here, so a
+    bad value fails before any work, and the options cannot be changed
+    afterwards.  ``threads=None`` defers to DPAR2_THREADS or the CPU count.
     """
 
     max_iters: int = 32
@@ -35,6 +36,11 @@ class SolverOptions:
     threads: int | None = None
 
     def __post_init__(self):
+        for name in ("max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # NumPy's would overflow in the seed hash
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 <= self.tol < math.inf:
@@ -195,7 +201,7 @@ def load_factors(path):
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     num_slices = manifest.get("num_slices")
-    if not isinstance(num_slices, int) or num_slices < 1:
+    if type(num_slices) is not int or num_slices < 1:  # JSON true is no count
         raise ArchiveFormatError(f"{path}: manifest.json has no positive integer num_slices")
     h = _read_matrix(path / "H.csv")
     v = _read_matrix(path / "V.csv")

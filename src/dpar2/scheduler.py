@@ -1,18 +1,19 @@
 """Work planning and the package's one thread runner.
 
 Every threaded pass runs on min(``resolve_threads(threads)``, K) workers,
-K being the slices or R x R blocks it splits.  That rule is ``_workers``,
-and only the three planners call it.  ``equal_height_stacks`` plans
-``compress`` and ``fit_baseline``: ``greedy_partition`` balances the
-slices' unequal row counts over the workers, and each worker's slices are
-stacked by row count, one batched call per stack.  ``contiguous_runs``
-plans ``update_rotations``, ``load_archive`` and uniform ``generate``: one
-contiguous run of slices per worker.  ``parallel_slice_map`` splits the
-per-slice pass of ``fitness`` the same way and calls ``fn(k)`` per slice.
-``map_stacks`` runs every pass: every slice runs, then the lowest failing
-slice's error is raised.  Results land in per-slice slots and reduce in
-ascending slice order afterwards, so the outcome, errors included, is the
-same for any thread count.
+K being the stacks, runs or R x R blocks it splits.  That rule is
+``_workers``, and only the three planners call it.  ``equal_height_stacks``
+plans ``compress`` and ``fit_baseline`` over the whole tensor: it cuts
+each run of equal height in ``height_order``, the layout of every tensor's
+buffer, into stacks, each one view and one batched call, and
+``greedy_partition`` balances their row loads over the workers.
+``contiguous_runs`` plans ``update_rotations``, ``load_archive`` and
+``generate``: one contiguous run of slices per worker.
+``parallel_slice_map`` splits ``fitness`` the same way and calls ``fn(k)``
+per slice.  ``map_stacks`` runs every pass, calling ``fn(ks)`` per stack:
+every slice runs, then the lowest failing slice's error is raised.
+Results land in per-stack slots and reduce in slice order afterwards, so
+the outcome, errors included, is the same for any thread count.
 
 A pass runs its first group on the calling thread and hands each other
 group to an idle worker, a daemon thread kept between passes; only when
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import itertools
 import os
 import queue
 import threading
@@ -75,8 +77,8 @@ def greedy_partition(row_counts, workers):
 
 
 # Stacks hold at most this many floats: enough slices to amortize NumPy's
-# per-call overhead on small slices, few enough that copying them into the
-# stack stays cheap.  A larger slice is a stack of one, a view.
+# per-call overhead on small slices, few enough that many small slices still
+# make stacks for every worker and each call's temporaries stay small.
 _STACK_FLOATS = 1 << 18
 
 
@@ -86,27 +88,26 @@ def _workers(threads, count):
     return max(1, min(resolve_threads(threads), count))
 
 
-def equal_height_stacks(row_counts, cols, threads=None):
-    """The plan of a stacked pass: the slices split over the workers by
-    ``greedy_partition``, and each worker's slices grouped by row count.
+def height_order(row_counts):
+    """The slices in layout order, by (row count, index): the order of every
+    tensor's buffer, so each run of equal height in it is contiguous."""
+    return sorted(range(len(row_counts)), key=row_counts.__getitem__)
 
-    Returns the stacks (lists of slice indices, ascending within a stack)
-    and the groups, each a worker's stack indices.  A stack holds at most
-    ``_STACK_FLOATS`` floats of slices ``cols`` wide, and at least one.
-    """
-    stacks, groups = [], []
-    for owned in greedy_partition(row_counts, _workers(threads, len(row_counts))).sets:
-        by_rows = {}
-        for k in owned:
-            by_rows.setdefault(row_counts[k], []).append(k)
-        mine = []
-        for rows, ks in by_rows.items():
-            size = max(1, _STACK_FLOATS // (rows * cols))
-            for start in range(0, len(ks), size):
-                mine.append(len(stacks))
-                stacks.append(ks[start : start + size])
-        groups.append(mine)
-    return stacks, groups
+
+def equal_height_stacks(row_counts, cols, threads=None):
+    """The plan of a stacked pass: each run of equal height in
+    ``height_order`` cut into stacks of at most ``_STACK_FLOATS`` floats of
+    slices ``cols`` wide (and at least one slice), each one view of the
+    tensor; then the stacks split over the workers by ``greedy_partition``
+    on their row loads.  Returns the stacks and the groups, each a
+    worker's stack indices."""
+    stacks = []
+    for rows, run in itertools.groupby(height_order(row_counts), key=row_counts.__getitem__):
+        run = list(run)
+        size = max(1, _STACK_FLOATS // (rows * cols))
+        stacks += [run[start : start + size] for start in range(0, len(run), size)]
+    loads = [len(ks) * row_counts[ks[0]] for ks in stacks]
+    return stacks, greedy_partition(loads, _workers(threads, len(stacks))).sets
 
 
 def contiguous_runs(n, threads=None):
@@ -155,23 +156,23 @@ def parallel_slice_map(fn, num_slices, threads=None, groups=None):
     """
     if groups is None:
         groups = contiguous_chunks(num_slices, _workers(threads, num_slices))
-    return map_stacks(lambda _, ks: fn(ks[0]), None, [[k] for k in range(num_slices)], groups)
+    return map_stacks(lambda ks: fn(ks[0]), [[k] for k in range(num_slices)], groups)
 
 
-def map_stacks(fn, slices, stacks, groups):
-    """``fn(x, ks)`` for every stack ``ks`` of ``stacks``, in stack order;
+def map_stacks(fn, stacks, groups):
+    """``fn(ks)`` for every stack ``ks`` of ``stacks``, in stack order;
     worker i runs the stacks ``groups[i]``, the first non-empty group on the
     calling thread and each other one on a worker thread of its own, an
-    idle one if there is one (see the module docstring).
+    idle one if there is one (see the module docstring).  ``fn`` finds
+    the stack's data itself, e.g. as ``IrregularTensor.stack(ks)``.
 
-    ``x`` holds the stack's slices: None if ``slices`` is, a view for a
-    stack of one, else their ``np.stack``.  A :class:`NumericFailure` at
-    position i of ``x`` names slice ``ks[i]``; one with no position names
-    the stack by its size and lowest and highest slice (a stack of one, its
-    slice) and counts as its lowest slice, as any other error does.  Every stack runs and every
-    group finishes, then an interrupt or exit (not an ``Exception``; it
-    also ends its group) is raised, else the lowest slice's failure.  When
-    this returns, no worker holds ``fn``, ``slices`` or a result.
+    A :class:`NumericFailure` at position i names slice ``ks[i]``; one with
+    no position names the stack by its size and lowest and highest slice (a
+    stack of one, its slice) and counts as its lowest slice, as any other
+    error does.  Every stack runs and every group finishes, then an
+    interrupt or exit (not an ``Exception``; it also ends its group) is
+    raised, else the lowest slice's failure.  When this returns, no worker
+    holds ``fn`` or a result.
     """
     results = [None] * len(stacks)
     failures = {}  # slice -> error; the stacks are disjoint, so the workers need no lock
@@ -180,13 +181,7 @@ def map_stacks(fn, slices, stacks, groups):
         for i in group:
             ks = stacks[i]
             try:
-                if slices is None:
-                    x = None
-                elif len(ks) == 1:
-                    x = slices[ks[0]][None]
-                else:
-                    x = np.stack([slices[k] for k in ks])
-                results[i] = fn(x, ks)
+                results[i] = fn(ks)
             except NumericFailure as exc:
                 k = ks[exc.slice_index or 0] if len(ks) > 1 else ks[0]
                 if exc.slice_index is None and len(ks) > 1:

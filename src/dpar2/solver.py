@@ -75,13 +75,13 @@ def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
     core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)  # E D^T V, shared by all slices
     cores = comp.core_stack()
 
-    def solve(_, ks):
+    def solve(ks):
         run = slice(ks[0], ks[-1] + 1)
         zc, sig, pt = procrustes_svd(cores[run], core_cols, h, w[run])
         z, p = fix_signs(zc, np.ascontiguousarray(pt.transpose(0, 2, 1)))
         return z, p, sig, (p @ z.transpose(0, 2, 1)) @ cores[run]
 
-    parts = map_stacks(solve, None, *contiguous_runs(comp.num_slices, threads))
+    parts = map_stacks(solve, *contiguous_runs(comp.num_slices, threads))
     return RotationStack(*(np.concatenate(piece) for piece in zip(*parts)))
 
 

@@ -10,10 +10,11 @@ binary archive format ("IRT1") is little-endian and bit-exact:
 worker threads.  A directory of ``slice_*.csv`` files is accepted as a
 human-editable alternative.
 
-Every tensor keeps the ||X_k||_F^2 of its slices.  Each is computed once,
-where the slice is checked for NaN and inf: on the worker that read or drew
-it, or in the constructor.  Fitness, the ALS objective and ``total_sq_norm`` read
-these instead of passing over X again.
+Every tensor is laid out by :func:`_built`: its slices are views of one
+buffer in (row count, index) order, so no stacked pass copies a stack.
+Each ||X_k||_F^2 is computed once, where the slice is checked for NaN and
+inf, and kept; fitness, the ALS objective and ``total_sq_norm`` read these
+instead of passing over X again.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import _MASK64
-from .scheduler import contiguous_runs, map_stacks
+from .scheduler import contiguous_runs, height_order, map_stacks
 
 _MAGIC = b"IRT1"
 _IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one preadv call may take
@@ -46,39 +47,35 @@ MODE_PLANTED = "planted_parafac2"
 class IrregularTensor:
     """K dense slices (I_k x J) sharing the column count J.
 
-    Slices are converted to contiguous float64 and marked read-only, so a
-    tensor can be shared across worker threads safely.  ``sq_norms`` keeps
-    every ||X_k||_F^2, computed once as the slice is checked, so fitness
-    and ALS never pass over X again to find them.
+    The constructor checks every slice's shape, then copies the slices as
+    float64 through :func:`_built`, keeping and changing none of its input.
+    The slices are read-only views of the tensor's buffer, so a tensor can
+    be shared across worker threads.  ``sq_norms`` keeps every ||X_k||_F^2.
     """
 
     slices: list
     sq_norms: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.slices) < 1:
+        arrays = [np.asarray(x, dtype=np.float64) for x in self.slices]
+        if not arrays:
             raise ShapeMismatchError("tensor needs at least one slice")
-        cols = None
-        frozen = []
-        norms = []
-        for k, x in enumerate(self.slices):
-            arr = np.ascontiguousarray(x, dtype=np.float64)
+        for k, arr in enumerate(arrays):
             if arr.ndim != 2:
                 raise ShapeMismatchError(f"slice {k} must be 2-D, got ndim={arr.ndim}")
             if arr.shape[0] < 1 or arr.shape[1] < 1:
                 raise ShapeMismatchError(f"slice {k} has empty shape {arr.shape}")
-            if cols is None:
-                cols = arr.shape[1]
-            elif arr.shape[1] != cols:
-                raise ShapeMismatchError(
-                    f"inconsistent column counts: slice 0 has {cols}, slice {k} has {arr.shape[1]}"
-                )
-            with np.errstate(over="ignore"):  # overflow is told apart in the check
-                norms.append(_checked_sq_norm(arr, k))
-            arr.setflags(write=False)
-            frozen.append(arr)
-        self.slices = frozen
-        self.sq_norms = norms
+            if arr.shape[1] != arrays[0].shape[1]:
+                raise ShapeMismatchError(f"inconsistent column counts: slice 0 has "
+                                         f"{arrays[0].shape[1]}, slice {k} has {arr.shape[1]}")
+
+        def copy(tensor, ks):
+            for k in ks:
+                tensor.slices[k][...] = arrays[k]
+
+        built = _built([x.shape[0] for x in arrays], arrays[0].shape[1], copy,
+                       contiguous_runs(len(arrays), 1))
+        vars(self).update(vars(built))  # its slices, norms and layout
 
     @property
     def num_slices(self):
@@ -94,6 +91,17 @@ class IrregularTensor:
 
     def total_sq_norm(self):
         return float(sum(self.sq_norms))
+
+    def stack(self, ks):
+        """Slices ``ks`` as one (len(ks), I, J) view: they must be one run of
+        equal height in the layout, as every stack of ``equal_height_stacks``
+        is.  Anything else raises ``ValueError``; a stack is never copied."""
+        rows, cols = self.slices[ks[0]].shape
+        start, end = self._starts[ks[0]], self._starts[ks[0]] + len(ks) * rows * cols
+        if (self.slices[ks[-1]].shape[0] != rows
+                or [self._starts[k] for k in ks] != list(range(start, end, rows * cols))):
+            raise ValueError(f"slices {ks} are not one run of equal height in the layout")
+        return self._buffer[start:end].reshape(len(ks), rows, cols)
 
 
 def check_rank(tensor: IrregularTensor, rank):
@@ -125,27 +133,32 @@ def _checked_sq_norm(x, k):
 def _built(row_counts, cols, fill, plan):
     """The tensor of slices ``row_counts[k]`` x ``cols``, filled on the workers.
 
-    The slices are aligned views of one little-endian float64 buffer.
-    Each worker of ``plan`` (``scheduler.contiguous_runs``) calls
-    ``fill(run, ks)``, ``run`` being the flat part of the buffer that holds
-    its slices ``ks``, then takes each slice's ||X_k||^2, its finiteness
-    check, under one ``np.errstate``.  NaN or inf raises naming the lowest
-    such slice.  Unlike the constructor, it copies nothing; the buffer is
-    frozen once every run is filled.
+    The slices are views of one little-endian float64 buffer placed in
+    ``scheduler.height_order``, so every stack of ``equal_height_stacks``
+    is one view (:meth:`IrregularTensor.stack`).  Each worker of ``plan``
+    (``scheduler.contiguous_runs``) calls ``fill(tensor, ks)`` to write its
+    slices ``ks`` through ``tensor.slices`` or ``tensor.stack``, then takes
+    each slice's ||X_k||^2, its finiteness check, under one ``np.errstate``.
+    NaN or inf raises naming the lowest such slice.  The buffer and slices
+    are frozen once every run is filled.
     """
-    flat = np.empty(sum(row_counts) * cols, dtype="<f8")
-    bounds = np.cumsum([0] + row_counts) * cols
-
-    def build(_, ks):
-        fill(flat[bounds[ks[0]] : bounds[ks[-1] + 1]], ks)
-        with np.errstate(over="ignore"):  # overflow is told apart in the check
-            return [_checked_sq_norm(flat[bounds[k] : bounds[k + 1]], k) for k in ks]
-
-    parts = map_stacks(build, None, *plan)
-    flat.setflags(write=False)
+    starts, start = [0] * len(row_counts), 0
+    for k in height_order(row_counts):
+        starts[k], start = start, start + row_counts[k] * cols
+    buffer = np.empty(sum(row_counts) * cols, dtype="<f8")
     tensor = IrregularTensor.__new__(IrregularTensor)
-    tensor.slices = [flat[a:b].reshape(rows, cols)
-                     for a, b, rows in zip(bounds, bounds[1:], row_counts)]
+    tensor._buffer, tensor._starts = buffer, starts
+    tensor.slices = [buffer[a : a + rows * cols].reshape(rows, cols)
+                     for a, rows in zip(starts, row_counts)]
+
+    def build(ks):
+        fill(tensor, ks)
+        with np.errstate(over="ignore"):  # overflow is told apart in the check
+            return [_checked_sq_norm(tensor.slices[k], k) for k in ks]
+
+    parts = map_stacks(build, *plan)
+    for x in [buffer, *tensor.slices]:
+        x.setflags(write=False)
     tensor.sq_norms = [sq for part in parts for sq in part]
     return tensor
 
@@ -194,9 +207,10 @@ def generate(spec: SyntheticSpec, threads=None):
     and is drawn in a fixed order, so equal specs give bit-equal tensors.
     Uniform mode draws its slices on the workers of ``threads`` (see
     ``scheduler``), with the same bytes at any thread count (see
-    :func:`_uniform_fill`).  Planted mode draws serially: its normals come
-    from a ziggurat that takes a variable number of draws, so where a slice
-    starts in the stream is known only once the slices before it are drawn.
+    :func:`_uniform_fill`).  Planted mode draws serially, each slice
+    straight into its place in the tensor's buffer: its normals come from a
+    ziggurat that takes a variable number of draws, so where a slice starts
+    in the stream is known only once the slices before it are drawn.
     Both modes reject a bad ``threads`` and a ``noise_level`` that is not
     finite and >= 0; uniform mode also rejects a nonzero one.
     """
@@ -226,19 +240,19 @@ def generate(spec: SyntheticSpec, threads=None):
     # for alternating solvers: without the separation, cold-started ALS can
     # stall in a swamp for hundreds of iterations even on noiseless data.
     component_scale = 3.0 ** np.arange(r)
-    slices = []
-    for rows_k in rows:
-        q_k = _random_orthonormal(rng, rows_k, r)
-        s_k = rng.uniform(0.9, 1.1, r) * component_scale * rng.choice([-1.0, 1.0], r)
-        signal = (q_k @ (core * s_k)) @ v.T
-        noise = rng.standard_normal(signal.shape)
-        if spec.noise_level > 0.0:
-            denom = np.linalg.norm(noise)
-            scale = spec.noise_level * np.linalg.norm(signal) / denom if denom > 0 else 0.0
-            slices.append(signal + scale * noise)
-        else:
-            slices.append(signal)
-    return IrregularTensor(slices)
+
+    def fill(tensor, ks):
+        for k in ks:
+            x = tensor.slices[k]
+            q_k = _random_orthonormal(rng, rows[k], r)
+            s_k = rng.uniform(0.9, 1.1, r) * component_scale * rng.choice([-1.0, 1.0], r)
+            np.matmul(q_k @ (core * s_k), v.T, out=x)
+            noise = rng.standard_normal(x.shape)
+            if spec.noise_level > 0.0:
+                denom = np.linalg.norm(noise)
+                x += (spec.noise_level * np.linalg.norm(x) / denom if denom > 0 else 0.0) * noise
+
+    return _built(rows, spec.cols, fill, contiguous_runs(spec.num_slices, 1))
 
 
 def _uniform_fill(seed, slice_floats):
@@ -248,13 +262,14 @@ def _uniform_fill(seed, slice_floats):
     slice k starts k * ``slice_floats`` draws into the stream.  Each worker
     fills its run with one call to a PCG64 of its own, advanced once to the
     run's first slice, so every slice gets the bits one serial stream gives
-    it.  One call per run, not per slice, keeps many tiny slices from
+    it.  All slices share one height, so a run is one view of the buffer,
+    and one call per run, not per slice, keeps many tiny slices from
     handing the GIL back and forth.
     """
-    def fill(run, ks):
+    def fill(tensor, ks):
         bitgen = np.random.PCG64(seed & _MASK64)
         bitgen.advance(ks[0] * slice_floats)
-        np.random.Generator(bitgen).random(out=run)
+        np.random.Generator(bitgen).random(out=tensor.stack(ks))
 
     return fill
 
@@ -297,9 +312,10 @@ def load_archive(path, threads=None):
     slice is allocated.  The tensor is then made by :func:`_built`: each
     worker reads one contiguous run of the slices, so one run of the file,
     with scatter ``os.preadv`` calls of at most ``SC_IOV_MAX`` buffers.
-    The payloads go straight into their slices and each row-count header
-    after the first into a 4-byte scratch buffer.  A short read resumes at
-    the exact byte it reached.  The payload is copied once, peak memory is
+    The payloads go straight into their slices' places in the tensor's
+    height-ordered buffer, and each row-count header after the first into
+    a 4-byte scratch buffer.  A short read resumes at the exact byte it
+    reached.  The payload is copied once, peak memory is
     the tensor's size, and ``preadv`` releases the GIL, so the page faults
     of filling the buffer are shared by the workers.  Once its run is read,
     the worker takes each slice's ||X_k||^2, which is also the slice's
@@ -336,25 +352,20 @@ def load_archive(path, threads=None):
         if off != size:
             raise ArchiveFormatError(f"{path}: {size - off} trailing bytes after last slice")
 
-        def read(run, ks):
+        def read(tensor, ks):
             # The run's file bytes as (buffer, slice, is payload) pieces in
-            # file order: a header lands in scratch, a payload in its slice.
+            # file order: a header after the first lands in scratch, a
+            # payload in its slice.
             scratch = memoryview(bytearray(4))
-            payloads = memoryview(run).cast("B")
-            pieces, start = [], 0
-            for k in ks:
-                if k != ks[0]:
-                    pieces.append((scratch, k, False))
-                end = start + row_counts[k] * cols * 8
-                pieces.append((payloads[start:end], k, True))
-                start = end
+            pieces = [piece for k in ks for piece in (
+                (scratch, k, False), (memoryview(tensor.slices[k]).cast("B"), k, True))][1:]
             pos, i = offsets[ks[0]], 0
             while i < len(pieces):
                 got = os.preadv(fd, [buf for buf, _, _ in pieces[i : i + _IOV_MAX]], pos)
                 if got == 0:
                     _, k, payload = pieces[i]
-                    where = f"payload in slice {k}" if payload else f"at slice {k} header"
-                    raise ArchiveFormatError(f"{path}: truncated {where}")
+                    raise ArchiveFormatError(f"{path}: truncated " + (
+                        f"payload in slice {k}" if payload else f"at slice {k} header"))
                 pos += got
                 while got:
                     buf, k, payload = pieces[i]

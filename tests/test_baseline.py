@@ -307,8 +307,8 @@ def per_slice_als(tensor, rank, iters):
 
 class TestStackedProcrustes:
     # At 2000 columns a stack holds four 30-row slices, so the five 30-row
-    # slices need two stacks at threads=1; the 70-row slice is a stack of
-    # one, and the 7-row slices share one.
+    # slices need two stacks at any thread count; the 70-row slice is a
+    # stack of one, and the 7-row slices share one.
     ROWS = [30, 7, 70, 30, 30, 12, 7, 30, 30]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -329,9 +329,9 @@ class TestStackedProcrustes:
         for got, want in ((factors.H, h), (factors.V, v), (factors.W, w), *zip(factors.Q, q)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    # Rows 9, 6, 9, 6, 6, 9: at threads=1 the stacks are [0, 2, 5] and
-    # [1, 3, 4]; at threads=2 they are [0, 5], [4], [2] and [1, 3].  Either
-    # way slice 5 sits in a stack that comes before slice 3's.
+    # Rows 9, 6, 9, 6, 6, 9: at any thread count the stacks are [1, 3, 4]
+    # and [0, 2, 5], in that order, so slice 4 sits in a stack that comes
+    # before slice 2's.
     HEIGHTS = [9, 6, 9, 6, 6, 9]
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -339,19 +339,19 @@ class TestStackedProcrustes:
         rng = np.random.Generator(np.random.PCG64(31))
         t = IrregularTensor([rng.standard_normal((r, 5)) for r in self.HEIGHTS])
         h, v, w = initial_factors(5, 6, 2)
-        w[5, 0], w[3, 1] = np.nan, np.nan
+        w[4, 0], w[2, 1] = np.nan, np.nan
         monkeypatch.setattr(baseline_module, "initial_factors", lambda *args: (h, v, w))
-        with pytest.raises(NumericFailure, match=r"rotation target is not finite \(slice 3\)") as err:
+        with pytest.raises(NumericFailure, match=r"rotation target is not finite \(slice 2\)") as err:
             fit_baseline(t, 2, SolverOptions(threads=threads))
-        assert err.value.slice_index == 3
+        assert err.value.slice_index == 2
 
     @pytest.mark.parametrize("threads, named", [
         (1, r"in the stack of 3 slices \(lowest 1, highest 4\)"),
-        (2, r"in the stack of 2 slices \(lowest 1, highest 3\)"),
-        (3, r"\(slice 1\)"),
+        (2, r"in the stack of 3 slices \(lowest 1, highest 4\)"),
+        (3, r"in the stack of 3 slices \(lowest 1, highest 4\)"),
     ])
     def test_failed_svd_names_the_stack(self, threads, named, monkeypatch):
-        # Only the 6-row targets fail; at threads=3 each is a stack of one.
+        # Only the 6-row targets fail; they are one stack at any thread count.
         rng = np.random.Generator(np.random.PCG64(32))
         t = IrregularTensor([rng.standard_normal((r, 5)) for r in self.HEIGHTS])
         svd = np.linalg.svd

@@ -11,7 +11,7 @@ import pytest
 
 from dpar2 import cli
 from dpar2.analysis import knn
-from dpar2.errors import NumericFailure, ShapeMismatchError
+from dpar2.errors import ArchiveFormatError, NumericFailure, ShapeMismatchError
 from dpar2.factors import load_factors
 from dpar2.tensor import (
     MODE_PLANTED,
@@ -514,11 +514,18 @@ class TestAnalyze:
         assert cli.main(["analyze", str(factors), "--target", "0",
                          "--out-dir", str(tmp_path / "a")]) == 3
         assert "missing U_0002.csv" in capsys.readouterr().err
-        del manifest["num_slices"]
-        (factors / "manifest.json").write_text(json.dumps(manifest))
-        assert cli.main(["analyze", str(factors), "--target", "0",
-                         "--out-dir", str(tmp_path / "b")]) == 3
-        assert "num_slices" in capsys.readouterr().err
+        # Missing, or JSON true, which reads as the count 1 in Python.
+        for count in (None, True):
+            if count is None:
+                del manifest["num_slices"]
+            else:
+                manifest["num_slices"] = count
+            (factors / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(ArchiveFormatError, match="no positive integer num_slices"):
+                load_factors(factors)
+            assert cli.main(["analyze", str(factors), "--target", "0",
+                             "--out-dir", str(tmp_path / f"b{count}")]) == 3
+            assert "num_slices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, value", [("U_0001.csv", "nan"), ("V.csv", "inf")])
     def test_non_finite_factor_file_exits_3_with_no_output(self, tmp_path, capsys, name,

@@ -1,15 +1,25 @@
 """Two-stage compression: accuracy, size accounting, determinism."""
+import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpar2 import scheduler
+from dpar2 import baseline, scheduler
+from dpar2.baseline import fit_baseline, procrustes_svd
 from dpar2.compress import compress, reconstruct_slice
 from dpar2.errors import NumericFailure, RankTooLargeError
+from dpar2.factors import SolverOptions
 from dpar2.linalg import RsvdParams, derived_seed, randomized_svd
 from dpar2.scheduler import PartitionPlan, greedy_partition
-from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
+from dpar2.tensor import (
+    MODE_PLANTED,
+    IrregularTensor,
+    SyntheticSpec,
+    generate,
+    load_archive,
+    save_archive,
+)
 
 
 def planted(seed=0, rows=24, cols=12, k=6, rank=3, noise=0.0):
@@ -97,7 +107,7 @@ class TestDeterminism:
         t = planted(seed=8, rows=20, cols=10, k=7, rank=3, noise=0.1)
         ref = compress(t, 3, threads=1)
         variants = [compress(t, 3, threads=n) for n in (2, 4, 7)]
-        # The plan follows from the thread count; a shuffled one (slices
+        # The plan follows from the thread count; a shuffled one (stacks
         # dealt in reverse over three sets) must not change the bits either.
         def shuffled(rows, workers):
             order = list(range(len(rows)))[::-1]
@@ -117,7 +127,7 @@ class TestDeterminism:
     def test_stacks_match_per_slice_sketches(self, threads, plan_workers, monkeypatch):
         # Repeated and mixed row counts; at 4000 columns the 30-row slices
         # split into several stacks and the 70-row slice alone exceeds a
-        # stack's size.  With plan_workers set, the slices are split over
+        # stack's size.  With plan_workers set, the stacks are split over
         # that many sets whatever the thread count.
         rows = [30, 7, 70, 30, 30, 12, 7, 30]
         rng = np.random.Generator(np.random.PCG64(15))
@@ -234,3 +244,49 @@ class TestErrorsAndEdges:
         for k in range(4):
             assert np.shares_memory(comp.core_block(k), comp.cores)
             assert np.allclose(stack[k], comp.core_block(k))
+
+
+def stack_sources(tmp_path, source):
+    """A tensor of several stacks made by ``source``, one of every builder."""
+    if source == "uniform":
+        return generate(SyntheticSpec(rows=6, cols=5, num_slices=7, seed=3), threads=2)
+    if source == "planted":
+        return generate(SyntheticSpec(rows=12, cols=5, num_slices=9, mode=MODE_PLANTED,
+                                      true_rank=2, noise_level=0.1, seed=3))
+    rng = np.random.Generator(np.random.PCG64(40))
+    made = IrregularTensor([rng.standard_normal((r, 5)) for r in (9, 6, 9, 6, 6, 9, 12)])
+    if source == "constructor":
+        return made
+    save_archive(made, tmp_path / "t.irt")
+    return load_archive(tmp_path / "t.irt", threads=2)
+
+
+class TestStacksAreViews:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("source", ["constructor", "load_archive", "uniform", "planted"])
+    def test_kernels_get_views_of_the_tensor(self, tmp_path, monkeypatch, source, threads):
+        # Every stack handed to the stage-1 sketch and to ALS's Procrustes
+        # kernel is the tensor's own memory, with the bytes of np.stack.
+        t = stack_sources(tmp_path, source)
+        handed = []
+
+        def spy(real):
+            def record(x, *args, **kwargs):
+                handed.append(x)
+                return real(x, *args, **kwargs)
+            return record
+
+        # dpar2.compress is the function, so the module is looked up by name.
+        monkeypatch.setattr(importlib.import_module("dpar2.compress"), "randomized_svd",
+                            spy(randomized_svd))
+        monkeypatch.setattr(baseline, "procrustes_svd", spy(procrustes_svd))
+        compress(t, 2, threads=threads)
+        fit_baseline(t, 2, SolverOptions(max_iters=2, tol=0.0, threads=threads))
+        stacks = [x for x in handed if x.ndim == 3]
+        assert len(handed) - len(stacks) == 1  # stage 2's J x KR matrix
+        covered = []
+        for x in stacks:
+            ks = [k for k, s in enumerate(t.slices) if np.shares_memory(x, s)]
+            assert ks and x.tobytes() == np.stack([t.slices[k] for k in ks]).tobytes()
+            covered += ks
+        assert sorted(covered) == sorted(list(range(t.num_slices)) * 3)  # 1 sketch, 2 ALS passes

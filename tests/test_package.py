@@ -82,9 +82,9 @@ def test_one_thread_runner():
 
 
 def test_only_the_builder_skips_the_constructor():
-    # The constructor converts, checks and freezes every slice.  A tensor
-    # made without it is made by tensor._built, which checks and freezes
-    # what its workers fill, so no second unchecked way in can come back.
+    # Every tensor is laid out by tensor._built, which checks and freezes
+    # what its workers fill; the constructor checks shapes and copies
+    # through it.  So no second unchecked way in can come back.
     calls = []
     for name, tree in parsed_sources():
         owner = top_level_owners(tree)
@@ -107,7 +107,7 @@ def test_stacked_passes_plan_through_one_call():
              and (name, ident) != ("cli.py", "resolve_threads")]
     assert found == []
     assert list(inspect.signature(dpar2.scheduler.map_stacks).parameters) == [
-        "fn", "slices", "stacks", "groups"]
+        "fn", "stacks", "groups"]
 
 
 def test_sketches_draw_from_no_generator():

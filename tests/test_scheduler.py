@@ -23,6 +23,7 @@ from dpar2.scheduler import (
     contiguous_chunks,
     equal_height_stacks,
     greedy_partition,
+    height_order,
     map_stacks,
     openblas_function,
     parallel_slice_map,
@@ -92,21 +93,27 @@ class TestEqualHeightStacks:
         cols=st.sampled_from([3, 2000, 5000]),
         workers=st.integers(1, 4),
     )
-    def test_each_worker_stacks_its_own_slices_by_height(self, counts, cols, workers):
-        plan = greedy_partition(counts, workers)
+    def test_stacks_are_balanced_runs_of_the_layout(self, counts, cols, workers):
         stacks, groups = equal_height_stacks(counts, cols, workers)
-        assert sorted(i for g in groups for i in g) == list(range(len(stacks)))
-        for owned, mine in zip(plan.sets, groups):
-            assert sorted(k for i in mine for k in stacks[i]) == sorted(owned)
+        assert sorted(k for ks in stacks for k in ks) == list(range(len(counts)))
+        order = height_order(counts)
+        assert order == sorted(range(len(counts)), key=lambda k: (counts[k], k))
         for ks in stacks:
-            assert ks == sorted(ks) and len({counts[k] for k in ks}) == 1
+            assert len({counts[k] for k in ks}) == 1
             assert len(ks) == 1 or len(ks) * counts[ks[0]] * cols <= _STACK_FLOATS
+            start = order.index(ks[0])
+            assert order[start : start + len(ks)] == ks  # one view of the layout
+        assert sorted(i for g in groups for i in g) == list(range(len(stacks)))
+        assert len(groups) == min(workers, len(stacks)) and all(groups)
+        loads = [sum(len(stacks[i]) * counts[stacks[i][0]] for i in g) for g in groups]
+        assert max(loads) - min(loads) <= max(len(ks) * counts[ks[0]] for ks in stacks)
 
     def test_plans_no_worker_past_the_last_slice(self):
-        # Planning 300 000 workers for 3 slices cost O(K * threads).
+        # Planning 300 000 workers for 3 slices cost O(K * threads).  The
+        # three equal slices are one stack, so one worker runs it.
         stacks, groups = equal_height_stacks([5, 5, 5], 3, threads=300_000)
-        assert groups == [[0], [1], [2]]
-        assert stacks == [[0], [1], [2]]
+        assert stacks == [[0, 1, 2]]
+        assert groups == [[0]]
 
 
 class TestContiguousChunks:
@@ -198,24 +205,16 @@ class TestMapStacks:
     def test_results_come_back_in_stack_order(self, threads):
         # One worker per group; a single group runs inline.
         groups = {1: [[3, 1, 0, 2]], 2: [[3, 1], [0, 2]], 3: [[3, 1], [0], [2]]}[threads]
-        slices = np.arange(5 * 2 * 3, dtype=float).reshape(5, 2, 3)
         stacks = [[1, 2, 3], [0, 4], [4], [0]]
-        got = map_stacks(lambda x, ks: (x, ks), slices, stacks, groups)
-        assert [ks for _, ks in got] == stacks
-        for x, ks in got:
-            assert x.tobytes() == slices[ks].tobytes()
-        # A stack of one is a view; a longer stack is a copy, even of a
-        # contiguous run of an array.
-        assert [np.shares_memory(x, slices) for x, _ in got] == [False, False, True, True]
+        got = map_stacks(lambda ks: ks, stacks, groups)
+        assert got == stacks
 
     @settings(max_examples=50, deadline=None)
     @given(counts=st.lists(st.sampled_from([3, 4, 5]), min_size=1, max_size=40),
            data=st.data())
     def test_raises_the_lowest_failing_slice(self, counts, data):
         bad = data.draw(st.sets(st.integers(0, len(counts) - 1), min_size=1))
-        slices = [np.zeros((rows, 2)) for rows in counts]
-
-        def fail(x, ks):
+        def fail(ks):
             named = [i for i, k in enumerate(ks) if k in bad]
             if named:
                 raise NumericFailure("bad slice", slice_index=named[0])
@@ -223,47 +222,45 @@ class TestMapStacks:
         for threads in (1, 2, 3):
             stacks, groups = equal_height_stacks(counts, 2, threads)
             with pytest.raises(NumericFailure) as err:
-                map_stacks(fail, slices, stacks, groups)
+                map_stacks(fail, stacks, groups)
             assert err.value.slice_index == min(bad)
             assert str(err.value) == f"bad slice (slice {min(bad)})"
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_unnamed_failure_names_its_stack(self, threads):
         # The unnamed failure counts as slice 3, below the named slice 4.
-        def fail(x, ks):
+        def fail(ks):
             if 3 in ks:
                 raise NumericFailure("no convergence")
             if 4 in ks:
                 raise NumericFailure("bad slice", slice_index=ks.index(4))
 
-        slices = [np.zeros((2, 2))] * 6
         stacks = [[0, 1], [2, 4], [3, 5]]
         groups = [[0, 1, 2]] if threads == 1 else [[0, 1], [2]]
         named = r"^no convergence in the stack of 2 slices \(lowest 3, highest 5\)$"
         with pytest.raises(NumericFailure, match=named) as err:
-            map_stacks(fail, slices, stacks, groups)
+            map_stacks(fail, stacks, groups)
         assert err.value.slice_index is None
 
     def test_unnamed_failure_of_a_large_stack_stays_short(self):
         # Two stacks of 1001 and 1000 (5, 5) cores; the message names the
         # failing one by its size and its lowest and highest slice.
-        def fail(x, ks):
+        def fail(ks):
             if len(ks) == 1000:
                 raise NumericFailure("rotation SVD did not converge")
 
-        cores = np.zeros((2001, 5, 5))
         stacks = [list(range(1001)), list(range(1001, 2001))]
         with pytest.raises(NumericFailure) as err:
-            map_stacks(fail, cores, stacks, [[0], [1]])
+            map_stacks(fail, stacks, [[0], [1]])
         assert str(err.value) == ("rotation SVD did not converge in the stack of 1000 slices "
                                   "(lowest 1001, highest 2000)")
 
     def test_unnamed_failure_of_a_stack_of_one_names_its_slice(self):
-        def fail(x, ks):
+        def fail(ks):
             raise NumericFailure("no convergence")
 
         with pytest.raises(NumericFailure, match=r"^no convergence \(slice 4\)$") as err:
-            map_stacks(fail, [np.zeros((2, 2))] * 6, [[4], [5]], [[1, 0]])
+            map_stacks(fail, [[4], [5]], [[1, 0]])
         assert err.value.slice_index == 4
 
 
@@ -278,7 +275,7 @@ class TestOneRunner:
             raise ValueError("bad slice 1")
 
         with pytest.raises(NumericFailure, match=r"^not finite \(slice 0\)$"):
-            map_stacks(lambda x, ks: fail(ks[0]), [np.zeros((1, 1))] * 2, [[0], [1]], groups)
+            map_stacks(lambda ks: fail(ks[0]), [[0], [1]], groups)
         with pytest.raises(NumericFailure, match=r"^not finite \(slice 0\)$"):
             parallel_slice_map(fail, 2, groups=groups)
 
@@ -287,27 +284,27 @@ class TestOneRunner:
         slices = np.arange(6 * 2 * 2, dtype=float).reshape(6, 2, 2)
         stacks = [[0, 1], [2], [3, 4], [5]]
 
-        def total(x, ks):
+        def total(ks):
             ran.add(threading.get_ident())
-            return x.sum(axis=(1, 2)).tolist()
+            return slices[ks].sum(axis=(1, 2)).tolist()
 
-        def fail(x, ks):
+        def fail(ks):
             ran.add(threading.get_ident())
             if 3 in ks:
                 raise NumericFailure("bad core", slice_index=ks.index(3))
             if 5 in ks:
                 raise ValueError("bad slice 5")
-            return total(x, ks)
+            return total(ks)
 
         outcomes = set()
         for groups, others in (([[0, 1, 2, 3]], 0), ([[0, 2], [1, 3]], 1),
                                ([[0], [1, 3], [], [2]], 2)):
             ran.clear()
-            got = map_stacks(total, slices, stacks, groups)
+            got = map_stacks(total, stacks, groups)
             assert threading.get_ident() in ran and len(ran) - 1 == others
             ran.clear()
             with pytest.raises(NumericFailure) as err:
-                map_stacks(fail, slices, stacks, groups)
+                map_stacks(fail, stacks, groups)
             assert threading.get_ident() in ran and len(ran) - 1 == others
             outcomes.add((repr(got), str(err.value), err.value.slice_index))
         assert outcomes == {(repr([[6.0, 22.0], [38.0], [54.0, 70.0], [86.0]]),
@@ -362,12 +359,12 @@ def record_stack_threads(monkeypatch):
     ran = set()
     real = map_stacks
 
-    def spy(fn, slices, stacks, groups):
-        def recorded(x, ks):
+    def spy(fn, stacks, groups):
+        def recorded(ks):
             ran.add(threading.get_ident())
-            return fn(x, ks)
+            return fn(ks)
 
-        return real(recorded, slices, stacks, groups)
+        return real(recorded, stacks, groups)
 
     for module in (dpar2.scheduler, dpar2.tensor):
         monkeypatch.setattr(module, "map_stacks", spy)
@@ -401,14 +398,14 @@ class TestWorkerPool:
     def test_next_pass_reuses_the_idle_workers(self):
         ran = []
 
-        def record(x, ks):
+        def record(ks):
             ran.append((ks[0], threading.get_ident()))
 
         groups = [[0], [1], [2]]
         idents = []
         for _ in range(3):
             ran.clear()
-            map_stacks(record, None, [[0], [1], [2]], groups)
+            map_stacks(record, [[0], [1], [2]], groups)
             idents.append({ident for k, ident in ran if k > 0})
         assert len(idents[0]) == 2 and threading.get_ident() not in idents[0]
         assert idents[1] == idents[0] and idents[2] == idents[0]
@@ -421,13 +418,14 @@ class TestWorkerPool:
         captured, slices = Payload(), np.zeros((2, 3))
         alive = [weakref.ref(captured), weakref.ref(slices)]
 
-        def fn(x, ks):
+        def fn(ks):
             result = Payload()
             result.owner = captured
+            result.data = slices[ks[0]].sum()
             alive.append(weakref.ref(result))
             return result
 
-        got = map_stacks(fn, slices, [[0], [1]], groups)
+        got = map_stacks(fn, [[0], [1]], groups)
         assert [r.owner for r in got] == [captured, captured]
         del fn, captured, slices, got
         gc.collect()
@@ -439,16 +437,16 @@ class TestWorkerPool:
         # that handed it a group would wait forever.
         slices = np.arange(4.0).reshape(4, 1, 1)
 
-        def total(x, ks):
-            return float(x.sum())
+        def total(ks):
+            return float(slices[ks].sum())
 
         stacks, groups = [[0, 1], [2, 3]], [[0], [1]]
-        assert map_stacks(total, slices, stacks, groups) == [1.0, 5.0]
+        assert map_stacks(total, stacks, groups) == [1.0, 5.0]
         pid = os.fork()
         if pid == 0:
             ok = False
             try:
-                ok = map_stacks(total, slices, stacks, groups) == [1.0, 5.0]
+                ok = map_stacks(total, stacks, groups) == [1.0, 5.0]
             finally:
                 os._exit(0 if ok else 1)
         deadline = time.monotonic() + 60
@@ -465,14 +463,14 @@ class TestWorkerPool:
         # inner groups must run at once to pass the barrier.
         barrier = threading.Barrier(4, timeout=30)
 
-        def inner(x, ks):
+        def inner(ks):
             barrier.wait()
             return ks[0]
 
-        def outer(x, ks):
-            return [ks[0], map_stacks(inner, None, [[0], [1]], [[0], [1]])]
+        def outer(ks):
+            return [ks[0], map_stacks(inner, [[0], [1]], [[0], [1]])]
 
-        got = finish_in_time(lambda: map_stacks(outer, None, [[0], [1]], [[0], [1]]))
+        got = finish_in_time(lambda: map_stacks(outer, [[0], [1]], [[0], [1]]))
         assert got == [[0, [0, 1]], [1, [0, 1]]]
 
     def test_two_passes_at_once_wait_on_no_busy_worker(self):
@@ -480,16 +478,16 @@ class TestWorkerPool:
         # must run at once to pass the barrier.
         barrier = threading.Barrier(6, timeout=30)
 
-        def work(x, ks):
+        def work(ks):
             barrier.wait()
-            return float(x.sum())
+            return float(slices[ks].sum())
 
         slices = np.arange(3.0).reshape(3, 1, 1)
 
         def two_passes():
             got = []
             passes = [threading.Thread(target=lambda: got.append(
-                map_stacks(work, slices, [[0], [1], [2]], [[0], [1], [2]]))) for _ in range(2)]
+                map_stacks(work, [[0], [1], [2]], [[0], [1], [2]]))) for _ in range(2)]
             for p in passes:
                 p.start()
             for p in passes:
@@ -510,7 +508,7 @@ class TestWorkerPool:
 
         def many():
             for _ in range(100):
-                got = map_stacks(lambda x, ks: float(x.sum()) * 2, slices, stacks, groups)
+                got = map_stacks(lambda ks: float(slices[ks].sum()) * 2, stacks, groups)
                 if got != [2.0 * k for k in range(12)]:
                     wrong.append(got)
 

@@ -471,7 +471,14 @@ class TestFitDpar2:
         with pytest.raises(ValueError):
             fit_dpar2(t, 1, SolverOptions(max_iters=0))
 
-    @pytest.mark.parametrize("bad", [{"max_iters": 0}, {"tol": -1.0}], ids=["max_iters", "tol"])
+    # A float max_iters compressed, then failed in iterate; True ran one
+    # iteration; a float seed failed in the sketch hash under DPar2 and was
+    # ignored by ALS, and a str seed overflowed.
+    @pytest.mark.parametrize("bad", [
+        {"max_iters": 0}, {"tol": -1.0}, {"max_iters": 2.5}, {"max_iters": True},
+        {"max_iters": "3"}, {"seed": 1.5}, {"seed": "3"}, {"seed": True}, {"seed": None},
+    ], ids=["max_iters", "tol", "max_iters-float", "max_iters-bool", "max_iters-str",
+            "seed-float", "seed-str", "seed-bool", "seed-none"])
     def test_bad_options_raise_before_compress(self, monkeypatch, bad):
         calls = []
         monkeypatch.setattr(dpar2.solver, "compress", lambda *args, **kw: calls.append(args))
@@ -479,6 +486,17 @@ class TestFitDpar2:
         with pytest.raises(ValueError):
             fit_dpar2(t, 1, SolverOptions(**bad))
         assert calls == []
+
+    @pytest.mark.parametrize("solver", [fit_dpar2, fit_baseline], ids=["dpar2", "als"])
+    def test_numpy_integer_counts_fit_like_python_ints(self, solver):
+        # An np.int64 seed overflowed in DPar2's seed hash; it is kept as an int.
+        t = generate(SyntheticSpec(rows=12, cols=6, num_slices=4, mode=MODE_PLANTED,
+                                   true_rank=2, seed=2))
+        opts = SolverOptions(max_iters=np.int64(3), seed=np.int64(7), tol=0.0)
+        assert type(opts.max_iters) is int and type(opts.seed) is int
+        _, got = solver(t, 2, opts)
+        _, want = solver(t, 2, SolverOptions(max_iters=3, seed=7, tol=0.0))
+        assert [x.hex() for x in got.objective] == [x.hex() for x in want.objective]
 
     def test_options_cannot_be_changed_after_their_check(self):
         opts = SolverOptions()

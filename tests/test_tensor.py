@@ -61,6 +61,32 @@ class TestContainer:
         with pytest.raises(ValueError):
             t.slices[0][0, 0] = 1.0
 
+    def test_every_shape_is_checked_before_any_value(self):
+        bad = np.ones((2, 3))
+        bad[0, 0] = np.nan
+        with pytest.raises(ShapeMismatchError, match="slice 1"):
+            IrregularTensor([bad, np.ones((2, 4))])
+
+    def test_input_is_copied_not_frozen(self):
+        a = np.arange(6.0).reshape(3, 2)
+        t = IrregularTensor([a])
+        before, norms = t.slices[0].tobytes(), list(t.sq_norms)
+        assert a.flags.writeable and not np.shares_memory(a, t.slices[0])
+        a[...] = -1.0
+        assert t.slices[0].tobytes() == before and t.sq_norms == norms == [55.0]
+
+    def test_stack_is_one_read_only_view_of_a_layout_run(self):
+        # Layout order (height, index): slices 0, 2, 3 (3 rows), then 1.
+        t = small_tensor(counts=(3, 5, 3, 3))
+        x = t.stack([0, 2, 3])
+        assert x.shape == (3, 3, 4) and not x.flags.writeable
+        assert all(np.shares_memory(x, t.slices[k]) for k in (0, 2, 3))
+        assert x.tobytes() == np.stack([t.slices[k] for k in (0, 2, 3)]).tobytes()
+        assert t.stack([1]).tobytes() == t.slices[1].tobytes()
+        for ks in ([0, 1], [0, 3], [2, 0], [0, 2, 1]):
+            with pytest.raises(ValueError, match="not one run"):
+                t.stack(ks)
+
 
 class TestArchive:
     def test_minimal_round_trip(self, tmp_path):
