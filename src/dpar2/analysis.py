@@ -8,13 +8,14 @@ between the rows of V for inspecting feature structure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baseline import reconstruction_terms
 from .errors import DegenerateInputError, IsolatedNodeError, NumericFailure, ShapeMismatchError
-from .factors import Parafac2Factors
+from .factors import Parafac2Factors, as_integer
 from .tensor import IrregularTensor
 
 DEFAULT_GAMMA = 0.01
@@ -116,8 +117,11 @@ def knn(scores, target, k):
     """Indices of the k highest-scoring nodes other than ``target``.
 
     ``scores`` is either a 1-D score vector or a SimilarityGraph (its
-    target row is used).  Ties break toward the lower index.
+    target row is used).  Ties break toward the lower index.  ``target``
+    and ``k`` must be integers (a bool, float or str raises ``ValueError``),
+    ``target`` in [0, n) (else ``IndexError``) and ``k`` in [0, n - 1].
     """
+    target, k = as_integer("target", target), as_integer("k", k)
     if isinstance(scores, SimilarityGraph):
         scores = scores.adjacency[target]
     scores = np.asarray(scores, dtype=np.float64)
@@ -131,20 +135,32 @@ def knn(scores, target, k):
     return ranked[:k]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RwrParams:
-    """Random-walk-with-restart settings.
+    """Random-walk-with-restart settings, checked when they are made.
 
     ``query`` must be a probability vector (one-hot for single-node
-    queries).  ``stop_tol=None`` disables early stopping so exactly
-    ``max_iters`` power steps run; otherwise iteration ends once the L1
-    change falls below the tolerance.
+    queries); :func:`rwr` checks it against the graph.  ``stop_tol=None``
+    disables early stopping so exactly ``max_iters`` power steps run;
+    otherwise iteration ends once the L1 change falls below the tolerance.
+    ``restart`` must lie in (0, 1), ``max_iters`` be an integer >= 1 (not a
+    bool) and ``stop_tol`` None or finite and >= 0; anything else raises
+    ``ValueError`` here, and the settings cannot be changed afterwards.
     """
 
     restart: float = 0.15
     max_iters: int = 100
     stop_tol: float | None = 1e-10
     query: np.ndarray = field(default_factory=lambda: np.array([1.0]))
+
+    def __post_init__(self):
+        if not 0.0 < self.restart < 1.0:
+            raise ValueError(f"restart must be in (0, 1), got {self.restart}")
+        object.__setattr__(self, "max_iters", as_integer("max_iters", self.max_iters))
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.stop_tol is not None and not 0.0 <= self.stop_tol < math.inf:
+            raise ValueError(f"stop_tol must be None or finite and >= 0, got {self.stop_tol}")
 
 
 def rwr(graph: SimilarityGraph, params: RwrParams):
@@ -157,10 +173,6 @@ def rwr(graph: SimilarityGraph, params: RwrParams):
     a = np.asarray(graph.adjacency, dtype=np.float64)
     n = a.shape[0]
     c = params.restart
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"restart must be in (0, 1), got {c}")
-    if params.max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {params.max_iters}")
     q = np.asarray(params.query, dtype=np.float64)
     if q.shape != (n,):
         raise ShapeMismatchError(f"query has shape {q.shape}, graph has {n} nodes")

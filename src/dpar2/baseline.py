@@ -43,8 +43,8 @@ def unfold_mode3(core_slices):
 
 
 def cp_als_step(core_slices, h, v, w, normalize=False):
-    """:func:`als_sweep` over the list of R x J core slices Y_k."""
-    return als_sweep(np.stack(core_slices), None, h, v, w, normalize)
+    """:func:`als_sweep` over the list of R x J core slices Y_k; returns H, V, W."""
+    return als_sweep(np.stack(core_slices), None, h, v, w, normalize)[:3]
 
 
 def als_sweep(cores, basis, h, v, w, normalize):
@@ -57,6 +57,10 @@ def als_sweep(cores, basis, h, v, w, normalize):
     updated factor's columns are rescaled to unit norm and the norms pushed
     into W, which the final W solve then replaces.  Finite cores whose
     Gram products overflow or underflow raise :class:`NumericFailure`.
+
+    Returns ``(h, v, w, m3)``: the updated factors and the W solve's
+    right-hand side M_3 = :func:`rhs_mode3` of the new H and V, from which
+    the compressed solver reads its objective.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # _solve checks every factor
         h = _solve(rhs_mode1(cores, basis, w, v), w, v)
@@ -65,8 +69,9 @@ def als_sweep(cores, basis, h, v, w, normalize):
         v = _solve(rhs_mode2(cores, basis, w, h), w, h)
         if normalize:
             v, w = push_col_norms(v, w)
-        w = _solve(rhs_mode3(cores, basis, v, h), v, h)
-    return h, v, w
+        m3 = rhs_mode3(cores, basis, v, h)
+        w = _solve(m3, v, h)
+    return h, v, w, m3
 
 
 def _times_v(cores, basis, v):
@@ -129,9 +134,10 @@ def procrustes_svd(x, v, h, w_rows):
     calls it on the cores F_k with E D^T V standing in for V.
     """
     target = ((x @ v) * w_rows[:, None, :]) @ h.T
-    finite = np.isfinite(target).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericFailure("rotation target is not finite", slice_index=int(np.argmin(finite)))
+    finite = np.isfinite(target)
+    if not finite.all():  # only a failure pays for the per-matrix reduction
+        first = int(np.argmin(finite.all(axis=(1, 2))))
+        raise NumericFailure("rotation target is not finite", slice_index=first)
     try:
         return np.linalg.svd(target, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -169,7 +175,7 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
                 q[k] = q_k
 
         map_stacks(project, stacks, groups)
-        h, v, w = als_sweep(cores, None, h, v, w, normalize=False)
+        h, v, w, _ = als_sweep(cores, None, h, v, w, normalize=False)
         with np.errstate(over="ignore", invalid="ignore"):  # iterate checks the objective
             objective = float(np.add.reduce(residual_terms(x_sq, cores, grams, h, v, w)))
         return (h, v, w, q), objective

@@ -19,6 +19,15 @@ import numpy as np
 from .errors import ArchiveFormatError, NumericFailure, ShapeMismatchError
 
 
+def as_integer(name, value):
+    """``value`` as a Python int; a bool, float or str is no integer and
+    raises ``ValueError`` naming ``name``.  A NumPy integer is converted,
+    since NumPy's would overflow in the seed hash."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs shared by both solvers, checked when they are made.
@@ -37,10 +46,7 @@ class SolverOptions:
 
     def __post_init__(self):
         for name in ("max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # NumPy's would overflow in the seed hash
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 <= self.tol < math.inf:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericFailure
+from .factors import as_integer
 
 
 @dataclass
@@ -129,11 +130,10 @@ def contiguous_chunks(n, parts):
 def resolve_threads(threads=None):
     """Worker count: an explicit integer, else DPAR2_THREADS, else cpu count."""
     if threads is not None:
-        if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)):
-            raise ValueError(f"threads must be an integer, got {threads!r}")
+        threads = as_integer("threads", threads)
         if threads < 1:
             raise ValueError("threads must be >= 1")
-        return int(threads)
+        return threads
     env = os.environ.get("DPAR2_THREADS")
     if env:
         try:

@@ -16,50 +16,87 @@ batched array operation over the (K, R, R) stack of slices:
 
 * Convergence is measured as e = sum_k ||Theta_k E D^T - H S_k V^T||_F^2,
   which equals the residual against the compressed slices because the
-  Frobenius norm ignores the orthonormal left factors A_k Z_k.
+  Frobenius norm ignores the orthonormal left factors A_k Z_k P_k^T.
+  Expanding each square, and using D^T D = I, gives three terms,
+
+      e = sum_k ||Theta_k E||^2 - 2 <W, M_3> + <H^T H o V^T V, W^T W>,
+
+  where M_3 = Y_(3) (V kr H) is the W solve's right-hand side: entry
+  (k, r) is H[:, r]^T Theta_k E D^T V[:, r], so sum_r W[k, r] M_3[k, r]
+  is <Y_k, H S_k V^T>.  The sweep forms M_3 with the final H and V
+  anyway (the identity CP-ALS codes use to read the fit off the last
+  MTTKRP), so the objective costs one pass over the (K, R, R) stack for
+  the first term and K x R^2 work for the last, which is formed as
+  ||W (R_V kr H)^T||^2 from the triangular factor of V = Q_V R_V rather
+  than from Gram matrices.  The terms cancel near an exact fit, so e
+  carries a rounding error of about eps * sum_k ||Theta_k E||^2 and is
+  clamped at 0.  Components that grow large and cancel each other (a
+  two-factor degeneracy) add about eps * ||W|| * ||H S_k V^T|| more; a
+  Gram-matrix last term would add eps * ||W||^2.
 
 The rotations run one contiguous chunk of slices per worker, planned by
 ``scheduler.contiguous_runs``, through ``scheduler.map_stacks`` and the
 ALS baseline's Procrustes kernel :func:`~dpar2.baseline.procrustes_svd`.
-Each worker also builds its chunk's Theta_k, and the returned
-:class:`RotationStack` carries Theta to the sweep and the metric, so it
-is formed once per iteration.  Every R x R matrix is factorized on its
-own, so no result depends on the thread count.
+Each worker also builds its chunk's Theta_k from the raw SVD factors, and
+the returned :class:`RotationStack` carries Theta to the sweep and the
+objective, so it is formed once per iteration.  Neither Theta_k nor
+Z_k P_k^T depends on the SVD's signs, so the sign convention is applied
+only where Z or P is read: once per fit, for the Q_k.  Every R x R matrix
+is factorized on its own, so no result depends on the thread count.
 """
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .baseline import als_sweep, procrustes_svd, rhs_mode1, rhs_mode2, rhs_mode3
 from .compress import CompressedTensor, compress
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, iterate
-from .linalg import RsvdParams, fix_signs, gram
+from .linalg import RsvdParams, fix_signs, khatri_rao
 from .scheduler import contiguous_runs, map_stacks
 from .tensor import IrregularTensor
 
 
-@dataclass
 class RotationStack:
     """Procrustes pieces of all slices, T_k = Z[k] diag(Sig[k]) P[k]^T,
     and their rotated cores Theta[k] = P[k] Z[k]^T F_k.
 
     ``Z``, ``P`` (orthogonal) and ``Theta`` are (K, R, R) stacks and ``Sig``
     is (K, R); ``rots[k]`` and iteration yield each slice's own pieces.
+    ``z`` and ``p`` are the raw SVD factors: the first read of ``Z`` or
+    ``P`` applies :func:`~dpar2.linalg.fix_signs` to the whole stack and
+    keeps the result.  A flip negates the same column of both, so Theta
+    and Z P^T keep every bit; ``signs_fixed`` says the factors already
+    carry the convention.
     """
 
-    Z: np.ndarray
-    P: np.ndarray
-    Sig: np.ndarray
-    Theta: np.ndarray
+    def __init__(self, z, p, sig, theta, signs_fixed=False):
+        self._z, self._p, self._signs_fixed = z, p, signs_fixed
+        self.Sig, self.Theta = sig, theta
+
+    def _factors(self):
+        if not self._signs_fixed:
+            self._z, self._p = fix_signs(self._z, self._p)
+            self._signs_fixed = True
+        return self._z, self._p
+
+    @property
+    def Z(self):
+        return self._factors()[0]
+
+    @property
+    def P(self):
+        return self._factors()[1]
 
     def __getitem__(self, k):
-        return RotationStack(self.Z[k], self.P[k], self.Sig[k], self.Theta[k])
+        z, p = self._factors()
+        return RotationStack(z[k], p[k], self.Sig[k], self.Theta[k], signs_fixed=True)
 
     def __iter__(self):
-        return map(RotationStack, self.Z, self.P, self.Sig, self.Theta)
+        z, p = self._factors()
+        return (RotationStack(*parts, signs_fixed=True) for parts in zip(z, p, self.Sig, self.Theta))
 
 
 def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
@@ -67,29 +104,33 @@ def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
 
     The slices are split into one contiguous chunk per worker of
     ``threads`` (see ``scheduler``).  Each worker factorizes its chunk with
-    :func:`~dpar2.baseline.procrustes_svd` and builds the chunk's Theta_k,
-    which the returned stack carries.  Every matrix is factorized on its
-    own, so the result is bit-identical at any thread count, and a failure
-    names the lowest failing slice.
+    :func:`~dpar2.baseline.procrustes_svd` and builds the chunk's Theta_k
+    from the raw SVD factors, writing its run of the returned stack; the
+    sign convention waits until ``Z`` or ``P`` is read.  Every matrix is
+    factorized on its own, so the result is bit-identical at any thread
+    count, and a failure names the lowest failing slice.
     """
     core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)  # E D^T V, shared by all slices
     cores = comp.core_stack()
+    z, p, theta = (np.empty(cores.shape) for _ in range(3))
+    sig = np.empty(cores.shape[:2])
 
     def solve(ks):
         run = slice(ks[0], ks[-1] + 1)
-        zc, sig, pt = procrustes_svd(cores[run], core_cols, h, w[run])
-        z, p = fix_signs(zc, np.ascontiguousarray(pt.transpose(0, 2, 1)))
-        return z, p, sig, (p @ z.transpose(0, 2, 1)) @ cores[run]
+        z[run], sig[run], pt = procrustes_svd(cores[run], core_cols, h, w[run])
+        p[run] = pt.transpose(0, 2, 1)
+        np.matmul(p[run] @ z[run].transpose(0, 2, 1), cores[run], out=theta[run])
 
-    parts = map_stacks(solve, *contiguous_runs(comp.num_slices, threads))
-    return RotationStack(*(np.concatenate(piece) for piece in zip(*parts)))
+    map_stacks(solve, *contiguous_runs(comp.num_slices, threads))
+    return RotationStack(z, p, sig, theta)
 
 
 def rotated_cores(comp: CompressedTensor, rotations):
     """Stack of Theta_k = P_k Z_k^T F_k, shape (K, R, R), formed from Z and P.
 
     Theta_k E D^T is the projected core slice Y_k.  The reference formula
-    for ``rotations.Theta``, which every kernel below reads instead.
+    for ``rotations.Theta``, which every kernel below reads instead; built
+    from the sign-fixed Z and P, it has Theta's bits.
     """
     return (rotations.P @ rotations.Z.transpose(0, 2, 1)) @ comp.core_stack()
 
@@ -130,22 +171,34 @@ def update_factors(comp, rotations, h, v, w, normalize=True, threads=None):
     column basis: a Gauss-Seidel pass over the projected cores.
     ``threads`` is accepted for call compatibility and unused.
     """
-    return als_sweep(_scaled_cores(comp, rotations), comp.col_basis, h, v, w, normalize)
+    return als_sweep(_scaled_cores(comp, rotations), comp.col_basis, h, v, w, normalize)[:3]
 
 
 def convergence_metric(comp, rotations, h, v, w, threads=None):
     """e = sum_k ||Theta_k E D^T - H S_k V^T||_F^2, computed in R x R.
 
-    Splitting V = D C + V_perp with C = D^T V splits each residual into
-    orthogonal parts, so e = sum_k ||Theta_k E - H S_k C^T||^2 plus
-    sum(H^T H o G_perp o W^T W) with G_perp = V_perp^T V_perp.
-    ``threads`` is accepted for call compatibility and unused.
+    Expanded as sum_k ||Theta_k E||^2 - 2 <W, M_3> + <H^T H o V^T V, W^T W>
+    with M_3 = :func:`mttkrp_mode3` (see the module docstring), and clamped
+    at 0.  It forms M_3 itself with the same kernel the sweep's W solve
+    uses, so after :func:`update_factors` it has the bits of the objective
+    ``fit_dpar2`` reads off its sweep.  ``threads`` is accepted for call
+    compatibility and unused.
     """
-    c = comp.col_basis.T @ v
-    v_perp = v - comp.col_basis @ c
-    resid = _scaled_cores(comp, rotations) - (h * w[:, None, :]) @ c.T
-    outside = gram(h) * gram(v_perp) * gram(w)
-    return float(np.sum(resid * resid)) + float(np.sum(outside))
+    scaled = _scaled_cores(comp, rotations)
+    return _objective(scaled, rhs_mode3(scaled, comp.col_basis, v, h), h, v, w)
+
+
+def _objective(scaled, m3, h, v, w):
+    """The three-term e from the cores Theta_k E and the W solve's M_3.
+
+    The last term is sum_k ||H S_k V^T||^2 = ||W (R kr H)^T||^2 with R the
+    triangular factor of V = QR, so no Gram matrix is formed.  A finite
+    value is clamped at 0, since near an exact fit the terms cancel to
+    rounding error; one that overflowed stays non-finite.
+    """
+    model = w @ khatri_rao(np.linalg.qr(v, mode="r"), h).T
+    e = float(np.sum(scaled * scaled)) - 2.0 * float(np.sum(w * m3)) + float(np.sum(model * model))
+    return max(e, 0.0) if math.isfinite(e) else e
 
 
 def fit_dpar2(tensor: IrregularTensor, rank, opts: SolverOptions | None = None):
@@ -163,10 +216,13 @@ def fit_dpar2(tensor: IrregularTensor, rank, opts: SolverOptions | None = None):
                      compressed_float_count=comp.float_count())
 
     def step(h, v, w, _):
+        # The public steps update_rotations, update_factors and
+        # convergence_metric, with Theta_k E and M_3 formed once.
         rotations = update_rotations(comp, h, v, w, opts.threads)
-        h, v, w = update_factors(comp, rotations, h, v, w)
+        scaled = _scaled_cores(comp, rotations)
+        h, v, w, m3 = als_sweep(scaled, comp.col_basis, h, v, w, normalize=True)
         with np.errstate(over="ignore", invalid="ignore"):  # iterate checks the objective
-            objective = convergence_metric(comp, rotations, h, v, w)
+            objective = _objective(scaled, m3, h, v, w)
         return (h, v, w, rotations), objective
 
     initial = initial_factors(tensor.num_cols, tensor.num_slices, rank, opts.seed)

@@ -264,6 +264,28 @@ class TestKnn:
         with pytest.raises(IndexError):
             knn(np.array([1.0, 2.0]), target=5, k=1)
 
+    def test_bool_k_is_no_count(self):
+        # True counted as one neighbour.
+        graph = ring_graph(3)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            knn(graph, 0, True)
+
+    def test_float_k_is_no_count(self):
+        # 1.5 failed as a TypeError in the slice of the ranking.
+        graph = ring_graph(3)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            knn(graph, 0, 1.5)
+
+    def test_bool_target_is_no_node(self):
+        # True stood for node 1 in a score vector, and indexed a graph's
+        # adjacency as a mask, failing as "out of range [0, 1)".
+        for scores in (np.array([0.1, 0.9, 0.5]), ring_graph(3)):
+            with pytest.raises(ValueError, match="target must be an integer"):
+                knn(scores, True, 1)
+
+    def test_numpy_integer_k_counts(self):
+        assert knn(np.array([0.1, 0.9, 0.5]), target=0, k=np.int64(1)) == [1]
+
     def test_matches_full_sort_oracle(self):
         rng = np.random.Generator(np.random.PCG64(8))
         scores = rng.random(100)
@@ -361,6 +383,29 @@ class TestRwr:
                          (SimilarityGraph(adjacency=np.zeros((1, 1))), np.array([1.0]))):
             with pytest.raises(ValueError, match="max_iters must be >= 1"):
                 rwr(graph, RwrParams(max_iters=iters, query=q))
+
+    def test_bool_max_iters_raises(self):
+        # True ran one power step.
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            RwrParams(max_iters=True)
+
+    def test_float_max_iters_raises(self):
+        # 2.5 failed as a TypeError in range() only once the walk started.
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            RwrParams(max_iters=2.5)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
+    def test_stop_tol_must_be_finite_and_non_negative(self, tol):
+        # NaN and -1.0 silently turned early stopping off.
+        with pytest.raises(ValueError, match="stop_tol must be None or finite and >= 0"):
+            RwrParams(stop_tol=tol)
+
+    def test_checked_settings_are_kept(self):
+        params = RwrParams(max_iters=np.int64(7), stop_tol=0.0)
+        assert type(params.max_iters) is int and params.max_iters == 7
+        assert RwrParams(stop_tol=None).stop_tol is None
+        with pytest.raises(AttributeError):
+            params.max_iters = 0
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 8), seed=st.integers(0, 10 ** 6))

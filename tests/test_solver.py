@@ -1,7 +1,9 @@
 """Compressed-space solver: rotation algebra, contraction kernels, full fits."""
 import dataclasses
+import math
 import threading
 import traceback
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from dpar2.baseline import procrustes_svd
 from dpar2.compress import CompressedTensor, compress, reconstruct_slice
 from dpar2.errors import NumericFailure
 from dpar2.factors import SolverOptions, initial_factors
-from dpar2.linalg import RsvdParams, khatri_rao, truncated_svd
+from dpar2.linalg import RsvdParams, fix_signs, khatri_rao, truncated_svd
 from dpar2.scheduler import contiguous_chunks
 from dpar2.solver import (
     convergence_metric,
@@ -48,6 +50,43 @@ def materialized_cores(comp, rotations):
     theta = rotated_cores(comp, rotations)
     scaled = comp.weights[:, None] * comp.col_basis.T
     return [theta[k] @ scaled for k in range(comp.num_slices)]
+
+
+def direct_metric(comp, rotations, h, v, w):
+    """The objective's direct form, kept as its oracle.
+
+    With C = D^T V and V_perp = V - D C it is sum_k ||Theta_k E - H S_k C^T||^2
+    plus sum(H^T H o V_perp^T V_perp o W^T W), the two orthogonal parts of
+    the residual.
+    """
+    c = comp.col_basis.T @ v
+    v_perp = v - comp.col_basis @ c
+    resid = rotated_cores(comp, rotations) * comp.weights - (h * w[:, None, :]) @ c.T
+    outside = (h.T @ h) * (v_perp.T @ v_perp) * (w.T @ w)
+    return float(np.sum(resid * resid)) + float(np.sum(outside))
+
+
+def exact_metric(comp, rotations, h, v, w):
+    """sum_k ||Theta_k E D^T - H S_k V^T||^2 in exact rational arithmetic,
+    rounded once."""
+    exact = np.vectorize(Fraction, otypes=[object])
+    theta = exact(rotated_cores(comp, rotations))
+    scaled_basis = exact(comp.weights)[:, None] * exact(comp.col_basis.T)
+    model = (exact(h) * exact(w)[:, None, :]) @ exact(v.T)
+    resid = theta @ scaled_basis - model
+    return float(np.sum(resid * resid))
+
+
+def random_compressed_instance(rng, scale=1.0):
+    """A compressed random tensor of 3-5 slices and random factors whose W
+    carries ``scale``, as the fitted W of a scaled tensor does."""
+    rank, cols = int(rng.integers(1, 4)), int(rng.integers(4, 9))
+    counts = rng.integers(rank, 12, size=int(rng.integers(3, 6)))
+    t = IrregularTensor([rng.random((int(c), cols)) * scale for c in counts])
+    h = rng.standard_normal((rank, rank))
+    v = rng.standard_normal((cols, rank))
+    w = rng.standard_normal((len(counts), rank)) * scale
+    return compress(t, rank), h, v, w
 
 
 class TestRotations:
@@ -173,6 +212,26 @@ class TestRotations:
             assert rots.Theta.tobytes() == rotated_cores(comp, rots).tobytes()
             assert rots[5].Theta.tobytes() == rots.Theta[5].tobytes()
 
+    def test_sign_convention_is_applied_once_where_read(self):
+        # The pass builds Theta from the raw SVD factors; Z and P get
+        # fix_signs on their first read, which leaves Theta's bits alone.
+        comp = manual_compressed(15, rank=5, num=40)
+        rng = np.random.Generator(np.random.PCG64(15))
+        h, v, w = rng.standard_normal((5, 5)), rng.standard_normal((10, 5)), rng.standard_normal((40, 5))
+        rots = update_rotations(comp, h, v, w)
+        theta, sig = rots.Theta.tobytes(), rots.Sig.tobytes()
+        z, p = rots.Z, rots.P
+        assert rots.Z is z and rots.P is p
+        assert rots.Theta.tobytes() == theta and rots.Sig.tobytes() == sig
+        assert rotated_cores(comp, rots).tobytes() == theta
+        lead = np.take_along_axis(z, np.abs(z).argmax(axis=1)[:, None, :], axis=1)
+        assert (lead >= 0.0).all()
+        fixed = fix_signs(z, p)
+        assert fixed[0].tobytes() == z.tobytes() and fixed[1].tobytes() == p.tobytes()
+        for k, rot in enumerate(rots):
+            assert rot.Z.tobytes() == z[k].tobytes() and rot.P.tobytes() == p[k].tobytes()
+            assert rots[k].Theta.tobytes() == rots.Theta[k].tobytes()
+
     def test_rotated_cores_shape_and_content(self):
         comp = manual_compressed(3)
         h, v, w = initial_factors(10, 4, 3)
@@ -255,6 +314,79 @@ class TestConvergenceMetric:
         want = 4 * float(np.sum(comp.weights ** 2))
         assert e == pytest.approx(want, rel=1e-12)
 
+    def test_matches_direct_form_on_random_instances(self):
+        # Before and after the sweep: the sweep makes W the least-squares
+        # answer to its M_3, which the three-term form reads.
+        rng = np.random.Generator(np.random.PCG64(20))
+        for _ in range(30):
+            comp, h, v, w = random_compressed_instance(rng)
+            rots = update_rotations(comp, h, v, w)
+            for state in ((h, v, w), update_factors(comp, rots, h, v, w)):
+                want = direct_metric(comp, rots, *state)
+                assert convergence_metric(comp, rots, *state) == pytest.approx(want, rel=1e-9)
+
+    def test_exact_fit_is_non_negative_and_within_rounding(self):
+        # At an exact fit the three terms cancel; what is left is rounding,
+        # clamped at 0, within eps-sized multiples of sum ||Theta_k E||^2.
+        t = generate(SyntheticSpec(rows=30, cols=15, num_slices=8, mode=MODE_PLANTED,
+                                   true_rank=3, seed=1))
+        comp = compress(t, 3)
+        h, v, w = initial_factors(15, 8, 3)
+        states = []
+        for _ in range(24):
+            rots = update_rotations(comp, h, v, w)
+            h, v, w = update_factors(comp, rots, h, v, w)
+            states.append((rots, h, v, w))
+        exact = manual_compressed(5, rank=3, cols=10, num=3)
+        exact = CompressedTensor(rank=3, slice_bases=exact.slice_bases, col_basis=exact.col_basis,
+                                 weights=exact.weights, cores=np.tile(exact.core_block(0), (3, 1)))
+        h, v, w = exact.core_block(0).copy(), exact.col_basis.copy(), np.tile(exact.weights, (3, 1))
+        states.append((update_rotations(exact, h, v, w), h, v, w))
+        comps = [comp] * 24 + [exact]
+        for comp, (rots, h, v, w) in zip(comps, states):
+            e = convergence_metric(comp, rots, h, v, w)
+            energy = float(np.sum((rots.Theta * comp.weights) ** 2))
+            assert e >= 0.0
+            assert abs(e - direct_metric(comp, rots, h, v, w)) <= 1e-12 * energy
+        assert direct_metric(comp, rots, h, v, w) <= 1e-20 * energy  # the last state is exact
+
+    @pytest.mark.parametrize("exponent", [-400, 400])
+    def test_power_of_two_scales_match_direct_form(self, exponent):
+        # Every term scales by 4^exponent, far from either end of the range.
+        for seed in range(5):
+            metrics = []
+            for scale in (1.0, 2.0**exponent):
+                comp, h, v, w = random_compressed_instance(np.random.default_rng(seed), scale)
+                rots = update_rotations(comp, h, v, w)
+                state = update_factors(comp, rots, h, v, w)
+                metrics.append(convergence_metric(comp, rots, *state))
+                assert metrics[-1] == pytest.approx(direct_metric(comp, rots, *state), rel=1e-9)
+            assert math.ldexp(metrics[1], -2 * exponent) == pytest.approx(metrics[0], rel=1e-9)
+
+    def test_large_cancelling_components_keep_their_accuracy(self):
+        # Two nearly equal components with weights 1e4 of opposite sign, as
+        # in a two-factor degeneracy: the model term is formed from V's
+        # triangular factor, not from Gram matrices, whose rounding would
+        # grow with the weights squared (about 1e-8 relative here).
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            comp = manual_compressed(seed, rank=3, cols=10, num=20)
+            h, v, w = rng.standard_normal((3, 3)), rng.standard_normal((10, 3)), rng.standard_normal((20, 3))
+            h[:, 1] = h[:, 0] + 1e-4 * rng.standard_normal(3)
+            v[:, 1] = v[:, 0] + 1e-4 * rng.standard_normal(10)
+            w[:, 0] *= 1e4
+            w[:, 1] = rng.standard_normal(20) - w[:, 0]
+            rots = update_rotations(comp, h, v, w)
+            want = exact_metric(comp, rots, h, v, w)
+            assert convergence_metric(comp, rots, h, v, w) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflow_is_not_clamped(self):
+        comp = manual_compressed(16, rank=3, cols=10, num=4)
+        h, v, w = initial_factors(10, 4, 3)
+        rots = update_rotations(comp, h, v, w)
+        assert not math.isfinite(convergence_metric(comp, rots, h, v, w * 1e200))
+
     def test_matches_materialized_residual(self):
         rng = np.random.Generator(np.random.PCG64(7))
         comp = manual_compressed(7, rank=3, cols=8, num=5)
@@ -289,6 +421,61 @@ class TestFitDpar2:
         factors, trace = fit_dpar2(t, 3, SolverOptions(max_iters=32, tol=0.0))
         assert dpar2.fitness(t, factors) >= 0.999
         assert trace.compressed_float_count == sum(r * 3 for r in t.row_counts) + 8 * 9 + 15 * 3 + 3
+
+    def test_default_tol_recovers_noiseless_planted_tensor(self):
+        # The objective of an exact fit may round to 0 and stop the fit early.
+        t = generate(SyntheticSpec(rows=30, cols=15, num_slices=8, mode=MODE_PLANTED,
+                                   true_rank=3, seed=1))
+        factors, trace = fit_dpar2(t, 3)
+        assert dpar2.fitness(t, factors) >= 0.999
+        assert min(trace.objective) >= 0.0
+
+    def test_iteration_runs_one_stacked_svd_and_no_sign_fix(self, monkeypatch):
+        # After compression each iteration factorizes one stacked (K, R, R)
+        # SVD, the rotation targets, besides the sweep's three R x R
+        # pseudoinverses; the signs are fixed once, for the Q_k, after the
+        # last iteration.
+        t = generate(SyntheticSpec(rows=18, cols=9, num_slices=7, mode=MODE_PLANTED,
+                                   true_rank=2, noise_level=0.2, seed=6))
+        events = []
+        real_compress, real_svd, real_fix = dpar2.solver.compress, np.linalg.svd, dpar2.solver.fix_signs
+
+        def compress_spy(*args, **kwargs):
+            comp = real_compress(*args, **kwargs)
+            events.clear()
+            return comp
+
+        def svd_spy(a, *args, **kwargs):
+            events.append(("svd", a.shape))
+            return real_svd(a, *args, **kwargs)
+
+        def fix_spy(*args):
+            events.append(("fix_signs",))
+            return real_fix(*args)
+
+        monkeypatch.setattr(dpar2.solver, "compress", compress_spy)
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
+        monkeypatch.setattr(dpar2.solver, "fix_signs", fix_spy)
+        _, trace = fit_dpar2(t, 2, SolverOptions(max_iters=6, tol=0.0, threads=1))
+        assert trace.iterations == 6
+        assert events == ([("svd", (7, 2, 2))] + [("svd", (2, 2))] * 3) * 6 + [("fix_signs",)]
+
+    def test_fit_q_is_bases_times_sign_fixed_rotations(self, monkeypatch):
+        t = generate(SyntheticSpec(rows=18, cols=9, num_slices=7, mode=MODE_PLANTED,
+                                   true_rank=2, noise_level=0.2, seed=6))
+        seen = []
+        real = dpar2.solver.update_rotations
+
+        def spy(comp, *args):
+            seen.append((comp, real(comp, *args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(dpar2.solver, "update_rotations", spy)
+        factors, _ = fit_dpar2(t, 2, SolverOptions(max_iters=5, tol=0.0))
+        comp, rots = seen[-1]
+        for k, q in enumerate(factors.Q):
+            want = comp.slice_bases[k] @ (rots.Z[k] @ rots.P[k].T)
+            assert q.tobytes() == want.tobytes()
 
     def test_matches_baseline_fitness_on_noisy_data(self):
         t = generate(SyntheticSpec(rows=25, cols=12, num_slices=6, mode=MODE_PLANTED,
