@@ -47,15 +47,17 @@ def fitness(tensor: IrregularTensor, factors: Parafac2Factors, threads=None):
 
 
 def _check_gamma(gamma):
-    """The kernel width must be finite and positive, or similarities leave (0, 1]."""
-    if not (np.isfinite(gamma) and gamma > 0):
+    """The kernel width must be a finite positive number, not a bool, or
+    similarities leave (0, 1]."""
+    if isinstance(gamma, (bool, np.bool_)) or not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and > 0, got {gamma}")
 
 
 def similarity(u_a, u_b, gamma=DEFAULT_GAMMA):
     """exp(-gamma ||U_a - U_b||_F^2); 1 iff equal, in (0, 1] always.
 
-    Raises ``ValueError`` unless ``gamma`` is finite and positive.
+    Raises ``ValueError`` unless ``gamma`` is finite and positive (a bool
+    is not a width).
     """
     _check_gamma(gamma)
     u_a = np.asarray(u_a, dtype=np.float64)
@@ -90,7 +92,8 @@ def build_similarity_graph(u_list, gamma=DEFAULT_GAMMA):
     below its rounding bound d eps (G_aa + G_bb), d the factor size, so
     such a distance is 0 and equal factors score exactly 1.  The upper
     triangle is mirrored so the adjacency is exactly symmetric.  Raises
-    ``ValueError`` unless ``gamma`` is finite and positive.
+    ``ValueError`` unless ``gamma`` is finite and positive (a bool is not a
+    width).
     """
     _check_gamma(gamma)
     if len(u_list) < 1:

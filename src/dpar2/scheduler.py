@@ -3,12 +3,13 @@
 Every threaded pass runs on min(``resolve_threads(threads)``, K) workers,
 K being the stacks, runs or R x R blocks it splits.  That rule is
 ``_workers``, and only the three planners call it.  ``equal_height_stacks``
-plans ``compress`` and ``fit_baseline`` over the whole tensor: it cuts
-each run of equal height in ``height_order``, the layout of every tensor's
-buffer, into stacks, each one view and one batched call, and
-``greedy_partition`` balances their row loads over the workers.
+plans ``compress``, ``fit_baseline`` and planted ``generate`` over the
+whole tensor: it cuts each run of equal height in ``height_order``, the
+layout of every tensor's buffer, into stacks, each one view and one
+batched call, and ``greedy_partition`` balances their row loads over the
+workers.
 ``contiguous_runs`` plans ``update_rotations``, ``load_archive`` and
-``generate``: one contiguous run of slices per worker.
+uniform ``generate``: one contiguous run of slices per worker.
 ``parallel_slice_map`` splits ``fitness`` the same way and calls ``fn(k)``
 per slice.  ``map_stacks`` runs every pass, calling ``fn(ks)`` per stack:
 every slice runs, then the lowest failing slice's error is raised.

@@ -33,8 +33,9 @@ from .errors import (
     RankTooLargeError,
     ShapeMismatchError,
 )
+from .factors import as_integer
 from .linalg import _MASK64
-from .scheduler import contiguous_runs, height_order, map_stacks
+from .scheduler import contiguous_runs, equal_height_stacks, height_order, map_stacks
 
 _MAGIC = b"IRT1"
 _IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one preadv call may take
@@ -171,7 +172,10 @@ class SyntheticSpec:
     uniformly from [rows//2, rows].  ``true_rank`` and ``noise_level`` only
     apply to planted mode, where each slice is Q_k H S_k V^T plus white
     noise scaled to ``noise_level`` times the slice signal norm; uniform
-    mode rejects a nonzero ``noise_level``.
+    mode rejects a nonzero ``noise_level``.  ``rows``, ``cols``,
+    ``num_slices``, ``true_rank`` and ``seed`` must be integers (a bool,
+    float or str is not one; a NumPy integer is kept as a Python int),
+    checked when the spec is made; the ranges are checked by ``generate``.
     """
 
     rows: int
@@ -182,6 +186,10 @@ class SyntheticSpec:
     noise_level: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("rows", "cols", "num_slices", "true_rank", "seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+
 
 def _random_orthonormal(rng, m, n):
     q, _ = np.linalg.qr(rng.standard_normal((m, n)))
@@ -189,7 +197,7 @@ def _random_orthonormal(rng, m, n):
 
 
 def _resolve_rows(spec, rng):
-    rows = int(spec.rows)
+    rows = spec.rows
     if spec.mode != MODE_PLANTED:
         if rows < 1:
             raise ShapeMismatchError("row counts must be positive")
@@ -207,10 +215,13 @@ def generate(spec: SyntheticSpec, threads=None):
     and is drawn in a fixed order, so equal specs give bit-equal tensors.
     Uniform mode draws its slices on the workers of ``threads`` (see
     ``scheduler``), with the same bytes at any thread count (see
-    :func:`_uniform_fill`).  Planted mode draws serially, each slice
-    straight into its place in the tensor's buffer: its normals come from a
-    ziggurat that takes a variable number of draws, so where a slice starts
-    in the stream is known only once the slices before it are drawn.
+    :func:`_uniform_fill`).  Planted mode takes two passes (see
+    :func:`_planted_fill`): the calling thread draws every slice's numbers
+    in slice order, its noise straight into its place in the tensor's
+    buffer, since its normals come from a ziggurat that takes a variable
+    number of draws, so where a slice starts in the stream is known only
+    once the slices before it are drawn; then the workers build the
+    signal stack by stack, with the bytes of a slice-by-slice build.
     Both modes reject a bad ``threads`` and a ``noise_level`` that is not
     finite and >= 0; uniform mode also rejects a nonzero one.
     """
@@ -234,25 +245,72 @@ def generate(spec: SyntheticSpec, threads=None):
         raise RankTooLargeError(
             f"true_rank {r} not in [1, min(rows, cols)] for rows>={min(rows)}, cols={spec.cols}"
         )
+    return _built(rows, spec.cols, _planted_fill(spec, rows, rng, threads),
+                  contiguous_runs(spec.num_slices, 1))
+
+
+def _norms(x):
+    """||x_i||_F of each matrix of the stack ``x``, shaped (n, 1, 1), with the
+    bits of ``np.linalg.norm(x_i)``: that is sqrt(x_i.ravel() . x_i.ravel()),
+    and a stacked (1 x m)(m x 1) ``matmul`` takes each of these dots as
+    the one ``ddot`` that ``ndarray.dot`` calls."""
+    flat = x.reshape(len(x), 1, -1)
+    return np.sqrt(flat @ flat.transpose(0, 2, 1))
+
+
+def _planted_fill(spec, rows, rng, threads):
+    """The :func:`_built` fill of a planted tensor: one run on the calling
+    thread, in two passes.
+
+    1. Serial draws, in the order of a slice-by-slice build: H and V, then
+       per slice its I_k x R normals (kept in the tensor's height order, so
+       a stack's are one view), its magnitudes and signs (kept), and its
+       noise, drawn into the slice's place in the buffer.
+    2. On the workers of ``threads``, per stack of ``equal_height_stacks``:
+       one stacked ``qr`` of the normals gives the Q_k and one stacked
+       (Q_k (H * s_k)) V^T the signals; each slice's noise is scaled in place
+       by c = ``noise_level`` ||signal|| / ||noise|| (0 for zero noise), then
+       the signal added.  The stacked calls factorize, multiply and take
+       norms of each matrix as a single call would, and IEEE addition
+       commutes, so each slice holds the bits of signal + c * noise.  With
+       no noise the signal overwrites it.
+    """
+    r, cols = spec.true_rank, spec.cols
     core = _random_orthonormal(rng, r, r)
-    v = _random_orthonormal(rng, spec.cols, r)
+    v = _random_orthonormal(rng, cols, r)
     # Geometrically separated component magnitudes keep the instance easy
     # for alternating solvers: without the separation, cold-started ALS can
     # stall in a swamp for hundreds of iterations even on noiseless data.
     component_scale = 3.0 ** np.arange(r)
+    signs = np.array([-1.0, 1.0])  # indexed by integers(0, 2): the draws of choice([-1.0, 1.0])
 
     def fill(tensor, ks):
+        first_row = [start // cols for start in tensor._starts]  # in the height-ordered layout
+        normals = np.empty((sum(rows), r))
+        scales = np.empty((len(rows), r))
         for k in ks:
-            x = tensor.slices[k]
-            q_k = _random_orthonormal(rng, rows[k], r)
-            s_k = rng.uniform(0.9, 1.1, r) * component_scale * rng.choice([-1.0, 1.0], r)
-            np.matmul(q_k @ (core * s_k), v.T, out=x)
-            noise = rng.standard_normal(x.shape)
-            if spec.noise_level > 0.0:
-                denom = np.linalg.norm(noise)
-                x += (spec.noise_level * np.linalg.norm(x) / denom if denom > 0 else 0.0) * noise
+            rng.standard_normal(out=normals[first_row[k] : first_row[k] + rows[k]])
+            scales[k] = rng.uniform(0.9, 1.1, r) * component_scale * signs[rng.integers(0, 2, r)]
+            rng.standard_normal(out=tensor.slices[k])
 
-    return _built(rows, spec.cols, fill, contiguous_runs(spec.num_slices, 1))
+        def build(stack):
+            x = tensor.stack(stack)
+            start = first_row[stack[0]]
+            q, _ = np.linalg.qr(normals[start : start + x.shape[0] * x.shape[1]]
+                                .reshape(*x.shape[:2], r))
+            basis = q @ (core * scales[stack, None, :])
+            if spec.noise_level == 0.0:
+                np.matmul(basis, v.T, out=x)
+                return
+            signal = basis @ v.T
+            denom = _norms(x)
+            x *= np.divide(spec.noise_level * _norms(signal), denom,
+                           out=np.zeros_like(denom), where=denom > 0)
+            x += signal
+
+        map_stacks(build, *equal_height_stacks(rows, cols, threads))
+
+    return fill
 
 
 def _uniform_fill(seed, slice_floats):

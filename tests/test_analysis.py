@@ -198,9 +198,10 @@ class TestSimilarity:
         with pytest.raises(ShapeMismatchError):
             similarity(np.zeros((2, 2)), np.zeros((3, 2)))
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, True, np.True_])
     def test_gamma_must_be_finite_and_positive(self, gamma):
-        # gamma -1 scored 1.213 and nan scored nan, outside (0, 1].
+        # gamma -1 scored 1.213 and nan scored nan, outside (0, 1]; True
+        # scored as gamma 1.0.
         mats = [np.zeros((2, 2)), np.ones((2, 2))]
         with pytest.raises(ValueError, match="gamma must be finite and > 0"):
             similarity(*mats, gamma=gamma)

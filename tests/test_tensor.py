@@ -14,6 +14,7 @@ import dpar2
 from dpar2.baseline import residual_terms
 from dpar2.errors import ArchiveFormatError, NonFiniteInputError, ShapeMismatchError
 from dpar2.factors import sha256_file
+from dpar2.scheduler import equal_height_stacks
 from dpar2.tensor import (
     MODE_PLANTED,
     MODE_UNIFORM,
@@ -318,6 +319,27 @@ class TestGenerate:
         with pytest.raises(ValueError, match="noise_level applies to planted mode only"):
             generate(SyntheticSpec(rows=4, cols=3, num_slices=2, noise_level=0.1))
 
+    @pytest.mark.parametrize("name, value", [
+        ("rows", 2.5),  # became 2 rows
+        ("num_slices", True),  # made one slice
+        ("cols", 3.0),  # raised TypeError, as did the next two
+        ("seed", 1.0),
+        ("true_rank", 2.0),
+        ("rows", "4"),
+    ])
+    def test_spec_counts_must_be_integers(self, name, value):
+        fields = dict(rows=4, cols=3, num_slices=2, mode=MODE_PLANTED, true_rank=1, seed=0)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SyntheticSpec(**{**fields, name: value})
+
+    def test_spec_keeps_numpy_integers_as_python_ints(self):
+        spec = SyntheticSpec(rows=np.int64(4), cols=np.int32(3), num_slices=np.uint8(2),
+                             mode=MODE_PLANTED, true_rank=np.int64(2), seed=np.int64(-5))
+        fields = (spec.rows, spec.cols, spec.num_slices, spec.true_rank, spec.seed)
+        assert fields == (4, 3, 2, 2, -5)
+        assert all(type(x) is int for x in fields)
+        assert generate(spec).num_slices == 2
+
     @pytest.mark.parametrize("mode", [MODE_UNIFORM, MODE_PLANTED])
     def test_bad_thread_count_rejected(self, mode):
         with pytest.raises(ValueError, match="threads must be >= 1"):
@@ -332,6 +354,17 @@ PLANTED_SPEC = SyntheticSpec(rows=14, cols=8, num_slices=5, mode=MODE_PLANTED, t
 PINNED_DIGESTS = {
     MODE_UNIFORM: "dc115a44ed63198affcb464a122ac6578b08a1f24c04cbc7ca01d1503f14d30b",
     MODE_PLANTED: "c992a200a46acda35c753357f326233837eac5ffb71339345b1696437a9b4596",
+}
+# Planted specs whose heights repeat (60 slices of 4..8 rows), so a stack
+# holds many slices, with and without noise; their sha256 were recorded
+# when each slice was built on its own from one serial stream.
+STACKED_SPEC = SyntheticSpec(rows=8, cols=6, num_slices=60, mode=MODE_PLANTED, true_rank=3,
+                             noise_level=0.2, seed=21)
+STACKED_CLEAN_SPEC = SyntheticSpec(rows=8, cols=6, num_slices=60, mode=MODE_PLANTED,
+                                   true_rank=3, seed=21)
+STACKED_DIGESTS = {
+    STACKED_SPEC: "79000c89fcd313f2cf29f9640f427fcadff522388d2ffcef4173d0a7638790a3",
+    STACKED_CLEAN_SPEC: "2cc9b781d783078b8185d066e16644cd94c22896e5201c22219df8a5b90a87bd",
 }
 
 
@@ -355,6 +388,69 @@ class TestGenerationAcrossThreads:
             assert [x.tobytes() for x in t.slices] == [x.tobytes() for x in one.slices]
             assert [x.hex() for x in t.sq_norms] == [x.hex() for x in one.sq_norms]
             assert not any(x.flags.writeable for x in t.slices)
+
+    @pytest.mark.parametrize("threads", [1, 2, 9])
+    @pytest.mark.parametrize("spec", [STACKED_SPEC, STACKED_CLEAN_SPEC], ids=["noisy", "clean"])
+    def test_planted_stacks_match_the_serial_stream(self, tmp_path, spec, threads):
+        path = tmp_path / "t.irt"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers switch often, so an overlap would show
+        try:
+            t = generate(spec, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        save_archive(t, path)
+        assert sha256_file(path) == STACKED_DIGESTS[spec]
+        assert not any(x.flags.writeable for x in t.slices)
+
+    @pytest.mark.parametrize("spec", [
+        STACKED_SPEC,
+        SyntheticSpec(rows=9, cols=1, num_slices=40, mode=MODE_PLANTED, seed=3),
+        SyntheticSpec(rows=30, cols=12, num_slices=200, mode=MODE_PLANTED, true_rank=4,
+                      noise_level=1.5, seed=4),
+    ], ids=["stacked", "one-column", "many-stacks"])
+    def test_planted_matches_a_slice_by_slice_build(self, spec):
+        # The per-slice loop planted generation used before it was stacked.
+        rng = np.random.Generator(np.random.PCG64(spec.seed))
+        r = spec.true_rank
+        rows = rng.integers(max(r, spec.rows // 2, 1), spec.rows + 1, size=spec.num_slices)
+        core = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        v = np.linalg.qr(rng.standard_normal((spec.cols, r)))[0]
+        expected = []
+        for i in rows:
+            q_k = np.linalg.qr(rng.standard_normal((i, r)))[0]
+            s_k = rng.uniform(0.9, 1.1, r) * 3.0 ** np.arange(r) * rng.choice([-1.0, 1.0], r)
+            x = (q_k @ (core * s_k)) @ v.T
+            noise = rng.standard_normal(x.shape)
+            if spec.noise_level > 0.0:
+                x += spec.noise_level * np.linalg.norm(x) / np.linalg.norm(noise) * noise
+            expected.append(x.tobytes())
+        assert [x.tobytes() for x in generate(spec, threads=2).slices] == expected
+
+    def test_planted_builds_each_stack_with_one_qr_on_the_workers(self, monkeypatch):
+        calls = []  # (thread, leading shape) of every qr
+        real = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            calls.append((threading.get_ident(), a.shape[:-2]))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        t = generate(STACKED_SPEC, threads=2)
+        stacks, groups = equal_height_stacks(t.row_counts, t.num_cols, 2)
+        assert len(stacks) > 1 and all(groups)
+        assert [shape for _, shape in calls[:2]] == [(), ()]  # H and V, drawn serially
+        stacked = calls[2:]
+        assert sorted(shape for _, shape in stacked) == sorted((len(ks),) for ks in stacks)
+        assert {thread for thread, _ in stacked} - {threading.get_ident()}
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 7, 5), (77, 50, 30), (2, 1000, 200)])
+    def test_stack_norms_have_the_bits_of_linalg_norm(self, shape):
+        x = np.random.Generator(np.random.PCG64(shape[1])).standard_normal(shape)
+        x[0] = 0.0
+        norms = dpar2.tensor._norms(x)
+        assert norms.shape == (shape[0], 1, 1)
+        assert [n.hex() for n in norms.ravel()] == [np.linalg.norm(m).hex() for m in x]
 
     def test_uniform_builds_one_generator_per_worker(self, monkeypatch):
         made = []
