@@ -15,7 +15,7 @@ import numpy as np
 
 from .baseline import reconstruction_terms
 from .errors import DegenerateInputError, IsolatedNodeError, NumericFailure, ShapeMismatchError
-from .factors import Parafac2Factors, as_integer
+from .factors import Parafac2Factors, as_integer, as_real
 from .tensor import IrregularTensor
 
 DEFAULT_GAMMA = 0.01
@@ -46,20 +46,19 @@ def fitness(tensor: IrregularTensor, factors: Parafac2Factors, threads=None):
     return float(1.0 - resid / total)
 
 
-def _check_gamma(gamma):
-    """The kernel width must be a finite positive number, not a bool, or
-    similarities leave (0, 1]."""
-    if isinstance(gamma, (bool, np.bool_)) or not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+def _checked_gamma(gamma):
+    """The kernel width as a float: a finite positive real, not a bool or
+    str (``factors.as_real``), or similarities leave (0, 1]."""
+    return as_real("gamma", gamma, "finite and > 0", lambda x: 0.0 < x < math.inf)
 
 
 def similarity(u_a, u_b, gamma=DEFAULT_GAMMA):
     """exp(-gamma ||U_a - U_b||_F^2); 1 iff equal, in (0, 1] always.
 
-    Raises ``ValueError`` unless ``gamma`` is finite and positive (a bool
-    is not a width).
+    Raises ``ValueError`` unless ``gamma`` is a finite positive real (a
+    bool or str is not a width).
     """
-    _check_gamma(gamma)
+    gamma = _checked_gamma(gamma)
     u_a = np.asarray(u_a, dtype=np.float64)
     u_b = np.asarray(u_b, dtype=np.float64)
     if u_a.shape != u_b.shape:
@@ -70,9 +69,10 @@ def similarity(u_a, u_b, gamma=DEFAULT_GAMMA):
     return float(np.exp(-gamma * np.dot(diff.ravel(), diff.ravel())))
 
 
-@dataclass
+@dataclass(eq=False)
 class SimilarityGraph:
-    """Dense symmetric adjacency over slices; zero diagonal, entries in [0, 1]."""
+    """Dense symmetric adjacency over slices; zero diagonal, entries in [0, 1].
+    Compared by identity, since ``==`` on arrays has no single truth value."""
 
     adjacency: np.ndarray
     gamma: float = DEFAULT_GAMMA
@@ -92,10 +92,10 @@ def build_similarity_graph(u_list, gamma=DEFAULT_GAMMA):
     below its rounding bound d eps (G_aa + G_bb), d the factor size, so
     such a distance is 0 and equal factors score exactly 1.  The upper
     triangle is mirrored so the adjacency is exactly symmetric.  Raises
-    ``ValueError`` unless ``gamma`` is finite and positive (a bool is not a
-    width).
+    ``ValueError`` unless ``gamma`` is a finite positive real (a bool or
+    str is not a width).
     """
-    _check_gamma(gamma)
+    gamma = _checked_gamma(gamma)
     if len(u_list) < 1:
         raise ShapeMismatchError("need at least one factor")
     mats = [np.asarray(u, dtype=np.float64) for u in u_list]
@@ -138,7 +138,7 @@ def knn(scores, target, k):
     return ranked[:k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RwrParams:
     """Random-walk-with-restart settings, checked when they are made.
 
@@ -146,9 +146,11 @@ class RwrParams:
     queries); :func:`rwr` checks it against the graph.  ``stop_tol=None``
     disables early stopping so exactly ``max_iters`` power steps run;
     otherwise iteration ends once the L1 change falls below the tolerance.
-    ``restart`` must lie in (0, 1), ``max_iters`` be an integer >= 1 (not a
-    bool) and ``stop_tol`` None or finite and >= 0; anything else raises
-    ``ValueError`` here, and the settings cannot be changed afterwards.
+    The other fields are checked here: ``restart`` must be a real in (0, 1)
+    and ``stop_tol`` None or a finite real >= 0 (``factors.as_real``), and
+    ``max_iters`` an integer >= 1 (``factors.as_integer``); anything else
+    raises ``ValueError``, and the settings cannot be changed afterwards.
+    They compare and hash by identity, since ``query`` is an array.
     """
 
     restart: float = 0.15
@@ -157,13 +159,15 @@ class RwrParams:
     query: np.ndarray = field(default_factory=lambda: np.array([1.0]))
 
     def __post_init__(self):
-        if not 0.0 < self.restart < 1.0:
-            raise ValueError(f"restart must be in (0, 1), got {self.restart}")
+        object.__setattr__(self, "restart", as_real(
+            "restart", self.restart, "in (0, 1)", lambda x: 0.0 < x < 1.0))
         object.__setattr__(self, "max_iters", as_integer("max_iters", self.max_iters))
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.stop_tol is not None and not 0.0 <= self.stop_tol < math.inf:
-            raise ValueError(f"stop_tol must be None or finite and >= 0, got {self.stop_tol}")
+        if self.stop_tol is not None:
+            object.__setattr__(self, "stop_tol", as_real(
+                "stop_tol", self.stop_tol, "None or finite and >= 0",
+                lambda x: 0.0 <= x < math.inf))
 
 
 def rwr(graph: SimilarityGraph, params: RwrParams):

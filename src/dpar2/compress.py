@@ -38,9 +38,11 @@ from .scheduler import equal_height_stacks, map_stacks
 from .tensor import IrregularTensor, check_rank
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CompressedTensor:
-    """Compact factors: per-slice bases, shared column basis, weights, cores."""
+    """Compact factors: per-slice bases, shared column basis, weights, cores.
+    Compared by identity, with a short repr, as
+    :class:`~dpar2.factors.Parafac2Factors`."""
 
     rank: int
     slice_bases: list  # A_k, each I_k x R, column-orthonormal

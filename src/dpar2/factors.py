@@ -6,10 +6,12 @@ slices, S_k = diag(W[k, :]) and V is the shared column factor.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,14 +30,31 @@ def as_integer(name, value):
     return int(value)
 
 
+def as_real(name, value, rule, holds):
+    """``value`` as a Python float for which ``holds`` is true.
+
+    A bool (NumPy's too), str, None or any other non-real, an int beyond
+    the float range, and a real outside the rule raise ``ValueError``:
+    "``name`` must be ``rule``, got ``value``".  A NumPy scalar is converted.
+    """
+    real = None
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            real = float(value)
+    if real is None or not holds(real):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return real
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs shared by both solvers, checked when they are made.
 
-    ``max_iters`` must be an integer >= 1, ``seed`` an integer (a bool,
-    float or str is not one; a NumPy integer is kept as a Python int) and
-    ``tol`` finite and >= 0; anything else raises ``ValueError`` here, so a
-    bad value fails before any work, and the options cannot be changed
+    ``max_iters`` must be an integer >= 1, ``seed`` an integer and
+    ``threads`` None or an integer >= 1 (:func:`as_integer`), and ``tol``
+    a finite real >= 0 (:func:`as_real`); a NumPy scalar is kept as a
+    Python number.  Anything else raises ``ValueError`` here, so a bad
+    value fails before any work, and the options cannot be changed
     afterwards.  ``threads=None`` defers to DPAR2_THREADS or the CPU count.
     """
 
@@ -49,8 +68,12 @@ class SolverOptions:
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not 0.0 <= self.tol < math.inf:
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
+        object.__setattr__(self, "tol", as_real("tol", self.tol, "finite and >= 0",
+                                                lambda x: 0.0 <= x < math.inf))
+        if self.threads is not None:
+            object.__setattr__(self, "threads", as_integer("threads", self.threads))
+            if self.threads < 1:
+                raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -68,9 +91,11 @@ class FitTrace:
         return len(self.objective)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Parafac2Factors:
-    """Fitted factors H (R x R), V (J x R), W (K x R), and per-slice Q_k."""
+    """Fitted factors H (R x R), V (J x R), W (K x R), and per-slice Q_k.
+    Compared by identity (``==`` on arrays has no single truth value),
+    with a short repr (one of every Q_k runs to megabytes)."""
 
     H: np.ndarray
     V: np.ndarray
@@ -181,9 +206,10 @@ def save_factors(factors: Parafac2Factors, outdir, manifest_extra=None):
         fh.write("\n")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FactorSet:
-    """Factors reloaded from disk; U is the list of per-slice left factors."""
+    """Factors reloaded from disk; U is the list of per-slice left factors.
+    Compared by identity, with a short repr, as :class:`Parafac2Factors`."""
 
     H: np.ndarray
     V: np.ndarray

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteInputError, NumericFailure, RankTooLargeError, ShapeMismatchError
+from .factors import as_integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's counter increment, 2^64 / phi
@@ -39,17 +40,30 @@ class RsvdParams:
     the seed of the uniform test matrix.  The rest of the recipe is fixed:
     ``min(10, min(m, n) - rank)`` extra sketch columns, so the test matrix
     is never wider than the short side of the input, and one power step.
+
+    Both are checked when the params are made: a bool, float or str raises
+    ``ValueError`` (``factors.as_integer``; a NumPy integer is kept as the
+    Python int the seed hash needs), and a rank below 1
+    :class:`RankTooLargeError`.  :func:`randomized_svd` checks that the
+    rank fits its input.
     """
 
     rank: int
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("rank", "seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        if self.rank < 1:
+            raise RankTooLargeError(f"rank must be >= 1, got {self.rank}")
 
-@dataclass
+
+@dataclass(eq=False)
 class SvdTriple:
     """Truncated SVD factors: U (m x r) and V (n x r) column-orthonormal,
     S the leading r singular values in descending order.  Stacked factors,
-    U (G, m, r), S (G, r) and V (G, n, r), hold one triple per matrix."""
+    U (G, m, r), S (G, r) and V (G, n, r), hold one triple per matrix.
+    Compared by identity, since ``==`` on arrays has no single truth value."""
 
     U: np.ndarray
     S: np.ndarray
@@ -153,6 +167,9 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     :class:`NumericFailure` (finite input whose A^T A overflowed).  For a
     stack, the error's ``slice_index`` is the position of the first such
     matrix in the stack.
+
+    ``params`` checked itself when made (:class:`RsvdParams`); here a rank
+    above ``min(m, n)`` raises :class:`RankTooLargeError`.
     """
     a = np.asarray(a, dtype=np.float64)
     single = a.ndim == 2
@@ -164,8 +181,6 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
         raise ValueError("a stack needs one seed per matrix")
     m, n = a.shape[-2:]
     r = params.rank
-    if r < 1:
-        raise RankTooLargeError(f"rank must be >= 1, got {r}")
     if r > min(m, n):
         raise RankTooLargeError(f"rank {r} exceeds min of matrix shape {(m, n)}")
 

@@ -33,7 +33,7 @@ from .errors import (
     RankTooLargeError,
     ShapeMismatchError,
 )
-from .factors import as_integer
+from .factors import as_integer, as_real
 from .linalg import _MASK64
 from .scheduler import contiguous_runs, equal_height_stacks, height_order, map_stacks
 
@@ -44,7 +44,7 @@ MODE_UNIFORM = "uniform_random"
 MODE_PLANTED = "planted_parafac2"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class IrregularTensor:
     """K dense slices (I_k x J) sharing the column count J.
 
@@ -52,10 +52,12 @@ class IrregularTensor:
     float64 through :func:`_built`, keeping and changing none of its input.
     The slices are read-only views of the tensor's buffer, so a tensor can
     be shared across worker threads.  ``sq_norms`` keeps every ||X_k||_F^2.
+    Compared by identity, with a short repr, as
+    :class:`~dpar2.factors.Parafac2Factors`.
     """
 
     slices: list
-    sq_norms: list = field(init=False, repr=False)
+    sq_norms: list = field(init=False)
 
     def __post_init__(self):
         arrays = [np.asarray(x, dtype=np.float64) for x in self.slices]
@@ -106,7 +108,9 @@ class IrregularTensor:
 
 
 def check_rank(tensor: IrregularTensor, rank):
-    """Raise :class:`RankTooLargeError` unless 1 <= rank <= J and every I_k."""
+    """Raise :class:`RankTooLargeError` unless 1 <= rank <= J and every I_k,
+    and ``ValueError`` if ``rank`` is no integer (``factors.as_integer``)."""
+    rank = as_integer("rank", rank)
     if rank < 1:
         raise RankTooLargeError(f"rank must be >= 1, got {rank}")
     if rank > tensor.num_cols:
@@ -169,13 +173,20 @@ class SyntheticSpec:
     """Recipe for a synthetic tensor; generation is a pure function of this.
 
     Every slice gets ``rows`` rows in uniform mode; planted mode draws I_k
-    uniformly from [rows//2, rows].  ``true_rank`` and ``noise_level`` only
-    apply to planted mode, where each slice is Q_k H S_k V^T plus white
-    noise scaled to ``noise_level`` times the slice signal norm; uniform
-    mode rejects a nonzero ``noise_level``.  ``rows``, ``cols``,
-    ``num_slices``, ``true_rank`` and ``seed`` must be integers (a bool,
-    float or str is not one; a NumPy integer is kept as a Python int),
-    checked when the spec is made; the ranges are checked by ``generate``.
+    uniformly from [max(``true_rank``, rows//2), rows].  ``true_rank``
+    and ``noise_level`` only apply to planted mode, where each slice is
+    Q_k H S_k V^T plus white noise scaled to ``noise_level`` times the
+    slice signal norm.
+
+    Every field is checked here, when the spec is made, so :func:`generate`
+    checks only its ``threads``.  The counts and ``seed`` must be integers
+    (``factors.as_integer``) and ``noise_level`` a finite real >= 0
+    (``factors.as_real``), else ``ValueError``; a NumPy scalar is kept as a
+    Python number.  ``num_slices`` or ``cols`` below 1 raises
+    :class:`ShapeMismatchError`, as does ``rows`` below 1 in uniform mode,
+    which also rejects a nonzero ``noise_level`` and ignores ``true_rank``.
+    Planted mode raises :class:`RankTooLargeError` unless 1 <=
+    ``true_rank`` <= ``rows``, ``cols``.
     """
 
     rows: int
@@ -189,6 +200,24 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("rows", "cols", "num_slices", "true_rank", "seed"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        if self.num_slices < 1 or self.cols < 1:
+            raise ShapeMismatchError("need num_slices >= 1 and cols >= 1")
+        if self.mode not in (MODE_UNIFORM, MODE_PLANTED):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "noise_level", as_real(
+            "noise_level", self.noise_level, "finite and >= 0", lambda x: 0.0 <= x < math.inf))
+        if self.mode == MODE_UNIFORM:
+            if self.noise_level:
+                raise ValueError("noise_level applies to planted mode only")
+            if self.rows < 1:
+                raise ShapeMismatchError("row counts must be positive")
+            return
+        r = self.true_rank
+        if self.rows < max(r, 1):
+            raise RankTooLargeError(f"rows={self.rows} too small for rank {r}")
+        if r < 1 or r > self.cols:
+            raise RankTooLargeError(f"true_rank {r} not in [1, min(rows, cols)] "
+                                    f"for rows={self.rows}, cols={self.cols}")
 
 
 def _random_orthonormal(rng, m, n):
@@ -197,15 +226,10 @@ def _random_orthonormal(rng, m, n):
 
 
 def _resolve_rows(spec, rng):
-    rows = spec.rows
     if spec.mode != MODE_PLANTED:
-        if rows < 1:
-            raise ShapeMismatchError("row counts must be positive")
-        return [rows] * spec.num_slices
-    lower = max(spec.true_rank, rows // 2, 1)
-    if rows < lower:
-        raise RankTooLargeError(f"rows={rows} too small for rank {spec.true_rank}")
-    return [int(r) for r in rng.integers(lower, rows + 1, size=spec.num_slices)]
+        return [spec.rows] * spec.num_slices
+    lower = max(spec.true_rank, spec.rows // 2)
+    return [int(r) for r in rng.integers(lower, spec.rows + 1, size=spec.num_slices)]
 
 
 def generate(spec: SyntheticSpec, threads=None):
@@ -222,29 +246,14 @@ def generate(spec: SyntheticSpec, threads=None):
     number of draws, so where a slice starts in the stream is known only
     once the slices before it are drawn; then the workers build the
     signal stack by stack, with the bytes of a slice-by-slice build.
-    Both modes reject a bad ``threads`` and a ``noise_level`` that is not
-    finite and >= 0; uniform mode also rejects a nonzero one.
+    ``spec`` checked itself when it was made (see :class:`SyntheticSpec`),
+    so the one check here is of ``threads`` (``scheduler.resolve_threads``).
     """
-    if spec.num_slices < 1 or spec.cols < 1:
-        raise ShapeMismatchError("need num_slices >= 1 and cols >= 1")
-    if spec.mode not in (MODE_UNIFORM, MODE_PLANTED):
-        raise ValueError(f"unknown mode {spec.mode!r}")
-    if not 0.0 <= spec.noise_level < math.inf:
-        raise ValueError(f"noise_level must be finite and >= 0, got {spec.noise_level}")
-    if spec.noise_level and spec.mode != MODE_PLANTED:
-        raise ValueError("noise_level applies to planted mode only")
     plan = contiguous_runs(spec.num_slices, threads)
     rng = np.random.Generator(np.random.PCG64(spec.seed & _MASK64))
     rows = _resolve_rows(spec, rng)
-
     if spec.mode == MODE_UNIFORM:
         return _built(rows, spec.cols, _uniform_fill(spec.seed, rows[0] * spec.cols), plan)
-
-    r = spec.true_rank
-    if r < 1 or r > min(min(rows), spec.cols):
-        raise RankTooLargeError(
-            f"true_rank {r} not in [1, min(rows, cols)] for rows>={min(rows)}, cols={spec.cols}"
-        )
     return _built(rows, spec.cols, _planted_fill(spec, rows, rng, threads),
                   contiguous_runs(spec.num_slices, 1))
 

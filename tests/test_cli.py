@@ -89,6 +89,19 @@ class TestGenerate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--I", "0", "--J", "4"], "row counts must be positive"),
+        (["--I", "12", "--J", "3", "--mode", "planted", "--rank", "9"], "true_rank 9 not in"),
+    ], ids=["no-rows", "rank-over-cols"])
+    def test_bad_spec_exits_3_before_generating(self, tmp_path, monkeypatch, capsys, flags,
+                                                message):
+        made = []
+        monkeypatch.setattr(cli, "generate", lambda *args, **kw: made.append(args))
+        out = tmp_path / "t.irt"
+        assert cli.main(["generate", *flags, "--K", "3", "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert made == [] and not out.exists()
+
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["generate", "--I", "4", "--J", "4", "--K", "2"])
@@ -197,6 +210,7 @@ class TestDecompose:
     @pytest.mark.parametrize("flags, message", [
         (["--max-iters", "0"], "max_iters must be >= 1"),
         (["--tol", "-1"], "tol must be finite and >= 0"),
+        (["--tol", "nan"], "tol must be finite and >= 0"),
     ])
     def test_bad_options_exit_3_before_loading(self, tmp_path, monkeypatch, capsys, flags,
                                                message):

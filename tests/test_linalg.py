@@ -373,6 +373,10 @@ class TestRandomizedSvd:
         with pytest.raises(RankTooLargeError):
             randomized_svd(np.ones((4, 3)), RsvdParams(rank=4))
 
+    def test_rank_below_one_rejected_when_made(self):
+        with pytest.raises(RankTooLargeError, match="rank must be >= 1, got 0"):
+            RsvdParams(rank=0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
         a = np.random.Generator(np.random.PCG64(8)).standard_normal((12, 9))

@@ -1,6 +1,7 @@
-"""Package surface: the public exports, the settable sketch options, the
-runtime dependencies, where worker threads start, the one way round the
-tensor constructor and the README example."""
+"""Package surface: the public exports, the settable sketch options, how
+settings are checked and how array containers compare, the runtime
+dependencies, where worker threads start, the one way round the tensor
+constructor and the README example."""
 import ast
 import dataclasses
 import inspect
@@ -8,7 +9,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import dpar2
+from dpar2.analysis import RwrParams, build_similarity_graph, similarity
+from dpar2.tensor import MODE_PLANTED
 
 SRC = Path(dpar2.__file__).parent
 
@@ -25,6 +31,88 @@ def test_sketch_settings_are_rank_and_seed_only():
     assert [f.name for f in dataclasses.fields(dpar2.RsvdParams)] == ["rank", "seed"]
     assert list(inspect.signature(dpar2.compress).parameters) == [
         "tensor", "rank", "rsvd", "threads"]
+
+
+def tiny():
+    return dpar2.IrregularTensor([np.arange(12.0).reshape(4, 3) % 5, np.eye(5, 3)])
+
+
+def planted(**fields):
+    return dpar2.SyntheticSpec(rows=6, cols=4, num_slices=3, mode=MODE_PLANTED, true_rank=2,
+                               **fields)
+
+
+# What each case did, as its comment says, while every setting checked its
+# own type by hand or not at all.
+HOLES = {
+    "tol=True": ("tol", lambda: dpar2.SolverOptions(tol=True)),  # accepted
+    "tol=np.True_": ("tol", lambda: dpar2.SolverOptions(tol=np.True_)),  # accepted
+    "tol=None": ("tol", lambda: dpar2.SolverOptions(tol=None)),  # TypeError
+    "tol=str": ("tol", lambda: dpar2.SolverOptions(tol="1e-6")),  # TypeError
+    "tol=10**400": ("tol", lambda: dpar2.SolverOptions(tol=10**400)),  # OverflowError later
+    "threads=1.5": ("threads", lambda: dpar2.SolverOptions(threads=1.5)),  # accepted when made
+    "threads=0": ("threads", lambda: dpar2.SolverOptions(threads=0)),  # accepted when made
+    "stop_tol=True": ("stop_tol", lambda: RwrParams(stop_tol=True)),  # accepted
+    "stop_tol=str": ("stop_tol", lambda: RwrParams(stop_tol="0")),  # TypeError
+    "restart=str": ("restart", lambda: RwrParams(restart="0.15")),  # TypeError
+    "noise_level=True": ("noise_level", lambda: planted(noise_level=True)),  # generated at 1.0
+    "noise_level=str": ("noise_level", lambda: planted(noise_level="0.1")),  # TypeError later
+    "similarity gamma=str": ("gamma", lambda: similarity(np.zeros((2, 2)), np.ones((2, 2)),
+                                                         gamma="0.1")),  # TypeError
+    "graph gamma=str": ("gamma", lambda: build_similarity_graph(
+        [np.zeros((2, 2)), np.ones((2, 2))], gamma="0.1")),  # TypeError
+    "rsvd seed=1.0": ("seed", lambda: dpar2.RsvdParams(rank=2, seed=1.0)),  # TypeError later
+    "rsvd seed=True": ("seed", lambda: dpar2.RsvdParams(rank=2, seed=True)),  # ran
+    "rsvd rank=True": ("rank", lambda: dpar2.RsvdParams(rank=True)),  # ran
+    "compress rank=True": ("rank", lambda: dpar2.compress(tiny(), True)),  # ran at 1
+    "fit_dpar2 rank=True": ("rank", lambda: dpar2.fit_dpar2(tiny(), True)),  # TypeError
+    "fit_baseline rank=2.0": ("rank", lambda: dpar2.fit_baseline(tiny(), 2.0)),  # TypeError
+}
+
+
+@pytest.mark.parametrize("field, make", HOLES.values(), ids=HOLES.keys())
+def test_settings_of_the_wrong_type_raise_value_error_naming_the_field(field, make):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        make()
+
+
+def test_settings_keep_numpy_scalars_as_python_numbers():
+    opts = dpar2.SolverOptions(tol=np.float32(0.5), seed=np.int64(3), threads=np.int8(2))
+    rsvd = dpar2.RsvdParams(rank=np.int64(2), seed=np.uint64(2**63 + 5))
+    rwr = RwrParams(restart=np.float64(0.25), stop_tol=np.float16(0.0))
+    kept = [(opts.tol, float), (opts.seed, int), (opts.threads, int), (rsvd.rank, int),
+            (rsvd.seed, int), (rwr.restart, float), (rwr.stop_tol, float),
+            (planted(noise_level=np.float64(0.1)).noise_level, float)]
+    assert [type(value) for value, _ in kept] == [want for _, want in kept]
+    assert [value for value, _ in kept] == [0.5, 3, 2, 2, 2**63 + 5, 0.25, 0.0, 0.1]
+
+
+def test_numpy_seed_compresses_as_the_python_seed():
+    # np.int64 overflowed in the seed hash.
+    t = tiny()
+    got = dpar2.compress(t, 2, dpar2.RsvdParams(rank=2, seed=np.int64(5)), threads=1)
+    want = dpar2.compress(t, 2, dpar2.RsvdParams(rank=2, seed=5), threads=1)
+    for name in ("col_basis", "weights", "cores"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.slice_bases, want.slice_bases))
+
+
+def test_array_containers_compare_by_identity_and_print_short():
+    # == on their arrays raised ValueError, and the repr of a 2000-slice
+    # planted tensor ran to 12 MB.
+    t = dpar2.generate(dpar2.SyntheticSpec(rows=50, cols=30, num_slices=2000, mode=MODE_PLANTED,
+                                           true_rank=5, noise_level=0.1))
+    u = dpar2.IrregularTensor(t.slices)
+    assert t == t and t != u and u not in [t]
+    assert len(repr(t)) < 200
+    factors, _ = dpar2.fit_dpar2(tiny(), 2, dpar2.SolverOptions(max_iters=2))
+    comp = dpar2.compress(tiny(), 2)
+    graph = build_similarity_graph([np.zeros((2, 2)), np.ones((2, 2))])
+    trip = dpar2.randomized_svd(np.eye(4), dpar2.RsvdParams(rank=2))
+    for record in (factors, comp, graph, trip, RwrParams()):
+        assert record == record and record != dataclasses.replace(record)
+    assert all(len(repr(x)) < 200 for x in (factors, comp))
+    hash(RwrParams())
 
 
 def absolute_imports(tree):
@@ -119,6 +207,19 @@ def test_sketches_draw_from_no_generator():
              or getattr(node, "id", None) == "SeedSequence"
              or getattr(node, "attr", None) == "SeedSequence"
              or (isinstance(node, ast.ImportFrom) and node.module == "numpy.random")]
+    assert found == []
+
+
+def test_only_factors_checks_for_bool():
+    # factors.as_integer and factors.as_real are the one place a bool is
+    # told from a number, so no hand-rolled type check comes back.
+    found = [f"{name}:{node.lineno}" for name, tree in parsed_sources() if name != "factors.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+             and len(node.args) == 2
+             and any(getattr(part, "id", None) == "bool"
+                     or getattr(part, "attr", None) in ("bool", "bool_")
+                     for part in ast.walk(node.args[1]))]
     assert found == []
 
 

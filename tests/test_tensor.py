@@ -332,6 +332,29 @@ class TestGenerate:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SyntheticSpec(**{**fields, name: value})
 
+    @pytest.mark.parametrize("fields, error, message", [
+        (dict(num_slices=0), ShapeMismatchError, "need num_slices >= 1 and cols >= 1"),
+        (dict(mode="banana"), ValueError, "unknown mode 'banana'"),
+        (dict(noise_level=-0.1), ValueError, "noise_level must be finite and >= 0"),
+        (dict(noise_level=0.1), ValueError, "noise_level applies to planted mode only"),
+        (dict(rows=0), ShapeMismatchError, "row counts must be positive"),
+        (dict(mode=MODE_PLANTED, rows=3, true_rank=4), dpar2.errors.RankTooLargeError,
+         "rows=3 too small for rank 4"),
+        (dict(mode=MODE_PLANTED, true_rank=0), dpar2.errors.RankTooLargeError,
+         "true_rank 0 not in"),
+        (dict(mode=MODE_PLANTED, true_rank=4), dpar2.errors.RankTooLargeError,
+         "true_rank 4 not in"),
+    ], ids=["no-slices", "mode", "noise", "uniform-noise", "no-rows", "rows-below-rank",
+            "rank-0", "rank-over-cols"])
+    def test_spec_checks_its_ranges_when_made(self, fields, error, message):
+        # generate checked these, so a bad spec could be made and passed on.
+        with pytest.raises(error, match=message):
+            SyntheticSpec(**{**dict(rows=6, cols=3, num_slices=2), **fields})
+
+    def test_uniform_mode_ignores_true_rank(self):
+        # bench passes its largest rank in uniform mode too.
+        assert generate(SyntheticSpec(rows=4, cols=3, num_slices=2, true_rank=9)).num_slices == 2
+
     def test_spec_keeps_numpy_integers_as_python_ints(self):
         spec = SyntheticSpec(rows=np.int64(4), cols=np.int32(3), num_slices=np.uint8(2),
                              mode=MODE_PLANTED, true_rank=np.int64(2), seed=np.int64(-5))
