@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import reconstruction_terms
-from .errors import DegenerateInputError, IsolatedNodeError, NumericFailure, ShapeMismatchError
+from .errors import (DegenerateInputError, IndexOutOfRangeError, IsolatedNodeError, NumericFailure,
+                     ShapeMismatchError)
 from .factors import Parafac2Factors, as_integer, as_real
 from .tensor import IrregularTensor
 
@@ -27,11 +28,12 @@ def fitness(tensor: IrregularTensor, factors: Parafac2Factors, threads=None):
     1 is a perfect fit; 0 means no better than predicting zero.  Raises on
     an all-zero tensor, where the ratio is undefined.  The residual terms
     are :func:`~dpar2.baseline.reconstruction_terms`, which checks the
-    factor shapes against the tensor and forms no I_k x J array.  Every
-    term of both sums is scaled by 2^-e, 2^e just above the largest
-    ||X_k||^2, before the sums are reduced, so each sum fits in a float
-    wherever its terms do, and the ratio keeps its bits.  A sum that
-    overflows all the same raises :class:`NumericFailure`.
+    factor shapes against the tensor, then forms Q_k^T X_k and Q_k^T Q_k
+    stack by stack in the ALS iteration's projection pass, and forms no
+    I_k x J array.  Every term of both sums is scaled by 2^-e, 2^e just
+    above the largest ||X_k||^2, before the sums are reduced, so each sum
+    fits in a float wherever its terms do, and the ratio keeps its bits.  A
+    sum that overflows all the same raises :class:`NumericFailure`.
     """
     x_sq = np.array(tensor.sq_norms)
     shift = -int(np.frexp(x_sq.max())[1])
@@ -122,15 +124,17 @@ def knn(scores, target, k):
     ``scores`` is either a 1-D score vector or a SimilarityGraph (its
     target row is used).  Ties break toward the lower index.  ``target``
     and ``k`` must be integers (a bool, float or str raises ``ValueError``),
-    ``target`` in [0, n) (else ``IndexError``) and ``k`` in [0, n - 1].
+    ``target`` in [0, n) (else :class:`IndexOutOfRangeError`, an ``IndexError``)
+    and ``k`` in [0, n - 1].
     """
     target, k = as_integer("target", target), as_integer("k", k)
-    if isinstance(scores, SimilarityGraph):
-        scores = scores.adjacency[target]
-    scores = np.asarray(scores, dtype=np.float64)
+    graph = isinstance(scores, SimilarityGraph)
+    scores = np.asarray(scores.adjacency if graph else scores, dtype=np.float64)
     n = scores.shape[0]
     if not 0 <= target < n:
-        raise IndexError(f"target {target} out of range [0, {n})")
+        raise IndexOutOfRangeError(f"target {target} out of range [0, {n})")
+    if graph:
+        scores = scores[target]
     if k < 0 or k > n - 1:
         raise ValueError(f"k must be in [0, {n - 1}], got {k}")
     order = np.lexsort((np.arange(n), -scores))

@@ -6,15 +6,17 @@ U_k V_k^T from the thin SVD of X_k V S_k H^T), projects the slices to the
 core stack Y_k = Q_k^T X_k in the same pass over X, and runs one
 :func:`als_sweep` over H, V, W on that stack.  Like stage-1 compression,
 it plans its stacks of equal row count with one
-``scheduler.equal_height_stacks`` call and runs them through
-``scheduler.map_stacks``, one :func:`procrustes_svd` per stack on the
-stack's view of the tensor, so no iteration copies a slice; the
-compressed solver's rotations call the same kernel on R x R cores.  The reconstruction error
+``scheduler.equal_height_stacks`` call, and its one projection pass runs
+them through ``scheduler.map_stacks``, one :func:`procrustes_svd` and one
+batched Q_k^T X_k and Q_k^T Q_k per stack on the stack's view of the
+tensor, so no iteration copies a slice; the compressed solver's rotations
+call the same kernel on R x R cores.  The reconstruction error
 sum_k ||X_k - Q_k H S_k V^T||_F^2 drives the stopping rule; it is
 expanded over ||X_k||^2 (which the tensor keeps), Y_k and Q_k^T Q_k, so
-it costs no pass over X of its own.  :func:`als_sweep` is the one
-implementation of the H, V, W updates; the compressed solver runs it on
-R x R blocks.
+it costs no pass over X of its own.  :func:`reconstruction_terms` scores
+given factors through the same projection pass, stack by stack.
+:func:`als_sweep` is the one implementation of the H, V, W updates; the
+compressed solver runs it on R x R blocks.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import NumericFailure, ShapeMismatchError
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, iterate, push_col_norms
 from .linalg import gram, pinv_small
-from .scheduler import equal_height_stacks, map_stacks, parallel_slice_map
+from .scheduler import equal_height_stacks, map_stacks
 from .tensor import IrregularTensor, check_rank
 
 
@@ -162,19 +164,16 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
 
     def step(h, v, w, _):
         q = [None] * num
-        cores, grams = np.empty((num, rank, cols)), np.empty((num, rank, rank))
 
-        def project(ks):
+        def rotations(ks, x):
             # U V^T needs no sign convention: a sign flip leaves it as it is.
-            x = tensor.stack(ks)
             u, _, vt = procrustes_svd(x, v, h, w[ks])
             qs = u @ vt
-            qt = np.swapaxes(qs, 1, 2)
-            cores[ks], grams[ks] = qt @ x, qt @ qs
             for k, q_k in zip(ks, qs):
                 q[k] = q_k
+            return qs
 
-        map_stacks(project, stacks, groups)
+        cores, grams = _projections(tensor, rank, rotations, stacks, groups)
         h, v, w, _ = als_sweep(cores, None, h, v, w, normalize=False)
         with np.errstate(over="ignore", invalid="ignore"):  # iterate checks the objective
             objective = float(np.add.reduce(residual_terms(x_sq, cores, grams, h, v, w)))
@@ -184,6 +183,24 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
     trace = FitTrace()
     h, v, w, q = iterate(step, (*initial, None), opts, trace)
     return Parafac2Factors(H=h, V=v, W=w, Q=q), trace
+
+
+def _projections(tensor, rank, q_of, stacks, groups):
+    """Y_k = Q_k^T X_k and Q_k^T Q_k of every slice, as (K, R, J) and
+    (K, R, R) arrays, in one pass over X: ``map_stacks`` runs each stack
+    ``ks`` of ``stacks`` on its view ``x`` of the tensor, as one batched
+    product with ``q_of(ks, x)``, the (G, I, R) stack of its Q_k."""
+    num = tensor.num_slices
+    cores, grams = np.empty((num, rank, tensor.num_cols)), np.empty((num, rank, rank))
+
+    def project(ks):
+        x = tensor.stack(ks)
+        qs = q_of(ks, x)
+        qt = np.swapaxes(qs, 1, 2)
+        cores[ks], grams[ks] = qt @ x, qt @ qs
+
+    map_stacks(project, stacks, groups)
+    return cores, grams
 
 
 def residual_terms(x_sq, cores, grams, h, v, w):
@@ -213,11 +230,12 @@ def reconstruction_error(tensor, q, h, v, w, threads=None):
 def reconstruction_terms(tensor, q, h, v, w, threads=None):
     """||X_k - Q_k (H S_k) V^T||_F^2 of every slice, as one array.
 
-    One pass over X forms Y_k = Q_k^T X_k and Q_k^T Q_k for
-    :func:`residual_terms`, so no I_k x J residual is formed.  Before that
-    pass every factor is checked against the tensor and the rank
-    R = ``h.shape[-1]``: H is R x R, each Q_k I_k x R, V J x R and W K x R.
-    A mismatch raises :class:`ShapeMismatchError` naming the factor.
+    One pass over X, the stacked projection pass of :func:`fit_baseline`
+    on the ``equal_height_stacks`` plan, forms Y_k = Q_k^T X_k and
+    Q_k^T Q_k for :func:`residual_terms`, so no I_k x J residual is
+    formed.  Before that pass every factor is checked against the tensor
+    and the rank R = ``h.shape[-1]``: H is R x R, each Q_k I_k x R, V
+    J x R and W K x R.  A mismatch raises :class:`ShapeMismatchError` naming the factor.
     """
     if len(q) != tensor.num_slices:
         raise ShapeMismatchError(f"factors cover {len(q)} slices, tensor has {tensor.num_slices}")
@@ -234,8 +252,11 @@ def reconstruction_terms(tensor, q, h, v, w, threads=None):
         if factor.shape != shape:
             raise ShapeMismatchError(f"{name} has shape {factor.shape}, expected {shape} for rank {rank}")
 
-    def project(k):
-        return q[k].T @ tensor.slices[k], q[k].T @ q[k]
+    def stacked(ks, x):
+        # A stack of one takes its Q_k as a view: on a paper-scale tensor,
+        # all stacks of one, copying every Q_k took about 10 % of the pass.
+        return q[ks[0]][None] if len(ks) == 1 else np.stack([q[k] for k in ks])
 
-    cores, grams = zip(*parallel_slice_map(project, tensor.num_slices, threads=threads))
+    stacks, groups = equal_height_stacks(tensor.row_counts, tensor.num_cols, threads)
+    cores, grams = _projections(tensor, rank, stacked, stacks, groups)
     return residual_terms(np.array(tensor.sq_norms), cores, grams, h, v, w)

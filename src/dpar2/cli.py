@@ -195,8 +195,6 @@ def cmd_analyze(args):
     factors = load_factors(args.factors)
     graph = analysis.build_similarity_graph(factors.U, gamma=args.gamma)
     n = graph.num_nodes
-    if not 0 <= args.target < n:
-        raise DecompositionError(f"target {args.target} out of range [0, {n})")
     # Every table is computed before the first write, so a run that fails
     # leaves no output behind.
     tables = {"similarity.csv": (["node"] + [f"n{j}" for j in range(n)],

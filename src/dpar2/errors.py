@@ -13,6 +13,10 @@ class ShapeMismatchError(DecompositionError):
     """Operands have incompatible shapes (inconsistent column counts, etc.)."""
 
 
+class IndexOutOfRangeError(DecompositionError, IndexError):
+    """An index names no node or slice; still an ``IndexError``."""
+
+
 class RankTooLargeError(DecompositionError):
     """Requested rank exceeds what the operand dimensions allow."""
 

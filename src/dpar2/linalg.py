@@ -101,9 +101,12 @@ def truncated_svd(a, rank):
     """Exact truncated SVD of a dense matrix.
 
     Returns the leading ``rank`` singular triplets as an :class:`SvdTriple`.
-    Raises :class:`RankTooLargeError` if ``rank`` exceeds ``min(a.shape)``.
+    ``rank`` must be an integer (a bool, float or str raises ``ValueError``,
+    ``factors.as_integer``); :class:`RankTooLargeError` if it is below 1 or
+    exceeds ``min(a.shape)``.
     """
     a = _as_matrix(a)
+    rank = as_integer("rank", rank)
     if rank < 1:
         raise RankTooLargeError(f"rank must be >= 1, got {rank}")
     if rank > min(a.shape):

@@ -18,7 +18,8 @@ from dpar2.analysis import (
     similarity,
 )
 from dpar2.baseline import fit_baseline, reconstruction_error
-from dpar2.errors import DegenerateInputError, IsolatedNodeError, NumericFailure, ShapeMismatchError
+from dpar2.errors import (DegenerateInputError, IndexOutOfRangeError, IsolatedNodeError, NumericFailure,
+                          ShapeMismatchError)
 from dpar2.factors import Parafac2Factors, SolverOptions
 from dpar2.solver import fit_dpar2
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
@@ -114,7 +115,7 @@ class TestFitness:
         t, factors = exact_factors_for(5, rows=(6, 4))
         swapped = Parafac2Factors(H=factors.H, V=factors.V, W=factors.W,
                                   Q=factors.Q[::-1])
-        monkeypatch.setattr(dpar2.baseline, "parallel_slice_map", no_pass_over_x)
+        monkeypatch.setattr(dpar2.baseline, "map_stacks", no_pass_over_x)
         with pytest.raises(ShapeMismatchError, match="Q_0 has 4 rows, but slice 0 has 6"):
             fitness(t, swapped)
         with pytest.raises(ShapeMismatchError, match="slice 0"):
@@ -123,7 +124,7 @@ class TestFitness:
     def test_wrong_v_rows(self, monkeypatch):
         t, factors = exact_factors_for(6, cols=7)
         short_v = Parafac2Factors(H=factors.H, V=factors.V[:5], W=factors.W, Q=factors.Q)
-        monkeypatch.setattr(dpar2.baseline, "parallel_slice_map", no_pass_over_x)
+        monkeypatch.setattr(dpar2.baseline, "map_stacks", no_pass_over_x)
         with pytest.raises(ShapeMismatchError, match="V has 5 rows, tensor has 7 columns"):
             fitness(t, short_v)
         with pytest.raises(ShapeMismatchError, match="V has 5 rows"):
@@ -138,7 +139,7 @@ class TestFitness:
                               "V": {"V": np.hstack([f.V, f.V[:, :1]])},  # R + 1 columns
                               "W": {"W": np.vstack([f.W, f.W[:1]])},  # K + 1 rows
                               "H": {"H": np.vstack([f.H, f.H[:1]])}}[name])  # (R + 1) x R
-        monkeypatch.setattr(dpar2.baseline, "parallel_slice_map", no_pass_over_x)
+        monkeypatch.setattr(dpar2.baseline, "map_stacks", no_pass_over_x)
         with pytest.raises(ShapeMismatchError, match=f"{name} has shape"):
             fitness(t, wrong)
         with pytest.raises(ShapeMismatchError, match=f"{name} has shape"):
@@ -264,6 +265,14 @@ class TestKnn:
             knn(np.array([1.0, 2.0]), target=0, k=2)
         with pytest.raises(IndexError):
             knn(np.array([1.0, 2.0]), target=5, k=1)
+
+    @pytest.mark.parametrize("target", [99, -1])
+    def test_graph_target_out_of_range_is_checked_before_the_row_is_read(self, target):
+        # 99 raised numpy's "index 99 is out of bounds", and -1 read the
+        # last row, before the range check.
+        for scores in (np.array([0.1, 0.9, 0.5]), ring_graph(3)):
+            with pytest.raises(IndexOutOfRangeError, match=rf"target {target} out of range \[0, 3\)"):
+                knn(scores, target, 1)
 
     def test_bool_k_is_no_count(self):
         # True counted as one neighbour.

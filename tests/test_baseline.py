@@ -10,6 +10,7 @@ from dpar2.baseline import (
     cp_als_step,
     fit_baseline,
     reconstruction_error,
+    reconstruction_terms,
     residual_terms,
     unfold_mode1,
     unfold_mode2,
@@ -18,6 +19,7 @@ from dpar2.baseline import (
 from dpar2.errors import NonFiniteInputError, NumericFailure, RankTooLargeError
 from dpar2.factors import SolverOptions, initial_factors
 from dpar2.linalg import khatri_rao, pinv_small, truncated_svd
+from dpar2.scheduler import equal_height_stacks
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
 
 baseline_module = importlib.import_module("dpar2.baseline")
@@ -364,3 +366,28 @@ class TestStackedProcrustes:
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         with pytest.raises(NumericFailure, match="^rotation SVD did not converge " + named + "$"):
             fit_baseline(t, 2, SolverOptions(threads=threads))
+
+
+class TestSharedProjection:
+    # reconstruction_terms forms Q_k^T X_k and Q_k^T Q_k stack by stack,
+    # through the pass the ALS iteration uses.  On TestStackedProcrustes'
+    # rows the five 30-row slices make two stacks at any thread count.
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["non_orthonormal_q", "fit_q"])
+    def test_reconstruction_terms_match_per_slice_products_bitwise(self, kind, threads):
+        rng = np.random.Generator(np.random.PCG64(33))
+        rows = TestStackedProcrustes.ROWS
+        t = IrregularTensor([rng.standard_normal((r, 2000)) for r in rows])
+        stacks, _ = equal_height_stacks(t.row_counts, t.num_cols, threads)
+        assert [len(ks) for ks in stacks] == [2, 1, 4, 1, 1]
+        if kind == "fit_q":
+            f, _ = fit_baseline(t, 3, SolverOptions(max_iters=2, tol=0.0, threads=threads))
+            q, h, v, w = f.Q, f.H, f.V, f.W
+        else:
+            h, v, w = random_factors(34, 3, 2000, len(rows))
+            q = [rng.standard_normal((r, 3)) for r in rows]
+        ys = [q_k.T @ x for q_k, x in zip(q, t.slices)]
+        grams = [q_k.T @ q_k for q_k in q]
+        want = residual_terms(np.array(t.sq_norms), ys, grams, h, v, w)
+        got = reconstruction_terms(t, q, h, v, w, threads=threads)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -1,7 +1,7 @@
 """Package surface: the public exports, the settable sketch options, how
 settings are checked and how array containers compare, the runtime
-dependencies, where worker threads start, the one way round the tensor
-constructor and the README example."""
+dependencies, where worker threads start, that no pass goes slice by
+slice, the one way round the tensor constructor and the README example."""
 import ast
 import dataclasses
 import inspect
@@ -67,6 +67,8 @@ HOLES = {
     "compress rank=True": ("rank", lambda: dpar2.compress(tiny(), True)),  # ran at 1
     "fit_dpar2 rank=True": ("rank", lambda: dpar2.fit_dpar2(tiny(), True)),  # TypeError
     "fit_baseline rank=2.0": ("rank", lambda: dpar2.fit_baseline(tiny(), 2.0)),  # TypeError
+    "truncated_svd rank=True": ("rank", lambda: dpar2.truncated_svd(np.eye(3), True)),  # ran at 1
+    "truncated_svd rank=2.0": ("rank", lambda: dpar2.truncated_svd(np.eye(3), 2.0)),  # TypeError
 }
 
 
@@ -220,6 +222,16 @@ def test_only_factors_checks_for_bool():
              and any(getattr(part, "id", None) == "bool"
                      or getattr(part, "attr", None) in ("bool", "bool_")
                      for part in ast.walk(node.args[1]))]
+    assert found == []
+
+
+def test_no_pass_goes_slice_by_slice():
+    # Every pass over X runs by stack or by run through map_stacks;
+    # parallel_slice_map stays exported for callers outside the package.
+    found = [f"{name}:{node.lineno}" for name, tree in parsed_sources()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "parallel_slice_map"
+             and name not in ("scheduler.py", "__init__.py")]
     assert found == []
 
 

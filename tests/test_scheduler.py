@@ -366,7 +366,7 @@ def record_stack_threads(monkeypatch):
 
         return real(recorded, stacks, groups)
 
-    for module in (dpar2.scheduler, dpar2.tensor):
+    for module in (dpar2.baseline, dpar2.scheduler, dpar2.tensor):
         monkeypatch.setattr(module, "map_stacks", spy)
     return ran
 
