@@ -46,7 +46,7 @@ def unfold_mode3(core_slices):
 
 def cp_als_step(core_slices, h, v, w, normalize=False):
     """:func:`als_sweep` over the list of R x J core slices Y_k; returns H, V, W."""
-    return als_sweep(np.stack(core_slices), None, h, v, w, normalize)[:3]
+    return als_sweep(np.stack(core_slices), None, h, v, w, normalize)
 
 
 def als_sweep(cores, basis, h, v, w, normalize):
@@ -59,10 +59,7 @@ def als_sweep(cores, basis, h, v, w, normalize):
     updated factor's columns are rescaled to unit norm and the norms pushed
     into W, which the final W solve then replaces.  Finite cores whose
     Gram products overflow or underflow raise :class:`NumericFailure`.
-
-    Returns ``(h, v, w, m3)``: the updated factors and the W solve's
-    right-hand side M_3 = :func:`rhs_mode3` of the new H and V, from which
-    the compressed solver reads its objective.
+    Returns the updated ``(h, v, w)``.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # _solve checks every factor
         h = _solve(rhs_mode1(cores, basis, w, v), w, v)
@@ -71,9 +68,8 @@ def als_sweep(cores, basis, h, v, w, normalize):
         v = _solve(rhs_mode2(cores, basis, w, h), w, h)
         if normalize:
             v, w = push_col_norms(v, w)
-        m3 = rhs_mode3(cores, basis, v, h)
-        w = _solve(m3, v, h)
-    return h, v, w, m3
+        w = _solve(rhs_mode3(cores, basis, v, h), v, h)
+    return h, v, w
 
 
 def _times_v(cores, basis, v):
@@ -174,7 +170,7 @@ def fit_baseline(tensor: IrregularTensor, rank, opts: SolverOptions | None = Non
             return qs
 
         cores, grams = _projections(tensor, rank, rotations, stacks, groups)
-        h, v, w, _ = als_sweep(cores, None, h, v, w, normalize=False)
+        h, v, w = als_sweep(cores, None, h, v, w, normalize=False)
         with np.errstate(over="ignore", invalid="ignore"):  # iterate checks the objective
             objective = float(np.add.reduce(residual_terms(x_sq, cores, grams, h, v, w)))
         return (h, v, w, q), objective

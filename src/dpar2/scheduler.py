@@ -6,8 +6,8 @@ K being the stacks, runs or R x R blocks it splits.  That rule is
 plans ``compress``, ``fit_baseline``, ``fitness`` and planted
 ``generate`` over the whole tensor: it cuts each run of equal height in
 ``height_order``, the layout of every tensor's buffer, into stacks, each
-one view and one batched call, and ``greedy_partition`` balances their
-row loads over the workers.
+one view and one batched call, halves stacks until every worker has one,
+and ``greedy_partition`` balances their row loads over the workers.
 ``contiguous_runs`` plans ``update_rotations``, ``load_archive`` and
 uniform ``generate``: one contiguous run of slices per worker.
 ``parallel_slice_map`` splits slices the same way and calls ``fn(k)`` per
@@ -19,10 +19,12 @@ the outcome, errors included, is the same for any thread count.
 
 A pass runs its first group on the calling thread and hands each other
 group to an idle worker, a daemon thread kept between passes; only when
-none is idle does it start one.  A worker takes one group at a time and
-rejoins the idle stack when its group is done, so a pass never waits on a
-busy worker (a pass started inside a group, or two passes at once), and
-there are never more workers than were ever busy at once.  A forked child
+none is idle does it start one.  It takes every worker before it hands
+out any group, so each group of a pass runs on a thread of its own.  A
+worker takes one group at a time and rejoins the idle stack when its
+group is done, so a pass never waits on a busy worker (a pass started
+inside a group, or two passes at once), and there are never more
+workers than were ever busy at once.  A forked child
 starts with none: the parent's threads do not exist in it.
 
 These worker threads are the package's only parallelism: importing the
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import heapq
 import itertools
 import os
 import queue
@@ -101,14 +104,27 @@ def equal_height_stacks(row_counts, cols, threads=None):
     """The plan of a stacked pass: each run of equal height in
     ``height_order`` cut into stacks of at most ``_STACK_FLOATS`` floats of
     slices ``cols`` wide (and at least one slice), each one view of the
-    tensor; then the stacks split over the workers by ``greedy_partition``
-    on their row loads.  Returns the stacks and the groups, each a
-    worker's stack indices."""
+    tensor; the heaviest stack of two or more slices halved while some of
+    the min(threads, K) workers would get none; then the stacks split over
+    the workers by ``greedy_partition`` on their row loads.  Returns the
+    stacks and the groups, each a worker's stack indices."""
     stacks = []
     for rows, run in itertools.groupby(height_order(row_counts), key=row_counts.__getitem__):
         run = list(run)
         size = max(1, _STACK_FLOATS // (rows * cols))
         stacks += [run[start : start + size] for start in range(0, len(run), size)]
+
+    def entry(ks):  # halving order: two or more slices, then most rows, then layout
+        return len(ks) == 1, -len(ks) * row_counts[ks[0]], row_counts[ks[0]], ks[0], ks
+
+    heap, workers = [entry(ks) for ks in stacks], _workers(threads, len(row_counts))
+    heapq.heapify(heap)
+    while 0 < len(heap) < workers:  # K stacks of one always suffice
+        ks = heapq.heappop(heap)[-1]
+        half = (len(ks) + 1) // 2
+        heapq.heappush(heap, entry(ks[:half]))
+        heapq.heappush(heap, entry(ks[half:]))
+    stacks = [e[-1] for e in sorted(heap, key=lambda e: e[2:4])]
     loads = [len(ks) * row_counts[ks[0]] for ks in stacks]
     return stacks, greedy_partition(loads, _workers(threads, len(stacks))).sets
 
@@ -198,19 +214,24 @@ def map_stacks(fn, stacks, groups):
                     return
 
     first, *rest = [g for g in groups if g] or [[]]
+    # Every worker is taken before any group is handed out, so one that
+    # finishes early cannot take a second group of this pass.
+    inboxes, handed = [], 0
     done = queue.SimpleQueue()  # one item per finished group
-    handed = 0
     try:
-        for group in rest:
+        for _ in rest:
             try:
                 inbox = _idle.pop()
             except IndexError:  # every worker is busy: add one
                 inbox = queue.SimpleQueue()
                 threading.Thread(target=_serve, args=(inbox,), daemon=True).start()
+            inboxes.append(inbox)
+        for inbox, group in zip(inboxes, rest):
             inbox.put((run, group, done))
             handed += 1
         run(first)
     finally:
+        _idle.extend(inboxes[handed:])  # taken but given no group
         for _ in range(handed):
             done.get()
     if failures:  # an interrupt or exit before any error, then the lowest slice

@@ -301,7 +301,7 @@ def per_slice_als(tensor, rank, iters):
             q.append(trip.U @ trip.V.T)
         ys = [q_k.T @ x for q_k, x in zip(q, tensor.slices)]
         grams = [q_k.T @ q_k for q_k in q]
-        h, v, w, _ = als_sweep(np.stack(ys), None, h, v, w, normalize=False)
+        h, v, w = als_sweep(np.stack(ys), None, h, v, w, normalize=False)
         cores.append(np.stack(ys))
         objective.append(float(np.add.reduce(residual_terms(x_sq, ys, grams, h, v, w))))
     return cores, objective, (h, v, w, q)

@@ -1,7 +1,8 @@
 """Package surface: the public exports, the settable sketch options, how
 settings are checked and how array containers compare, the runtime
 dependencies, where worker threads start, that no pass goes slice by
-slice, the one way round the tensor constructor and the README example."""
+slice, that DPar2 iterates through its public steps, the one way round
+the tensor constructor and the README example."""
 import ast
 import dataclasses
 import inspect
@@ -233,6 +234,20 @@ def test_no_pass_goes_slice_by_slice():
              if isinstance(node, ast.Name) and node.id == "parallel_slice_map"
              and name not in ("scheduler.py", "__init__.py")]
     assert found == []
+
+
+def test_dpar2_iterates_through_its_public_steps():
+    # DPar2 is ALS on the compressed slices: fit_dpar2's step is
+    # update_rotations, update_factors and convergence_metric, so no fused
+    # second copy of the sweep or the objective can come back.
+    tree = dict(parsed_sources())["solver.py"]
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert defined.isdisjoint({"_scaled_cores", "_objective"})
+    owner = top_level_owners(tree)
+    called = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and owner.get(id(node)) == "fit_dpar2"}
+    assert {"update_rotations", "update_factors", "convergence_metric"} <= called
+    assert "als_sweep" not in called
 
 
 def test_readme_library_example_runs(capsys):

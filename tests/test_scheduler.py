@@ -110,10 +110,35 @@ class TestEqualHeightStacks:
 
     def test_plans_no_worker_past_the_last_slice(self):
         # Planning 300 000 workers for 3 slices cost O(K * threads).  The
-        # three equal slices are one stack, so one worker runs it.
+        # three equal slices fit one stack, which is halved until each of
+        # the min(threads, K) = 3 workers has a stack of its own.
         stacks, groups = equal_height_stacks([5, 5, 5], 3, threads=300_000)
-        assert stacks == [[0, 1, 2]]
-        assert groups == [[0]]
+        assert stacks == [[0], [1], [2]]
+        assert groups == [[0], [1], [2]]
+
+    def test_small_equal_slices_give_every_worker_a_stack(self):
+        # 2000 slices of 10 x 10 fit one stack of 200 000 floats, which one
+        # worker ran at any thread count.  Halving it gives each worker a
+        # stack, and a stack factorizes each slice as it would alone, so
+        # no pass changes a bit.
+        stacks, groups = equal_height_stacks([10] * 2000, 10, threads=2)
+        assert stacks == [list(range(1000)), list(range(1000, 2000))]
+        assert groups == [[0], [1]]
+        stacks, _ = equal_height_stacks([10] * 2000, 10, threads=3)
+        assert [len(ks) for ks in stacks] == [500, 500, 1000]
+
+        tensor = dpar2.generate(dpar2.SyntheticSpec(rows=10, cols=10, num_slices=2000, seed=3))
+        runs = []
+        for threads in (1, 2, 3):
+            comp = dpar2.compress(tensor, 3, threads=threads)
+            factors, trace = dpar2.fit_baseline(
+                tensor, 3, dpar2.SolverOptions(max_iters=3, tol=0.0, threads=threads))
+            arrays = [*comp.slice_bases, comp.col_basis, comp.weights, comp.cores,
+                      factors.H, factors.V, factors.W, *factors.Q]
+            runs.append([a.tobytes() for a in arrays]
+                        + [e.hex() for e in trace.objective]
+                        + [dpar2.fitness(tensor, factors, threads=threads).hex()])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestContiguousChunks:

@@ -45,6 +45,15 @@ def manual_compressed(seed, rank=3, cols=10, num=4, rows=8):
                             weights=weights, cores=cores)
 
 
+def tiled_compressed(seed, exponent, num=5):
+    """:func:`manual_compressed` with every core block F_k = F_0, so F is
+    not column-orthonormal (F^T F = K I), and the weights times 2^exponent."""
+    base = manual_compressed(seed, rank=3, cols=9, num=num)
+    return CompressedTensor(rank=3, slice_bases=base.slice_bases, col_basis=base.col_basis,
+                            weights=np.ldexp(base.weights, exponent),
+                            cores=np.tile(base.core_block(0), (num, 1)))
+
+
 def materialized_cores(comp, rotations):
     """Y_k = Theta_k E D^T, the projected cores the kernels avoid forming."""
     theta = rotated_cores(comp, rotations)
@@ -267,6 +276,22 @@ class TestKernels:
         got = mttkrp_mode3(self.comp, self.rots, self.v, self.h)
         assert np.abs(got - want).max() <= 1e-11 * max(1.0, np.abs(want).max())
 
+    @pytest.mark.parametrize("exponent", [-400, 400])
+    def test_modes_match_materialized_unfoldings_on_tiled_scaled_cores(self, exponent):
+        # The kernels read Theta_k against the basis D diag(E): that assumes
+        # neither orthonormal columns of F nor a unit scale of E and W.
+        comp = tiled_compressed(4, exponent)
+        w = np.ldexp(self.w, exponent)
+        rots = update_rotations(comp, self.h, self.v, w)
+        cores = materialized_cores(comp, rots)
+        for got, want in (
+            (mttkrp_mode1(comp, rots, w, self.v), unfold_mode1(cores) @ khatri_rao(w, self.v)),
+            (mttkrp_mode2(comp, rots, w, self.h), unfold_mode2(cores) @ khatri_rao(w, self.h)),
+            (mttkrp_mode3(comp, rots, self.v, self.h),
+             unfold_mode3(cores) @ khatri_rao(self.v, self.h)),
+        ):
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
     def test_sweep_matches_uncompressed_sweep_on_cores(self):
         for normalize in (False, True):
             got = update_factors(self.comp, self.rots, self.h, self.v, self.w,
@@ -324,6 +349,20 @@ class TestConvergenceMetric:
             for state in ((h, v, w), update_factors(comp, rots, h, v, w)):
                 want = direct_metric(comp, rots, *state)
                 assert convergence_metric(comp, rots, *state) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("exponent", [-400, 400])
+    def test_tiled_cores_at_power_of_two_scales_match_direct_form(self, exponent):
+        # sum_k ||Theta_k E||^2 is read off Theta and E^2: F need not have
+        # orthonormal columns, and every term scales by 4^exponent.
+        rng = np.random.default_rng(21)
+        comp = tiled_compressed(21, exponent)
+        h, v = rng.standard_normal((3, 3)), rng.standard_normal((9, 3))
+        w = np.ldexp(rng.standard_normal((5, 3)), exponent)
+        rots = update_rotations(comp, h, v, w)
+        for state in ((h, v, w), update_factors(comp, rots, h, v, w)):
+            want = direct_metric(comp, rots, *state)
+            assert 0.0 < want < math.inf
+            assert convergence_metric(comp, rots, *state) == pytest.approx(want, rel=1e-9)
 
     def test_exact_fit_is_non_negative_and_within_rounding(self):
         # At an exact fit the three terms cancel; what is left is rounding,
