@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericFailure, ShapeMismatchError
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, iterate, push_col_norms
-from .linalg import gram, pinv_small
+from .linalg import gram, khatri_rao, pinv_small
 from .scheduler import equal_height_stacks, map_stacks
 from .tensor import IrregularTensor, check_rank
 
@@ -199,20 +199,34 @@ def _projections(tensor, rank, q_of, stacks, groups):
     return cores, grams
 
 
+def model_rows(h, v, w):
+    """The model terms M_k = H S_k V^T of every slice in R-sized form: the
+    K x mR matrix W (R kr H)^T, R the m x R triangular factor of V = QR.
+
+    Row k is N_k^T = R S_k H^T, flattened row-major, so N_k = H S_k R^T
+    has ||N_k|| = ||M_k|| and N_k N_k^T = M_k M_k^T, since V^T V = R^T R.
+    It is one gemm over all slices.  Components that grow large and cancel
+    (a two-factor degeneracy) then add a rounding error of about
+    eps * ||W|| * ||M_k||, where Gram matrices would add eps * ||W||^2.
+    """
+    return w @ khatri_rao(np.linalg.qr(v, mode="r"), h).T
+
+
 def residual_terms(x_sq, cores, grams, h, v, w):
     """||X_k - Q_k H S_k V^T||_F^2 of every slice, from R-sized pieces only.
 
     With Y_k = Q_k^T X_k and M_k = H S_k V^T each term expands to
     ||X_k||^2 - 2 <Y_k, M_k> + <Q_k^T Q_k, M_k M_k^T>, which holds for any
     Q_k, orthonormal or not.  ``x_sq`` holds the ||X_k||^2, ``cores`` the
-    Y_k and ``grams`` the Q_k^T Q_k.  Near an exact fit the expansion
+    Y_k and ``grams`` the Q_k^T Q_k.  The cross term is
+    sum_r W[k, r] M_3[k, r] with M_3 = :func:`rhs_mode3`, and M_k M_k^T is
+    N_k N_k^T from :func:`model_rows`.  Near an exact fit the expansion
     cancels to rounding error, so each finite term is clamped at 0; a term
     that overflowed stays non-finite, even at -inf.
     """
-    hs = h * w[:, None, :]  # H S_k, (K, R, R)
-    cross = np.sum((np.asarray(cores) @ v) * hs, axis=(1, 2))  # <Y_k V, H S_k>
-    model_gram = hs @ gram(v) @ hs.transpose(0, 2, 1)  # M_k M_k^T
-    quad = np.sum(np.asarray(grams) * model_gram, axis=(1, 2))
+    cross = np.sum(w * rhs_mode3(np.asarray(cores), None, v, h), axis=1)  # <Y_k, M_k>
+    nt = model_rows(h, v, w).reshape(len(w), -1, h.shape[0])  # N_k^T
+    quad = np.sum(np.asarray(grams) * (np.swapaxes(nt, 1, 2) @ nt), axis=(1, 2))
     terms = x_sq - 2.0 * cross + quad
     return np.maximum(terms, 0.0, out=terms, where=np.isfinite(terms))
 

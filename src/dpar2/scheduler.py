@@ -6,8 +6,9 @@ K being the stacks, runs or R x R blocks it splits.  That rule is
 plans ``compress``, ``fit_baseline``, ``fitness`` and planted
 ``generate`` over the whole tensor: it cuts each run of equal height in
 ``height_order``, the layout of every tensor's buffer, into stacks, each
-one view and one batched call, halves stacks until every worker has one,
-and ``greedy_partition`` balances their row loads over the workers.
+one view and one batched call, cuts the heaviest stack until every
+worker has one, and ``greedy_partition`` balances their row loads over
+the workers.
 ``contiguous_runs`` plans ``update_rotations``, ``load_archive`` and
 uniform ``generate``: one contiguous run of slices per worker.
 ``parallel_slice_map`` splits slices the same way and calls ``fn(k)`` per
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import ctypes
 import glob
-import heapq
 import itertools
 import os
 import queue
@@ -102,31 +102,30 @@ def height_order(row_counts):
 
 def equal_height_stacks(row_counts, cols, threads=None):
     """The plan of a stacked pass: each run of equal height in
-    ``height_order`` cut into stacks of at most ``_STACK_FLOATS`` floats of
-    slices ``cols`` wide (and at least one slice), each one view of the
-    tensor; the heaviest stack of two or more slices halved while some of
-    the min(threads, K) workers would get none; then the stacks split over
-    the workers by ``greedy_partition`` on their row loads.  Returns the
-    stacks and the groups, each a worker's stack indices."""
+    ``height_order`` cut into near-equal stacks of at most
+    ``_STACK_FLOATS`` floats (and at least one slice ``cols`` wide), each
+    one view of the tensor; while some of the min(threads, K) workers
+    would get none, the heaviest stack of two or more slices cut into one
+    near-equal piece per missing worker, plus one; then the stacks split
+    over the workers by ``greedy_partition`` on their row loads.  Returns
+    the stacks and the groups, each a worker's stack indices."""
+    def cut(ks, parts):
+        return [[ks[i] for i in chunk] for chunk in contiguous_chunks(len(ks), min(parts, len(ks)))]
+
+    def load(ks):
+        return len(ks) * row_counts[ks[0]]
+
     stacks = []
     for rows, run in itertools.groupby(height_order(row_counts), key=row_counts.__getitem__):
         run = list(run)
         size = max(1, _STACK_FLOATS // (rows * cols))
-        stacks += [run[start : start + size] for start in range(0, len(run), size)]
-
-    def entry(ks):  # halving order: two or more slices, then most rows, then layout
-        return len(ks) == 1, -len(ks) * row_counts[ks[0]], row_counts[ks[0]], ks[0], ks
-
-    heap, workers = [entry(ks) for ks in stacks], _workers(threads, len(row_counts))
-    heapq.heapify(heap)
-    while 0 < len(heap) < workers:  # K stacks of one always suffice
-        ks = heapq.heappop(heap)[-1]
-        half = (len(ks) + 1) // 2
-        heapq.heappush(heap, entry(ks[:half]))
-        heapq.heappush(heap, entry(ks[half:]))
-    stacks = [e[-1] for e in sorted(heap, key=lambda e: e[2:4])]
-    loads = [len(ks) * row_counts[ks[0]] for ks in stacks]
-    return stacks, greedy_partition(loads, _workers(threads, len(stacks))).sets
+        stacks += cut(run, -(-len(run) // size))
+    workers = _workers(threads, len(row_counts))
+    while len(stacks) < workers:  # K stacks of one always suffice
+        # Stacks are in layout order, so ties go to the lowest, then first.
+        i = min((i for i, ks in enumerate(stacks) if len(ks) > 1), key=lambda i: (-load(stacks[i]), i))
+        stacks[i : i + 1] = cut(stacks[i], workers - len(stacks) + 1)
+    return stacks, greedy_partition(list(map(load, stacks)), _workers(threads, len(stacks))).sets
 
 
 def contiguous_runs(n, threads=None):

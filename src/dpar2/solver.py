@@ -22,64 +22,46 @@ steps one batched operation over the (K, R, R) stack of slices:
   which equals the residual against the compressed slices because the
   Frobenius norm ignores the orthonormal left factors.
 
-Neither Theta_k nor Z_k P_k^T depends on the SVD's signs, so the sign
-convention is applied only where Z or P is read: once per fit, for the
-Q_k.  Every R x R matrix is factorized on its own, so no result depends
-on the thread count.
+Every R x R matrix is factorized on its own, so no result depends on
+the thread count.
 """
 from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import als_sweep, procrustes_svd, rhs_mode1, rhs_mode2, rhs_mode3
+from .baseline import als_sweep, model_rows, procrustes_svd, rhs_mode1, rhs_mode2, rhs_mode3
 from .compress import CompressedTensor, compress
 from .factors import FitTrace, Parafac2Factors, SolverOptions, initial_factors, iterate
-from .linalg import RsvdParams, fix_signs, khatri_rao
+from .linalg import RsvdParams
 from .scheduler import contiguous_runs, map_stacks
 from .tensor import IrregularTensor
 
 
+@dataclass(eq=False, repr=False)
 class RotationStack:
     """Procrustes pieces of all slices, T_k = Z[k] diag(Sig[k]) P[k]^T,
     and their rotated cores Theta[k] = P[k] Z[k]^T F_k.
 
     ``Z``, ``P`` (orthogonal) and ``Theta`` are (K, R, R) stacks and ``Sig``
-    is (K, R); ``rots[k]`` and iteration yield each slice's own pieces.
-    ``z`` and ``p`` are the raw SVD factors: the first read of ``Z`` or
-    ``P`` applies :func:`~dpar2.linalg.fix_signs` to the whole stack and
-    keeps the result.  A flip negates the same column of both, so Theta
-    and Z P^T keep every bit; ``signs_fixed`` says the factors already
-    carry the convention.
+    is (K, R), as the stacked SVD returns them: Theta and Z P^T do not
+    depend on the SVD's signs, so none is fixed.  ``rots[k]`` and
+    iteration yield each slice's own pieces.
     """
 
-    def __init__(self, z, p, sig, theta, signs_fixed=False):
-        self._z, self._p, self._signs_fixed = z, p, signs_fixed
-        self.Sig, self.Theta = sig, theta
-
-    def _factors(self):
-        if not self._signs_fixed:
-            self._z, self._p = fix_signs(self._z, self._p)
-            self._signs_fixed = True
-        return self._z, self._p
-
-    @property
-    def Z(self):
-        return self._factors()[0]
-
-    @property
-    def P(self):
-        return self._factors()[1]
+    Z: np.ndarray
+    P: np.ndarray
+    Sig: np.ndarray
+    Theta: np.ndarray
 
     def __getitem__(self, k):
-        z, p = self._factors()
-        return RotationStack(z[k], p[k], self.Sig[k], self.Theta[k], signs_fixed=True)
+        return RotationStack(self.Z[k], self.P[k], self.Sig[k], self.Theta[k])
 
     def __iter__(self):
-        z, p = self._factors()
-        return (RotationStack(*parts, signs_fixed=True) for parts in zip(z, p, self.Sig, self.Theta))
+        return (RotationStack(*parts) for parts in zip(self.Z, self.P, self.Sig, self.Theta))
 
 
 def _basis(comp):
@@ -91,9 +73,9 @@ def update_rotations(comp: CompressedTensor, h, v, w, threads=None):
     """Solve every slice's orthogonal Procrustes problem in R x R space.
 
     Each worker of ``threads`` factorizes one contiguous chunk of slices
-    and builds its Theta_k from the raw SVD factors; the sign convention
-    waits until ``Z`` or ``P`` is read.  The result is bit-identical at any
-    thread count, and a failure names the lowest failing slice.
+    and builds its Theta_k from the SVD's factors as it returns them.  The
+    result is bit-identical at any thread count, and a failure names the
+    lowest failing slice.
     """
     core_cols = _basis(comp).T @ v  # E D^T V, shared by all slices
     cores = comp.core_stack()
@@ -114,8 +96,8 @@ def rotated_cores(comp: CompressedTensor, rotations):
     """Stack of Theta_k = P_k Z_k^T F_k, shape (K, R, R), formed from Z and P.
 
     Theta_k (D diag(E))^T is the projected core slice Y_k.  The reference
-    formula for ``rotations.Theta``, which every kernel below reads instead;
-    built from the sign-fixed Z and P, it has Theta's bits.
+    formula for ``rotations.Theta``, which every kernel below reads instead,
+    and it has Theta's bits.
     """
     return (rotations.P @ rotations.Z.transpose(0, 2, 1)) @ comp.core_stack()
 
@@ -163,20 +145,17 @@ def convergence_metric(comp, rotations, h, v, w, threads=None):
 
     where M_3 = :func:`mttkrp_mode3` is the W solve's right-hand side, so
     sum_r W[k, r] M_3[k, r] = <Y_k, H S_k V^T>.  The first term is read off
-    Theta and E^2.  The last is ||W (R kr H)^T||^2 with R the triangular
-    factor of V = QR; components that grow large and cancel (a two-factor
-    degeneracy) then add a rounding error of about
-    eps * ||W|| * ||H S_k V^T||, where Gram matrices would add
-    eps * ||W||^2.  Near an exact fit the terms cancel to about
-    eps * sum_k ||Theta_k E||^2, so a finite e is clamped at 0; one that
-    overflowed is returned non-finite, with no warning.  ``threads`` is
-    accepted for call compatibility and unused.
+    Theta and E^2, the last off :func:`~dpar2.baseline.model_rows`, the
+    model term of the ALS objective too.  Near an exact fit the terms
+    cancel to about eps * sum_k ||Theta_k E||^2, so a finite e is clamped
+    at 0; one that overflowed is returned non-finite, with no warning.
+    ``threads`` is accepted for call compatibility and unused.
     """
     theta = rotations.Theta
     with np.errstate(over="ignore", invalid="ignore"):
         data = np.einsum("kir,kir->r", theta, theta) @ np.square(comp.weights)
         m3 = mttkrp_mode3(comp, rotations, v, h)
-        model = w @ khatri_rao(np.linalg.qr(v, mode="r"), h).T
+        model = model_rows(h, v, w)
         e = float(data) - 2.0 * float(np.sum(w * m3)) + float(np.sum(model * model))
     return max(e, 0.0) if math.isfinite(e) else e
 

@@ -236,6 +236,16 @@ def test_no_pass_goes_slice_by_slice():
     assert found == []
 
 
+def test_only_sketches_fix_signs():
+    # Z P^T, U V^T and Theta do not depend on the SVD's signs, so both
+    # solvers keep the factors as the SVD returns them; the convention is
+    # for the sketches' singular vectors only.
+    found = [f"{name}:{node.lineno}" for name, tree in parsed_sources() if name != "linalg.py"
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "fix_signs" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert found == []
+
+
 def test_dpar2_iterates_through_its_public_steps():
     # DPar2 is ALS on the compressed slices: fit_dpar2's step is
     # update_rotations, update_factors and convergence_metric, so no fused

@@ -118,14 +118,14 @@ class TestEqualHeightStacks:
 
     def test_small_equal_slices_give_every_worker_a_stack(self):
         # 2000 slices of 10 x 10 fit one stack of 200 000 floats, which one
-        # worker ran at any thread count.  Halving it gives each worker a
-        # stack, and a stack factorizes each slice as it would alone, so
-        # no pass changes a bit.
+        # worker ran at any thread count.  Cutting it into near-equal pieces
+        # gives each worker a stack, and a stack factorizes each slice as it
+        # would alone, so no pass changes a bit.
         stacks, groups = equal_height_stacks([10] * 2000, 10, threads=2)
         assert stacks == [list(range(1000)), list(range(1000, 2000))]
         assert groups == [[0], [1]]
         stacks, _ = equal_height_stacks([10] * 2000, 10, threads=3)
-        assert [len(ks) for ks in stacks] == [500, 500, 1000]
+        assert [len(ks) for ks in stacks] == [667, 667, 666]
 
         tensor = dpar2.generate(dpar2.SyntheticSpec(rows=10, cols=10, num_slices=2000, seed=3))
         runs = []

@@ -14,7 +14,7 @@ from dpar2.baseline import procrustes_svd
 from dpar2.compress import CompressedTensor, compress, reconstruct_slice
 from dpar2.errors import NumericFailure
 from dpar2.factors import SolverOptions, initial_factors
-from dpar2.linalg import RsvdParams, fix_signs, khatri_rao, truncated_svd
+from dpar2.linalg import RsvdParams, khatri_rao, truncated_svd
 from dpar2.scheduler import contiguous_chunks
 from dpar2.solver import (
     convergence_metric,
@@ -139,14 +139,17 @@ class TestRotations:
             assert np.abs(via_rotation - direct).max() <= 1e-8
 
     def test_stack_matches_per_slice_truncated_svd(self):
-        # The stacked SVD keeps truncated_svd's values and sign convention.
+        # The stacked SVD keeps truncated_svd's values, its product and its
+        # U V^T; the signs of Z and P are the SVD's own.
         comp = manual_compressed(4)
         h, v, w = initial_factors(10, 4, 3)
         rots = update_rotations(comp, h, v, w)
         core_cols = comp.weights[:, None] * (comp.col_basis.T @ v)
         for k, rot in enumerate(rots):
             trip = truncated_svd(((comp.core_block(k) @ core_cols) * w[k]) @ h.T, 3)
-            for got, want in ((rot.Z, trip.U), (rot.P, trip.V), (rot.Sig, trip.S)):
+            pairs = ((rot.Sig, trip.S), ((rot.Z * rot.Sig) @ rot.P.T, (trip.U * trip.S) @ trip.V.T),
+                     (rot.Z @ rot.P.T, trip.U @ trip.V.T))
+            for got, want in pairs:
                 assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -221,25 +224,19 @@ class TestRotations:
             assert rots.Theta.tobytes() == rotated_cores(comp, rots).tobytes()
             assert rots[5].Theta.tobytes() == rots.Theta[5].tobytes()
 
-    def test_sign_convention_is_applied_once_where_read(self):
-        # The pass builds Theta from the raw SVD factors; Z and P get
-        # fix_signs on their first read, which leaves Theta's bits alone.
+    def test_slices_of_the_stack_are_its_own_pieces(self):
+        # rots[k] and iteration yield the k-th Z, P, Sig and Theta, and
+        # Theta is the reference formula's.
         comp = manual_compressed(15, rank=5, num=40)
         rng = np.random.Generator(np.random.PCG64(15))
         h, v, w = rng.standard_normal((5, 5)), rng.standard_normal((10, 5)), rng.standard_normal((40, 5))
         rots = update_rotations(comp, h, v, w)
-        theta, sig = rots.Theta.tobytes(), rots.Sig.tobytes()
-        z, p = rots.Z, rots.P
-        assert rots.Z is z and rots.P is p
-        assert rots.Theta.tobytes() == theta and rots.Sig.tobytes() == sig
-        assert rotated_cores(comp, rots).tobytes() == theta
-        lead = np.take_along_axis(z, np.abs(z).argmax(axis=1)[:, None, :], axis=1)
-        assert (lead >= 0.0).all()
-        fixed = fix_signs(z, p)
-        assert fixed[0].tobytes() == z.tobytes() and fixed[1].tobytes() == p.tobytes()
+        assert rotated_cores(comp, rots).tobytes() == rots.Theta.tobytes()
+        assert len(list(rots)) == 40
         for k, rot in enumerate(rots):
-            assert rot.Z.tobytes() == z[k].tobytes() and rot.P.tobytes() == p[k].tobytes()
-            assert rots[k].Theta.tobytes() == rots.Theta[k].tobytes()
+            for one in (rot, rots[k]):
+                for name in ("Z", "P", "Sig", "Theta"):
+                    assert getattr(one, name).tobytes() == getattr(rots, name)[k].tobytes(), (k, name)
 
     def test_rotated_cores_shape_and_content(self):
         comp = manual_compressed(3)
@@ -472,12 +469,11 @@ class TestFitDpar2:
     def test_iteration_runs_one_stacked_svd_and_no_sign_fix(self, monkeypatch):
         # After compression each iteration factorizes one stacked (K, R, R)
         # SVD, the rotation targets, besides the sweep's three R x R
-        # pseudoinverses; the signs are fixed once, for the Q_k, after the
-        # last iteration.
+        # pseudoinverses; no sign is fixed, not even for the Q_k.
         t = generate(SyntheticSpec(rows=18, cols=9, num_slices=7, mode=MODE_PLANTED,
                                    true_rank=2, noise_level=0.2, seed=6))
         events = []
-        real_compress, real_svd, real_fix = dpar2.solver.compress, np.linalg.svd, dpar2.solver.fix_signs
+        real_compress, real_svd, real_fix = dpar2.solver.compress, np.linalg.svd, dpar2.linalg.fix_signs
 
         def compress_spy(*args, **kwargs):
             comp = real_compress(*args, **kwargs)
@@ -494,12 +490,12 @@ class TestFitDpar2:
 
         monkeypatch.setattr(dpar2.solver, "compress", compress_spy)
         monkeypatch.setattr(np.linalg, "svd", svd_spy)
-        monkeypatch.setattr(dpar2.solver, "fix_signs", fix_spy)
+        monkeypatch.setattr(dpar2.linalg, "fix_signs", fix_spy)
         _, trace = fit_dpar2(t, 2, SolverOptions(max_iters=6, tol=0.0, threads=1))
         assert trace.iterations == 6
-        assert events == ([("svd", (7, 2, 2))] + [("svd", (2, 2))] * 3) * 6 + [("fix_signs",)]
+        assert events == ([("svd", (7, 2, 2))] + [("svd", (2, 2))] * 3) * 6
 
-    def test_fit_q_is_bases_times_sign_fixed_rotations(self, monkeypatch):
+    def test_fit_q_is_bases_times_rotations(self, monkeypatch):
         t = generate(SyntheticSpec(rows=18, cols=9, num_slices=7, mode=MODE_PLANTED,
                                    true_rank=2, noise_level=0.2, seed=6))
         seen = []
