@@ -179,9 +179,15 @@ def rwr(graph: SimilarityGraph, params: RwrParams):
 
     A~ is the row-normalized adjacency; a zero row (isolated node) makes
     normalization impossible and raises.  Row-stochastic A~ keeps every
-    iterate on the probability simplex.
+    iterate on the probability simplex.  A non-square adjacency raises
+    :class:`ShapeMismatchError`, and a non-finite or negative entry
+    ``ValueError``.
     """
     a = np.asarray(graph.adjacency, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeMismatchError(f"adjacency must be square, got shape {a.shape}")
+    if not (np.isfinite(a) & (a >= 0.0)).all():
+        raise ValueError("adjacency entries must be finite and nonnegative")
     n = a.shape[0]
     c = params.restart
     q = np.asarray(params.query, dtype=np.float64)

@@ -19,13 +19,12 @@ and NumPy's linalg gufuncs release the GIL; the Python overhead of every
 call holds it.  Stacking turns thousands of tiny calls into a few large
 ones, so the workers' products and factorizations overlap: it is what
 lets a second worker add speed on many small slices.  Each sketch reads
-its slice three times: one cache-blocked sweep for the power step,
-summing (A_b S)^T A_b over row blocks of about 2^15 floats, then the
-range sketch and the projection Q^T A (see ``linalg.randomized_svd``).
-Per-slice sketch seeds derive from (seed, k) only, a slice's row blocks
-depend only on its shape, and a stack factorizes each matrix as it would
-alone, so the bits never depend on the work partition or thread count
-and equal per-slice ``randomized_svd`` calls.
+its slice four times: twice for the power step (A S)^T A, then the range
+sketch and the projection Q^T A (see ``linalg.randomized_svd``).
+Per-slice sketch seeds derive from (seed, k) only, and a stack
+factorizes each matrix as it would alone, so the bits never depend on
+the work partition or thread count and equal per-slice
+``randomized_svd`` calls.
 """
 from __future__ import annotations
 

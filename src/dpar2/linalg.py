@@ -25,14 +25,6 @@ _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's counter increment, 2^64 / phi
 # factorized by SVD, not through its Gram matrix (see ``randomized_svd``).
 _GRAM_RATIO = 128.0
 
-# The power step sweeps its input in row blocks of about this many floats
-# (65 rows at 500 columns), so that each block A_b is still in L2 when
-# (A_b S)^T A_b reads it a second time.  A block never has fewer rows than
-# the floor, so a wide matrix is one block or a few.  The boundaries depend
-# on the matrix shape only, never on how many matrices a stack holds.
-_SWEEP_FLOATS = 1 << 15
-_SWEEP_MIN_ROWS = 32
-
 
 @dataclass(frozen=True)
 class RsvdParams:
@@ -131,24 +123,21 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     gets its own test matrix Omega, ``params.rank + min(10, min(m, n) -
     params.rank)`` columns wide, hashed from its seed (``params.seed`` for
     a single matrix, ``seeds[g]`` for matrix g of a stack; see
-    :func:`_range_sketch`).  It forms ``Y = (A A^T) A Omega`` as
+    :func:`_test_matrices`).  It forms ``Y = (A A^T) A Omega`` as
     ``A (A^T A) Omega``, orthonormalizes it with a thin QR, and factorizes
     the small projected matrix ``Q^T A``, truncated to ``params.rank``
     columns.
 
-    The input is read three times: once for the power step, once for the
-    range sketch ``Y = (S^T A^T)^T`` (the orientation OpenBLAS runs fastest
-    here) and once for ``Q^T A``.  The power step ``S <- (A^T A) S`` is one
-    sweep over row blocks A_b of about ``_SWEEP_FLOATS`` floats (at least
-    ``_SWEEP_MIN_ROWS`` rows), summing ``(A_b S)^T A_b`` in block order
-    while A_b is still in cache, so it reads the input from memory once
-    where ``A^T (A S)`` reads it twice.  Each matrix's S is then scaled by
-    the power of two that brings its largest entry into [0.5, 1), so Y
-    scales like A, not like A^3: it neither overflows nor underflows where
-    A and A^T A do not.  ``Q^T A`` is scaled the same way before it is
-    factorized, which keeps LAPACK's own rescaling of very large or small
-    inputs out.  Powers of two are exact, so scaling A by 2^k scales S by
-    exactly 2^k and leaves U and V bit for bit.
+    The input is read four times: twice for the power step
+    ``S <- ((A S)^T A)^T``, once for the range sketch ``Y = (S^T A^T)^T``
+    (the orientation OpenBLAS runs fastest here) and once for ``Q^T A``.
+    Each matrix's S is then scaled by the power of two that brings its
+    largest entry into [0.5, 1), so Y scales like A, not like A^3: it
+    neither overflows nor underflows where A and A^T A do not.  ``Q^T A``
+    is scaled the same way before it is factorized, which keeps LAPACK's
+    own rescaling of very large or small inputs out.  Powers of two are
+    exact, so scaling A by 2^k scales S by exactly 2^k and leaves U and V
+    bit for bit.
 
     The core ``C = Q^T A`` is short and wide (w x n, w <= n), so its top
     ``params.rank`` factors come from the w x w Gram matrix: ``eigh(C C^T)``
@@ -160,9 +149,9 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     Gram route then keeps V orthonormal to about 4e-12.
 
     A stack returns U (G, m, R), S (G, R) and V (G, n, R), and every matrix
-    gets the same bits as it would alone: the block boundaries depend only
-    on (m, n), the linalg gufuncs and matmul work on a stack one matrix at
-    a time, and the SVD route is chosen per matrix.
+    gets the same bits as it would alone: the linalg gufuncs and matmul
+    work on a stack one matrix at a time, and the SVD route is chosen per
+    matrix.
 
     The input is not scanned for NaN or infinity up front: any such value
     makes the sketch non-finite, and only then is the matrix checked, to
@@ -172,11 +161,14 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     matrix in the stack.
 
     ``params`` checked itself when made (:class:`RsvdParams`); here a rank
-    above ``min(m, n)`` raises :class:`RankTooLargeError`.
+    above ``min(m, n)`` raises :class:`RankTooLargeError`, and ``seeds``
+    given with a single matrix ``ValueError``.
     """
     a = np.asarray(a, dtype=np.float64)
     single = a.ndim == 2
     if single:
+        if seeds is not None:
+            raise ValueError("a single matrix takes its seed from params, not seeds")
         a, seeds = a[None], [params.seed]
     elif a.ndim != 3:
         raise ShapeMismatchError(f"input must be 2-D or a 3-D stack, got ndim={a.ndim}")
@@ -229,25 +221,29 @@ def _core_factors(small, r):
 
 def _range_sketch(a, seeds, width):
     """Y = A (A^T A) Omega 2^-e for a (count, m, n) stack, with e chosen per
-    matrix by the power step's largest entry.
+    matrix by the power step's largest entry.  The (count, n, width) test
+    matrices live only here, so they are freed before the factorizations
+    start."""
+    omega = _test_matrices(seeds, a.shape[-1], width)
+    # t holds S^T, (count, width, n): the test matrix after the power step.
+    t, _ = _unit_scale(np.swapaxes(a @ omega, -1, -2) @ a)
+    return np.swapaxes(t @ np.swapaxes(a, -1, -2), -1, -2)
 
-    Omega_g is n x ``width``; its entry i, counted row-major from 0, is
+
+def _test_matrices(seeds, n, width):
+    """The (len(seeds), n, ``width``) stack of uniform test matrices.
+
+    Entry i of Omega_g, counted row-major from 0, is
     ``(mix64(seed_g + (i + 1) * 0x9E3779B97F4A7C15) >> 11) 2^-52 - 1``, a
     uniform value in [-1, 1) (splitmix64: mix64 is its finalizer, all
     arithmetic mod 2^64).  The whole stack is hashed in one pass over
     uint64 arrays, and the 53-bit integers convert to float64 exactly, so
-    Omega has the same bits on every platform.  The (count, n, width) test
-    matrices live only here, so they are freed before the factorizations
-    start.
+    Omega has the same bits on every platform.
     """
-    count, n = len(seeds), a.shape[-1]
     start = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
     steps = np.arange(1, n * width + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     bits = _mix64(start[:, None] + steps) >> np.uint64(11)
-    omega = (bits.astype(np.float64) * 2.0**-52 - 1.0).reshape(count, n, width)
-    # t holds S^T, (count, width, n): the test matrix after the power step.
-    t, _ = _unit_scale(_gram_sweep(a, np.swapaxes(omega, -1, -2)))
-    return np.swapaxes(t @ np.swapaxes(a, -1, -2), -1, -2)
+    return (bits.astype(np.float64) * 2.0**-52 - 1.0).reshape(len(seeds), n, width)
 
 
 def _mix64(z):
@@ -255,23 +251,6 @@ def _mix64(z):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def _gram_sweep(a, t):
-    """The power step in one pass over ``a``: returns ((A^T A) S)^T for
-    ``t`` = S^T, summed as (A_b S)^T A_b over row blocks in block order."""
-    m, n = a.shape[-2:]
-    rows = max(_SWEEP_MIN_ROWS, _SWEEP_FLOATS // n)
-    s = np.swapaxes(t, -1, -2)
-    total = None
-    for start in range(0, m, rows):
-        block = a[..., start : start + rows, :]
-        part = np.swapaxes(block @ s, -1, -2) @ block
-        if total is None:
-            total = part
-        else:
-            total += part
-    return total
 
 
 def _unit_scale(x):

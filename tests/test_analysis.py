@@ -377,6 +377,18 @@ class TestRwr:
         with pytest.raises(IsolatedNodeError, match="node 2"):
             rwr(SimilarityGraph(adjacency=adj), RwrParams(query=np.array([1.0, 0.0, 0.0])))
 
+    @pytest.mark.parametrize("adj, error", [
+        (np.ones((2, 3)), ShapeMismatchError),
+        (np.array([[0.0, np.nan], [1.0, 0.0]]), ValueError),
+        (np.array([[0.0, np.inf], [1.0, 0.0]]), ValueError),
+        (np.array([[0.0, -0.5], [1.0, 0.0]]), ValueError),
+    ], ids=["non-square", "nan", "inf", "negative"])
+    def test_rejects_malformed_adjacency(self, adj, error):
+        # A NaN returned [nan, nan], a negative entry was normalized as a
+        # weight, and a non-square adjacency failed inside numpy.
+        with pytest.raises(error):
+            rwr(SimilarityGraph(adjacency=adj), RwrParams(query=np.array([1.0, 0.0])))
+
     def test_rejects_bad_restart_and_query(self):
         graph = ring_graph(3)
         with pytest.raises(ValueError):

@@ -147,10 +147,9 @@ class TestDeterminism:
         assert comp.weights.tobytes() == shared.S.tobytes()
         assert comp.cores.tobytes() == shared.V.tobytes()
 
-    def test_slices_spanning_several_sweep_blocks(self):
-        # At 200 columns the power step sweeps 163-row blocks: the 500-row
-        # slices span four (the last of 11 rows), the 400-row ones three
-        # (74), the 170-row one two (7); stacks hold two 500-row slices.
+    def test_mixed_tall_slices_match_per_slice_sketches(self):
+        # Three heights, stacks of two 500-row slices: every thread count
+        # gives each slice its own sketch's bits.
         rows = [500, 400, 500, 170, 500, 400, 500]
         rng = np.random.Generator(np.random.PCG64(22))
         t = IrregularTensor([rng.standard_normal((r, 200)) for r in rows])

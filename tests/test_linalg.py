@@ -19,8 +19,6 @@ from dpar2.errors import (
 )
 from dpar2 import linalg
 from dpar2.linalg import (
-    _SWEEP_FLOATS,
-    _SWEEP_MIN_ROWS,
     RsvdParams,
     derived_seed,
     fix_signs,
@@ -149,19 +147,11 @@ def core_factors(small, rank):
 
 def per_matrix_rsvd(a, params):
     """Reference randomized SVD of one matrix: uniform sketch S; one power
-    step S <- (A^T A) S summed as (A_b S)^T A_b over the same row blocks,
-    in block order, then scaled to a largest entry in [0.5, 1); the range
-    sketch Y = (S^T A^T)^T; QR; the core Q^T A scaled the same way and
-    factorized by ``core_factors``; then U = Q U_small and a sign fix."""
-    m, n = a.shape
-    s = uniform_sketch(params, m, n)
-    rows = max(_SWEEP_MIN_ROWS, _SWEEP_FLOATS // n)
-    total = None
-    for start in range(0, m, rows):
-        block = a[start : start + rows]
-        part = (block @ s).T @ block
-        total = part if total is None else total + part
-    s, _ = scaled_to_unit(total.T)
+    step S <- ((A S)^T A)^T, scaled to a largest entry in [0.5, 1); the
+    range sketch Y = (S^T A^T)^T; QR; the core Q^T A scaled the same way
+    and factorized by ``core_factors``; then U = Q U_small and a sign fix."""
+    s = uniform_sketch(params, *a.shape)
+    s, _ = scaled_to_unit(((a @ s).T @ a).T)
     y = (s.T @ a.T).T
     q, _ = np.linalg.qr(y)
     small, e = scaled_to_unit(q.T @ a)
@@ -186,12 +176,11 @@ def projector(basis):
 
 
 class TestRandomizedSvd:
-    # 150 x 700 sweeps row blocks of 46, 46, 46 and 12 rows.
     # ``oversampling`` is what the clamp min(10, min(m, n) - R) leaves: the
     # default at rank 4 (None), or none at all with R = min(m, n) (0).  The
     # recipe always takes one power step.
     @pytest.mark.parametrize("shape", [(40, 12), (12, 40), (150, 700)],
-                             ids=["tall", "wide", "blocked"])
+                             ids=["tall", "wide", "large"])
     @pytest.mark.parametrize("oversampling", [None, 0])
     @pytest.mark.parametrize("power_iters", [1])
     def test_stack_matches_per_matrix_recipe_bitwise(self, shape, oversampling, power_iters):
@@ -215,7 +204,6 @@ class TestRandomizedSvd:
                 assert got_alone.tobytes() == ref.tobytes()
                 assert got_stacked.tobytes() == ref.tobytes()
 
-    # Block heights: 128 rows at 256 columns; the 32-row floor at 2048.
     @pytest.mark.parametrize("shape", [(100, 256), (384, 256), (300, 256), (70, 2048)],
                              ids=["one-block", "exact-blocks", "ragged", "rows-floor"])
     @pytest.mark.parametrize("power_iters", [1])
@@ -257,19 +245,9 @@ class TestRandomizedSvd:
             assert got.V.tobytes() == want.V.tobytes()
             assert got.S.tobytes() == np.ldexp(want.S, k).tobytes()
 
-    def test_stacked_test_matrices_equal_the_scalar_hash(self, monkeypatch):
-        seen = []
-        sweep = linalg._gram_sweep
-
-        def spy(a, t):
-            seen.append(np.swapaxes(t, -1, -2).copy())
-            return sweep(a, t)
-
-        monkeypatch.setattr(linalg, "_gram_sweep", spy)
-        rng = np.random.Generator(np.random.PCG64(20))
+    def test_stacked_test_matrices_equal_the_scalar_hash(self):
         seeds = [0, derived_seed(5, 1), -1]
-        randomized_svd(rng.standard_normal((3, 12, 20)), RsvdParams(rank=3), seeds=seeds)
-        (omega,) = seen
+        omega = linalg._test_matrices(seeds, 20, 12)
         assert omega.shape == (3, 20, 12)
         assert ((omega >= -1.0) & (omega < 1.0)).all()
         for g, seed in enumerate(seeds):
@@ -315,6 +293,12 @@ class TestRandomizedSvd:
             randomized_svd(stack, RsvdParams(rank=2), seeds=[1])
         with pytest.raises(ShapeMismatchError):
             randomized_svd(np.ones(5), RsvdParams(rank=1))
+
+    def test_single_matrix_rejects_seeds(self):
+        # The seeds were ignored, so the sketch silently used params.seed.
+        a = np.ones((5, 4))
+        with pytest.raises(ValueError, match="seed from params"):
+            randomized_svd(a, RsvdParams(rank=3, seed=1), seeds=[99])
 
     def test_overflow_in_a_stack_names_its_position(self):
         rng = np.random.Generator(np.random.PCG64(13))
