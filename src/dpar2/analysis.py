@@ -165,13 +165,10 @@ class RwrParams:
     def __post_init__(self):
         object.__setattr__(self, "restart", as_real(
             "restart", self.restart, "in (0, 1)", lambda x: 0.0 < x < 1.0))
-        object.__setattr__(self, "max_iters", as_integer("max_iters", self.max_iters))
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        object.__setattr__(self, "max_iters", as_integer("max_iters", self.max_iters, 1))
         if self.stop_tol is not None:
             object.__setattr__(self, "stop_tol", as_real(
-                "stop_tol", self.stop_tol, "None or finite and >= 0",
-                lambda x: 0.0 <= x < math.inf))
+                "stop_tol", self.stop_tol, "None or finite and >= 0"))
 
 
 def rwr(graph: SimilarityGraph, params: RwrParams):
@@ -193,7 +190,7 @@ def rwr(graph: SimilarityGraph, params: RwrParams):
     q = np.asarray(params.query, dtype=np.float64)
     if q.shape != (n,):
         raise ShapeMismatchError(f"query has shape {q.shape}, graph has {n} nodes")
-    if (q < 0).any() or abs(float(q.sum()) - 1.0) > 1e-12:
+    if not (q >= 0).all() or not abs(float(q.sum()) - 1.0) <= 1e-12:  # NaN fails both
         raise ValueError("query must be a probability vector")
     if n == 1:
         return q.copy()

@@ -21,17 +21,22 @@ import numpy as np
 from .errors import ArchiveFormatError, NumericFailure, ShapeMismatchError
 
 
-def as_integer(name, value):
+def as_integer(name, value, minimum=None, error=ValueError):
     """``value`` as a Python int; a bool, float or str is no integer and
-    raises ``ValueError`` naming ``name``.  A NumPy integer is converted,
-    since NumPy's would overflow in the seed hash."""
+    raises ``ValueError`` naming ``name``, and an integer below ``minimum``
+    raises ``error``.  A NumPy integer is converted, since NumPy's would
+    overflow in the seed hash."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
-def as_real(name, value, rule, holds):
-    """``value`` as a Python float for which ``holds`` is true.
+def as_real(name, value, rule="finite and >= 0", holds=lambda x: 0.0 <= x < math.inf):
+    """``value`` as a Python float for which ``holds`` is true, by default
+    a finite real >= 0.
 
     A bool (NumPy's too), str, None or any other non-real, an int beyond
     the float range, and a real outside the rule raise ``ValueError``:
@@ -64,16 +69,11 @@ class SolverOptions:
     threads: int | None = None
 
     def __post_init__(self):
-        for name in ("max_iters", "seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        object.__setattr__(self, "tol", as_real("tol", self.tol, "finite and >= 0",
-                                                lambda x: 0.0 <= x < math.inf))
+        object.__setattr__(self, "max_iters", as_integer("max_iters", self.max_iters, 1))
+        object.__setattr__(self, "seed", as_integer("seed", self.seed))
+        object.__setattr__(self, "tol", as_real("tol", self.tol))
         if self.threads is not None:
-            object.__setattr__(self, "threads", as_integer("threads", self.threads))
-            if self.threads < 1:
-                raise ValueError("threads must be >= 1")
+            object.__setattr__(self, "threads", as_integer("threads", self.threads, 1))
 
 
 @dataclass

@@ -44,10 +44,8 @@ class RsvdParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("rank", "seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        if self.rank < 1:
-            raise RankTooLargeError(f"rank must be >= 1, got {self.rank}")
+        object.__setattr__(self, "rank", as_integer("rank", self.rank, 1, RankTooLargeError))
+        object.__setattr__(self, "seed", as_integer("seed", self.seed))
 
 
 @dataclass(eq=False)
@@ -98,9 +96,7 @@ def truncated_svd(a, rank):
     exceeds ``min(a.shape)``.
     """
     a = _as_matrix(a)
-    rank = as_integer("rank", rank)
-    if rank < 1:
-        raise RankTooLargeError(f"rank must be >= 1, got {rank}")
+    rank = as_integer("rank", rank, 1, RankTooLargeError)
     if rank > min(a.shape):
         raise RankTooLargeError(
             f"rank {rank} exceeds min of matrix shape {a.shape}"

@@ -68,8 +68,7 @@ def greedy_partition(row_counts, workers):
     counts = list(row_counts)
     if len(counts) < 1:
         raise ValueError("need at least one slice")
-    if workers < 1:
-        raise ValueError("need at least one worker")
+    workers = as_integer("workers", workers, 1)
     if any(c < 1 for c in counts):
         raise ValueError("row counts must be positive")
     order = sorted(range(len(counts)), key=lambda k: (-counts[k], k))
@@ -147,10 +146,7 @@ def contiguous_chunks(n, parts):
 def resolve_threads(threads=None):
     """Worker count: an explicit integer, else DPAR2_THREADS, else cpu count."""
     if threads is not None:
-        threads = as_integer("threads", threads)
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
-        return threads
+        return as_integer("threads", threads, 1)
     env = os.environ.get("DPAR2_THREADS")
     if env:
         try:

@@ -48,22 +48,24 @@ MODE_PLANTED = "planted_parafac2"
 class IrregularTensor:
     """K dense slices (I_k x J) sharing the column count J.
 
-    The constructor checks every slice's shape, then copies the slices as
-    float64 through :func:`_built`, keeping and changing none of its input.
-    The slices are read-only views of the tensor's buffer, so a tensor can
-    be shared across worker threads.  ``sq_norms`` keeps every ||X_k||_F^2.
-    Compared by identity, with a short repr, as
-    :class:`~dpar2.factors.Parafac2Factors`.
+    The constructor checks every slice's shape and rejects a complex one
+    (``ValueError``), then copies the slices as float64 through
+    :func:`_built`, keeping and changing none of its input.  The slices are
+    read-only views of the tensor's buffer, so a tensor can be shared
+    across worker threads.  ``sq_norms`` keeps every ||X_k||_F^2.  Compared
+    by identity, with a short repr, as :class:`~dpar2.factors.Parafac2Factors`.
     """
 
     slices: list
     sq_norms: list = field(init=False)
 
     def __post_init__(self):
-        arrays = [np.asarray(x, dtype=np.float64) for x in self.slices]
+        arrays = [np.asarray(x) for x in self.slices]  # made float64 by the copy
         if not arrays:
             raise ShapeMismatchError("tensor needs at least one slice")
         for k, arr in enumerate(arrays):
+            if np.iscomplexobj(arr):  # the copy would drop its imaginary part
+                raise ValueError(f"slice {k} is complex, got dtype {arr.dtype}")
             if arr.ndim != 2:
                 raise ShapeMismatchError(f"slice {k} must be 2-D, got ndim={arr.ndim}")
             if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -110,9 +112,7 @@ class IrregularTensor:
 def check_rank(tensor: IrregularTensor, rank):
     """Raise :class:`RankTooLargeError` unless 1 <= rank <= J and every I_k,
     and ``ValueError`` if ``rank`` is no integer (``factors.as_integer``)."""
-    rank = as_integer("rank", rank)
-    if rank < 1:
-        raise RankTooLargeError(f"rank must be >= 1, got {rank}")
+    rank = as_integer("rank", rank, 1, RankTooLargeError)
     if rank > tensor.num_cols:
         raise RankTooLargeError(f"rank {rank} exceeds column count {tensor.num_cols}")
     for k, rows in enumerate(tensor.row_counts):
@@ -204,8 +204,7 @@ class SyntheticSpec:
             raise ShapeMismatchError("need num_slices >= 1 and cols >= 1")
         if self.mode not in (MODE_UNIFORM, MODE_PLANTED):
             raise ValueError(f"unknown mode {self.mode!r}")
-        object.__setattr__(self, "noise_level", as_real(
-            "noise_level", self.noise_level, "finite and >= 0", lambda x: 0.0 <= x < math.inf))
+        object.__setattr__(self, "noise_level", as_real("noise_level", self.noise_level))
         if self.mode == MODE_UNIFORM:
             if self.noise_level:
                 raise ValueError("noise_level applies to planted mode only")

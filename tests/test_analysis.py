@@ -395,6 +395,8 @@ class TestRwr:
             rwr(graph, RwrParams(restart=0.0, query=np.array([1.0, 0.0, 0.0])))
         with pytest.raises(ValueError):
             rwr(graph, RwrParams(query=np.array([0.5, 0.2, 0.2])))
+        with pytest.raises(ValueError, match="query must be a probability vector"):
+            rwr(graph, RwrParams(query=np.array([np.nan, 1.0, 0.0])))  # gave NaN scores
         with pytest.raises(ShapeMismatchError):
             rwr(graph, RwrParams(query=np.array([1.0, 0.0])))
 

@@ -226,6 +226,16 @@ def test_only_factors_checks_for_bool():
     assert found == []
 
 
+def test_only_factors_checks_a_lower_bound():
+    # factors.as_integer holds the one "must be >=" rule, so no count or
+    # rank setting writes out its own bound check again.
+    found = [f"{name}:{node.lineno}" for name, tree in parsed_sources() if name != "factors.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "must be >=" in node.value]
+    assert found == []
+
+
 def test_no_pass_goes_slice_by_slice():
     # Every pass over X runs by stack or by run through map_stacks;
     # parallel_slice_map stays exported for callers outside the package.

@@ -71,6 +71,10 @@ class TestGreedyPartition:
             greedy_partition([1, 2], 0)
         with pytest.raises(ValueError):
             greedy_partition([1, 0], 2)
+        # True made a one-worker plan and 2.0 failed as a TypeError in range().
+        for workers in (True, 2.0):
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                greedy_partition([3, 2], workers)
 
     @settings(max_examples=100, deadline=None)
     @given(

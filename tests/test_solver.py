@@ -519,6 +519,32 @@ class TestFitDpar2:
         slow, _ = fit_baseline(t, 3, SolverOptions(max_iters=20, tol=0.0))
         assert abs(dpar2.fitness(t, fast) - dpar2.fitness(t, slow)) <= 0.01
 
+    @pytest.mark.parametrize("case", range(8))
+    def test_fit_is_als_on_the_compressed_slices(self, case):
+        # The whole fit, materialized: ALS on the R x J slices Theta_k E D^T
+        # of the compression fit_dpar2 makes runs the same objectives, and
+        # its models Q_k H S_k V^T are A_k^T times DPar2's.
+        rng = np.random.default_rng(case)
+        if case < 5:
+            rank = 3
+            t = IrregularTensor([rng.random((int(rows), 12)) for rows in rng.integers(6, 31, 7)])
+        else:
+            rank = 4
+            t = generate(SyntheticSpec(rows=40, cols=15, num_slices=20, mode=MODE_PLANTED,
+                                       true_rank=4, noise_level=0.1, seed=case))
+        comp = compress(t, rank, rsvd=RsvdParams(rank=rank, seed=0))
+        compressed = IrregularTensor([(comp.core_block(k) * comp.weights) @ comp.col_basis.T
+                                      for k in range(t.num_slices)])
+        opts = SolverOptions(max_iters=32, tol=0.0, seed=0)
+        fast, fast_trace = fit_dpar2(t, rank, opts)
+        als, als_trace = fit_baseline(compressed, rank, opts)
+        assert len(fast_trace.objective) == len(als_trace.objective) == 32
+        np.testing.assert_allclose(fast_trace.objective, als_trace.objective, rtol=1e-9, atol=0)
+        for k, a in enumerate(comp.slice_bases):
+            model = (als.Q[k] @ als.H * als.W[k]) @ als.V.T
+            fast_model = (a.T @ fast.Q[k] @ fast.H * fast.W[k]) @ fast.V.T
+            assert np.abs(fast_model - model).max() <= 1e-10 * np.abs(model).max()
+
     def test_objective_non_increasing(self):
         # Random shapes, then degenerate inputs through the batched rotations:
         # an all-zero slice, a rank-1 slice, R = min(I_k, J), tiny values.

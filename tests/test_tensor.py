@@ -57,6 +57,11 @@ class TestContainer:
         with pytest.raises(NonFiniteInputError):
             IrregularTensor([bad])
 
+    def test_complex_slice_rejected(self):
+        # The float64 copy dropped the imaginary parts with only a ComplexWarning.
+        with pytest.raises(ValueError, match="slice 1 is complex"):
+            IrregularTensor([np.ones((2, 2)), [[1 + 2j, 3], [4, 5j]]])
+
     def test_slices_are_read_only(self):
         t = small_tensor()
         with pytest.raises(ValueError):
