@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import reconstruction_terms
-from .errors import (DegenerateInputError, IndexOutOfRangeError, IsolatedNodeError, NumericFailure,
-                     ShapeMismatchError)
-from .factors import Parafac2Factors, as_integer, as_real
+from .errors import (DegenerateInputError, IndexOutOfRangeError, IsolatedNodeError,
+                     NonFiniteInputError, NumericFailure, ShapeMismatchError)
+from .factors import Parafac2Factors, as_integer, as_matrix, as_real
 from .tensor import IrregularTensor
 
 DEFAULT_GAMMA = 0.01
@@ -61,8 +61,7 @@ def similarity(u_a, u_b, gamma=DEFAULT_GAMMA):
     bool or str is not a width).
     """
     gamma = _checked_gamma(gamma)
-    u_a = np.asarray(u_a, dtype=np.float64)
-    u_b = np.asarray(u_b, dtype=np.float64)
+    u_a, u_b = as_matrix("u_a", u_a), as_matrix("u_b", u_b)
     if u_a.shape != u_b.shape:
         raise ShapeMismatchError(
             f"cannot compare factors of shapes {u_a.shape} and {u_b.shape}"
@@ -100,7 +99,7 @@ def build_similarity_graph(u_list, gamma=DEFAULT_GAMMA):
     gamma = _checked_gamma(gamma)
     if len(u_list) < 1:
         raise ShapeMismatchError("need at least one factor")
-    mats = [np.asarray(u, dtype=np.float64) for u in u_list]
+    mats = [as_matrix(f"factor {i}", u) for i, u in enumerate(u_list)]
     shape = mats[0].shape
     for i, m in enumerate(mats):
         if m.shape != shape:
@@ -121,20 +120,24 @@ def build_similarity_graph(u_list, gamma=DEFAULT_GAMMA):
 def knn(scores, target, k):
     """Indices of the k highest-scoring nodes other than ``target``.
 
-    ``scores`` is either a 1-D score vector or a SimilarityGraph (its
-    target row is used).  Ties break toward the lower index.  ``target``
-    and ``k`` must be integers (a bool, float or str raises ``ValueError``),
-    ``target`` in [0, n) (else :class:`IndexOutOfRangeError`, an ``IndexError``)
-    and ``k`` in [0, n - 1].
+    ``scores`` is either a 1-D score vector or a SimilarityGraph (its target row is
+    used); another shape raises :class:`ShapeMismatchError`, and NaN or inf among the
+    scores ranked :class:`NonFiniteInputError`.  Ties break toward the lower index.
+    ``target`` and ``k`` must be integers (a bool, float or str raises ``ValueError``),
+    ``target`` in [0, n) (else :class:`IndexOutOfRangeError`) and ``k`` in [0, n - 1].
     """
     target, k = as_integer("target", target), as_integer("k", k)
     graph = isinstance(scores, SimilarityGraph)
     scores = np.asarray(scores.adjacency if graph else scores, dtype=np.float64)
+    if scores.ndim != 1 + graph or scores.shape[0] != scores.shape[-1]:
+        raise ShapeMismatchError(f"scores must be 1-D or a square graph, got shape {scores.shape}")
     n = scores.shape[0]
     if not 0 <= target < n:
         raise IndexOutOfRangeError(f"target {target} out of range [0, {n})")
     if graph:
         scores = scores[target]
+    if not np.isfinite(scores).all():
+        raise NonFiniteInputError("scores contain non-finite values")
     if k < 0 or k > n - 1:
         raise ValueError(f"k must be in [0, {n - 1}], got {k}")
     order = np.lexsort((np.arange(n), -scores))
@@ -180,11 +183,11 @@ def rwr(graph: SimilarityGraph, params: RwrParams):
     :class:`ShapeMismatchError`, and a non-finite or negative entry
     ``ValueError``.
     """
-    a = np.asarray(graph.adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = as_matrix("adjacency", graph.adjacency)
+    if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"adjacency must be square, got shape {a.shape}")
-    if not (np.isfinite(a) & (a >= 0.0)).all():
-        raise ValueError("adjacency entries must be finite and nonnegative")
+    if not (a >= 0.0).all():
+        raise ValueError("adjacency entries must be nonnegative")
     n = a.shape[0]
     c = params.restart
     q = np.asarray(params.query, dtype=np.float64)
@@ -215,8 +218,8 @@ def pcc_matrix(v):
     correlations are undefined: :class:`DegenerateInputError` names the
     first such row.  Every row of a rank-1 V is one.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] < 2:
+    v = as_matrix("v", v)
+    if v.shape[0] < 2:
         raise ShapeMismatchError("need a 2-D matrix with at least two rows")
     flat = np.flatnonzero(v.min(axis=1) == v.max(axis=1))
     if flat.size:

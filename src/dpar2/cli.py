@@ -45,7 +45,6 @@ from .solver import fit_dpar2
 from .tensor import (
     MODE_PLANTED,
     MODE_UNIFORM,
-    IrregularTensor,
     SyntheticSpec,
     generate,
     load_archive,

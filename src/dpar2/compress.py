@@ -32,6 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import IndexOutOfRangeError
+from .factors import as_integer
 from .linalg import RsvdParams, derived_seed, randomized_svd
 from .scheduler import equal_height_stacks, map_stacks
 from .tensor import IrregularTensor, check_rank
@@ -54,7 +56,10 @@ class CompressedTensor:
         return len(self.slice_bases)
 
     def core_block(self, k):
-        """The R x R block F_k coupling slice k to the shared basis."""
+        """The R x R block F_k coupling slice k, an integer in [0, K), to the shared basis."""
+        k = as_integer("k", k)
+        if not 0 <= k < self.num_slices:
+            raise IndexOutOfRangeError(f"slice index {k} out of range [0, {self.num_slices})")
         r = self.rank
         return self.cores[k * r : (k + 1) * r]
 
@@ -113,7 +118,5 @@ def compress(tensor: IrregularTensor, rank, rsvd: RsvdParams | None = None, thre
 
 def reconstruct_slice(comp: CompressedTensor, k):
     """Materialize slice k as A_k (F_k (diag(E) D^T)); cost O(I_k J R)."""
-    if not 0 <= k < comp.num_slices:
-        raise IndexError(f"slice index {k} out of range [0, {comp.num_slices})")
     small = comp.core_block(k) @ (comp.weights[:, None] * comp.col_basis.T)
     return comp.slice_bases[k] @ small

@@ -21,8 +21,8 @@ class RankTooLargeError(DecompositionError):
     """Requested rank exceeds what the operand dimensions allow."""
 
 
-class NonFiniteInputError(DecompositionError):
-    """Input contains NaN or infinity."""
+class NonFiniteInputError(DecompositionError, ValueError):
+    """Input contains NaN or infinity; still a ``ValueError``."""
 
 
 class ArchiveFormatError(DecompositionError):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArchiveFormatError, NumericFailure, ShapeMismatchError
+from .errors import ArchiveFormatError, NonFiniteInputError, NumericFailure, ShapeMismatchError
 
 
 def as_integer(name, value, minimum=None, error=ValueError):
@@ -51,6 +51,19 @@ def as_real(name, value, rule="finite and >= 0", holds=lambda x: 0.0 <= x < math
     return real
 
 
+def as_matrix(name, value):
+    """``value`` as a finite 2-D float64 array; complex input raises ``ValueError``,
+    another ndim :class:`ShapeMismatchError`, NaN or inf :class:`NonFiniteInputError`."""
+    if np.iscomplexobj(value):  # the float64 conversion would drop its imaginary part
+        raise ValueError(f"{name} is complex, got dtype {np.asarray(value).dtype}")
+    value = np.asarray(value, dtype=np.float64)
+    if value.ndim != 2:
+        raise ShapeMismatchError(f"{name} must be 2-D, got ndim={value.ndim}")
+    if not np.isfinite(value).all():
+        raise NonFiniteInputError(f"{name} contains non-finite values")
+    return value
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs shared by both solvers, checked when they are made.
@@ -60,7 +73,7 @@ class SolverOptions:
     a finite real >= 0 (:func:`as_real`); a NumPy scalar is kept as a
     Python number.  Anything else raises ``ValueError`` here, so a bad
     value fails before any work, and the options cannot be changed
-    afterwards.  ``threads=None`` defers to DPAR2_THREADS or the CPU count.
+    afterwards.  ``threads=None`` defers to DPAR2_THREADS or the usable CPUs.
     """
 
     max_iters: int = 32

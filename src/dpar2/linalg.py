@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInputError, NumericFailure, RankTooLargeError, ShapeMismatchError
-from .factors import as_integer
+from .errors import NumericFailure, RankTooLargeError, ShapeMismatchError
+from .factors import as_integer, as_matrix
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's counter increment, 2^64 / phi
@@ -67,15 +67,6 @@ class SvdTriple:
         return (self.U * self.S[..., None, :]) @ np.swapaxes(self.V, -1, -2)
 
 
-def _as_matrix(a, name="input"):
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeMismatchError(f"{name} must be 2-D, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise NonFiniteInputError(f"{name} contains non-finite values")
-    return a
-
-
 def fix_signs(u, v):
     """Make the largest-magnitude entry of each column of ``u`` nonnegative.
 
@@ -91,11 +82,11 @@ def truncated_svd(a, rank):
     """Exact truncated SVD of a dense matrix.
 
     Returns the leading ``rank`` singular triplets as an :class:`SvdTriple`.
-    ``rank`` must be an integer (a bool, float or str raises ``ValueError``,
-    ``factors.as_integer``); :class:`RankTooLargeError` if it is below 1 or
-    exceeds ``min(a.shape)``.
+    ``a`` is checked by ``factors.as_matrix``, and ``rank`` must be an
+    integer (``factors.as_integer``); :class:`RankTooLargeError` if it is
+    below 1 or exceeds ``min(a.shape)``.
     """
-    a = _as_matrix(a)
+    a = as_matrix("input", a)
     rank = as_integer("rank", rank, 1, RankTooLargeError)
     if rank > min(a.shape):
         raise RankTooLargeError(
@@ -149,7 +140,8 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     work on a stack one matrix at a time, and the SVD route is chosen per
     matrix.
 
-    The input is not scanned for NaN or infinity up front: any such value
+    Complex input raises ``ValueError``, but the input is not scanned for
+    NaN or infinity up front (``factors.as_matrix`` would): any such value
     makes the sketch non-finite, and only then is the matrix checked, to
     tell :class:`NonFiniteInputError` (bad input) from
     :class:`NumericFailure` (finite input whose A^T A overflowed).  For a
@@ -160,6 +152,8 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     above ``min(m, n)`` raises :class:`RankTooLargeError`, and ``seeds``
     given with a single matrix ``ValueError``.
     """
+    if np.iscomplexobj(a):  # the float64 conversion would drop its imaginary part
+        raise ValueError(f"input is complex, got dtype {np.asarray(a).dtype}")
     a = np.asarray(a, dtype=np.float64)
     single = a.ndim == 2
     if single:
@@ -180,7 +174,7 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     finite = np.isfinite(y).all(axis=(-2, -1))
     if not finite.all():
         g = int(np.argmin(finite))
-        _as_matrix(a[g])  # NonFiniteInputError when the input itself is bad
+        as_matrix("input", a[g])  # NonFiniteInputError when the input itself is bad
         raise NumericFailure("range sketch overflowed; input magnitude too large",
                              slice_index=None if single else g)
     try:
@@ -268,7 +262,7 @@ def pinv_small(a):
     :class:`NumericFailure`, and so does a finite matrix whose largest
     singular value overflows, which would otherwise invert to zero.
     """
-    a = _as_matrix(a)
+    a = as_matrix("input", a)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:

@@ -144,7 +144,7 @@ def contiguous_chunks(n, parts):
 
 
 def resolve_threads(threads=None):
-    """Worker count: an explicit integer, else DPAR2_THREADS, else cpu count."""
+    """Worker count: an explicit integer, else DPAR2_THREADS, else the usable CPU count."""
     if threads is not None:
         return as_integer("threads", threads, 1)
     env = os.environ.get("DPAR2_THREADS")
@@ -156,7 +156,8 @@ def resolve_threads(threads=None):
         if t < 1:
             raise ValueError(f"DPAR2_THREADS must be an integer >= 1, got {env!r}")
         return t
-    return os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may run on
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def parallel_slice_map(fn, num_slices, threads=None, groups=None):

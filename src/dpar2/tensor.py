@@ -271,8 +271,7 @@ def _planted_fill(spec, rows, rng, threads):
     thread, in two passes.
 
     1. Serial draws, in the order of a slice-by-slice build: H and V, then
-       per slice its I_k x R normals (kept in the tensor's height order, so
-       a stack's are one view), its magnitudes and signs (kept), and its
+       per slice its I_k x R normals, magnitudes and signs (kept), and its
        noise, drawn into the slice's place in the buffer.
     2. On the workers of ``threads``, per stack of ``equal_height_stacks``:
        one stacked ``qr`` of the normals gives the Q_k and one stacked
@@ -293,19 +292,16 @@ def _planted_fill(spec, rows, rng, threads):
     signs = np.array([-1.0, 1.0])  # indexed by integers(0, 2): the draws of choice([-1.0, 1.0])
 
     def fill(tensor, ks):
-        first_row = [start // cols for start in tensor._starts]  # in the height-ordered layout
-        normals = np.empty((sum(rows), r))
+        normals = [None] * len(rows)
         scales = np.empty((len(rows), r))
         for k in ks:
-            rng.standard_normal(out=normals[first_row[k] : first_row[k] + rows[k]])
+            normals[k] = rng.standard_normal((rows[k], r))
             scales[k] = rng.uniform(0.9, 1.1, r) * component_scale * signs[rng.integers(0, 2, r)]
             rng.standard_normal(out=tensor.slices[k])
 
         def build(stack):
             x = tensor.stack(stack)
-            start = first_row[stack[0]]
-            q, _ = np.linalg.qr(normals[start : start + x.shape[0] * x.shape[1]]
-                                .reshape(*x.shape[:2], r))
+            q, _ = np.linalg.qr(np.stack([normals[k] for k in stack]))
             basis = q @ (core * scales[stack, None, :])
             if spec.noise_level == 0.0:
                 np.matmul(basis, v.T, out=x)

@@ -18,8 +18,8 @@ from dpar2.analysis import (
     similarity,
 )
 from dpar2.baseline import fit_baseline, reconstruction_error
-from dpar2.errors import (DegenerateInputError, IndexOutOfRangeError, IsolatedNodeError, NumericFailure,
-                          ShapeMismatchError)
+from dpar2.errors import (DegenerateInputError, IndexOutOfRangeError, IsolatedNodeError,
+                          NonFiniteInputError, NumericFailure, ShapeMismatchError)
 from dpar2.factors import Parafac2Factors, SolverOptions
 from dpar2.solver import fit_dpar2
 from dpar2.tensor import MODE_PLANTED, IrregularTensor, SyntheticSpec, generate
@@ -273,6 +273,19 @@ class TestKnn:
         for scores in (np.array([0.1, 0.9, 0.5]), ring_graph(3)):
             with pytest.raises(IndexOutOfRangeError, match=rf"target {target} out of range \[0, 3\)"):
                 knn(scores, target, 1)
+
+    @pytest.mark.parametrize("scores, error", [
+        (np.ones((3, 3)), ShapeMismatchError),  # failed inside np.lexsort
+        (np.float64(1.0), ShapeMismatchError),  # a bare IndexError
+        (SimilarityGraph(adjacency=np.ones((3, 4))), ShapeMismatchError),
+        (SimilarityGraph(adjacency=np.ones(3)), ShapeMismatchError),
+        (np.array([0.1, np.nan, 0.5]), NonFiniteInputError),  # ranked without an error
+        (SimilarityGraph(adjacency=np.array([[0.0, np.inf], [1.0, 0.0]])), NonFiniteInputError),
+    ], ids=["2-D scores", "0-D scores", "non-square graph", "1-D graph", "nan score",
+            "inf in the target row"])
+    def test_scores_are_checked_for_shape_then_finiteness(self, scores, error):
+        with pytest.raises(error):
+            knn(scores, target=0, k=1)
 
     def test_bool_k_is_no_count(self):
         # True counted as one neighbour.

@@ -8,7 +8,7 @@ import pytest
 from dpar2 import baseline, scheduler
 from dpar2.baseline import fit_baseline, procrustes_svd
 from dpar2.compress import compress, reconstruct_slice
-from dpar2.errors import NumericFailure, RankTooLargeError
+from dpar2.errors import IndexOutOfRangeError, NumericFailure, RankTooLargeError
 from dpar2.factors import SolverOptions
 from dpar2.linalg import RsvdParams, derived_seed, randomized_svd
 from dpar2.scheduler import PartitionPlan, greedy_partition
@@ -192,6 +192,19 @@ class TestErrorsAndEdges:
         comp = compress(t, 2, threads=1)
         with pytest.raises(IndexError):
             reconstruct_slice(comp, 99)
+
+    @pytest.mark.parametrize("k, error", [
+        (7, IndexOutOfRangeError), (-1, IndexOutOfRangeError), (True, ValueError), (1.0, ValueError),
+    ])
+    def test_core_block_checks_its_index(self, k, error):
+        # core_block(7) and core_block(-1) returned an empty (0, R) block,
+        # reconstruct_slice(comp, True) returned slice 1, and 1.0 failed with
+        # a TypeError from slicing.
+        comp = compress(planted(seed=10, k=3), 2, threads=1)
+        with pytest.raises(error):
+            comp.core_block(k)
+        with pytest.raises(error):
+            reconstruct_slice(comp, k)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_slice_is_a_numeric_failure_naming_it(self):

@@ -1,8 +1,9 @@
 """Package surface: the public exports, the settable sketch options, how
-settings are checked and how array containers compare, the runtime
-dependencies, where worker threads start, that no pass goes slice by
-slice, that DPar2 iterates through its public steps, the one way round
-the tensor constructor and the README example."""
+settings and matrix arguments are checked and how array containers
+compare, the runtime dependencies and unused imports, where worker threads
+start, that no pass goes slice by slice, that DPar2 iterates through its
+public steps, the one way round the tensor constructor and into its
+layout, and the README example."""
 import ast
 import dataclasses
 import inspect
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 import dpar2
-from dpar2.analysis import RwrParams, build_similarity_graph, similarity
+from dpar2.analysis import (RwrParams, SimilarityGraph, build_similarity_graph, pcc_matrix, rwr,
+                            similarity)
+from dpar2.errors import NonFiniteInputError, ShapeMismatchError
 from dpar2.tensor import MODE_PLANTED
 
 SRC = Path(dpar2.__file__).parent
@@ -79,6 +82,41 @@ def test_settings_of_the_wrong_type_raise_value_error_naming_the_field(field, ma
         make()
 
 
+# Each matrix argument checked by factors.as_matrix: its name in the error,
+# and a call that passes ``m`` as that argument.
+MATRIX_ARGUMENTS = {
+    "truncated_svd": ("input", lambda m: dpar2.truncated_svd(m, 1)),
+    "pinv_small": ("input", dpar2.pinv_small),
+    "randomized_svd": ("input", lambda m: dpar2.randomized_svd(m, dpar2.RsvdParams(rank=1))),
+    "similarity": ("u_b", lambda m: similarity(np.eye(3), m)),
+    "build_similarity_graph": ("factor 1", lambda m: build_similarity_graph([np.eye(3), m])),
+    "pcc_matrix": ("v", pcc_matrix),
+    "rwr": ("adjacency", lambda m: rwr(SimilarityGraph(adjacency=m),
+                                       RwrParams(query=np.array([1.0, 0.0, 0.0])))),
+}
+
+
+@pytest.mark.parametrize("function", MATRIX_ARGUMENTS)
+def test_every_matrix_argument_is_checked_by_one_rule(function):
+    name, call = MATRIX_ARGUMENTS[function]
+    # Complex input lost its imaginary part with only a ComplexWarning
+    # (similarity(z, z.real) was 1.0), and a NaN factor gave NaN scores.
+    with pytest.raises(ValueError, match=f"^{name} is complex"):
+        call(np.eye(3) * (1.0 + 1.0j))
+    with pytest.raises(NonFiniteInputError, match=f"^{name} contains non-finite values"):
+        call(np.where(np.eye(3) > 0, np.nan, 1.0))
+    with pytest.raises(ShapeMismatchError):
+        call(np.ones(3))
+    if function != "randomized_svd":  # it takes (G, m, n) stacks
+        with pytest.raises(ShapeMismatchError):
+            call(np.ones((1, 3, 3)))
+
+
+def test_the_matrix_rule_lives_in_factors():
+    assert issubclass(NonFiniteInputError, ValueError)
+    assert not hasattr(dpar2.linalg, "_as_matrix")
+
+
 def test_settings_keep_numpy_scalars_as_python_numbers():
     opts = dpar2.SolverOptions(tol=np.float32(0.5), seed=np.int64(3), threads=np.int8(2))
     rsvd = dpar2.RsvdParams(rank=np.int64(2), seed=np.uint64(2**63 + 5))
@@ -133,9 +171,13 @@ def parsed_sources():
 
 
 def top_level_owners(tree):
-    """The name of the top-level function around each node of ``tree``, by node id."""
-    return {id(node): fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
-            for node in ast.walk(fn)}
+    """The name of the top-level function or method ("Class.method")
+    around each node of ``tree``, by node id."""
+    functions = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    functions += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    return {id(node): name for name, fn in functions for node in ast.walk(fn)}
 
 
 def test_runtime_imports_are_stdlib_or_numpy():
@@ -183,6 +225,34 @@ def test_only_the_builder_skips_the_constructor():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                   and node.func.attr == "__new__"]
     assert calls == [("tensor.py", "_built")]
+
+
+def test_only_the_builder_and_stack_read_the_layout():
+    # A tensor's buffer and slice offsets belong to tensor._built, which
+    # lays them out, and IrregularTensor.stack, which cuts views of them;
+    # every other pass goes through slices or stack.
+    found = []
+    for name, tree in parsed_sources():
+        owner = top_level_owners(tree)
+        found += [f"{name}:{node.lineno} in {owner.get(id(node))}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("_starts", "_buffer")
+                  and (name, owner.get(id(node))) not in (("tensor.py", "_built"),
+                                                          ("tensor.py", "IrregularTensor.stack"))]
+    assert found == []
+
+
+def test_every_top_level_import_is_used():
+    found = []
+    for name, tree in parsed_sources():
+        if name == "__init__.py":  # its imports are the exports
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{name} imports {bound}" for node in tree.body
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  for bound in [alias.asname or alias.name.split(".")[0]] if bound not in used]
+    assert found == []
 
 
 def test_stacked_passes_plan_through_one_call():

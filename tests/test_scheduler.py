@@ -568,6 +568,15 @@ class TestResolveThreads:
         monkeypatch.delenv("DPAR2_THREADS", raising=False)
         assert resolve_threads(None) >= 1
 
+    def test_default_is_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # Under a one-CPU affinity mask the default was the machine's CPU count.
+        monkeypatch.delenv("DPAR2_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert resolve_threads(None) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity masks
+        assert resolve_threads(None) == 64
+
     @pytest.mark.parametrize("threads", [1, 3, np.int64(2), np.uint8(1)])
     def test_accepts_python_and_numpy_integers(self, threads):
         got = resolve_threads(threads)
