@@ -16,7 +16,7 @@ import numpy as np
 from .baseline import reconstruction_terms
 from .errors import (DegenerateInputError, IndexOutOfRangeError, IsolatedNodeError,
                      NonFiniteInputError, NumericFailure, ShapeMismatchError)
-from .factors import Parafac2Factors, as_integer, as_matrix, as_real
+from .factors import Parafac2Factors, as_float_array, as_integer, as_matrix, as_real
 from .tensor import IrregularTensor
 
 DEFAULT_GAMMA = 0.01
@@ -121,14 +121,14 @@ def knn(scores, target, k):
     """Indices of the k highest-scoring nodes other than ``target``.
 
     ``scores`` is either a 1-D score vector or a SimilarityGraph (its target row is
-    used); another shape raises :class:`ShapeMismatchError`, and NaN or inf among the
-    scores ranked :class:`NonFiniteInputError`.  Ties break toward the lower index.
+    used); complex scores raise ``ValueError``, another shape :class:`ShapeMismatchError`,
+    NaN or inf among those ranked :class:`NonFiniteInputError`.  Ties go to the lower index.
     ``target`` and ``k`` must be integers (a bool, float or str raises ``ValueError``),
     ``target`` in [0, n) (else :class:`IndexOutOfRangeError`) and ``k`` in [0, n - 1].
     """
     target, k = as_integer("target", target), as_integer("k", k)
     graph = isinstance(scores, SimilarityGraph)
-    scores = np.asarray(scores.adjacency if graph else scores, dtype=np.float64)
+    scores = as_float_array("scores", scores.adjacency if graph else scores)
     if scores.ndim != 1 + graph or scores.shape[0] != scores.shape[-1]:
         raise ShapeMismatchError(f"scores must be 1-D or a square graph, got shape {scores.shape}")
     n = scores.shape[0]
@@ -180,8 +180,8 @@ def rwr(graph: SimilarityGraph, params: RwrParams):
     A~ is the row-normalized adjacency; a zero row (isolated node) makes
     normalization impossible and raises.  Row-stochastic A~ keeps every
     iterate on the probability simplex.  A non-square adjacency raises
-    :class:`ShapeMismatchError`, and a non-finite or negative entry
-    ``ValueError``.
+    :class:`ShapeMismatchError`, and a non-finite or negative entry or a
+    complex query ``ValueError``.
     """
     a = as_matrix("adjacency", graph.adjacency)
     if a.shape[0] != a.shape[1]:
@@ -190,7 +190,7 @@ def rwr(graph: SimilarityGraph, params: RwrParams):
         raise ValueError("adjacency entries must be nonnegative")
     n = a.shape[0]
     c = params.restart
-    q = np.asarray(params.query, dtype=np.float64)
+    q = as_float_array("query", params.query)
     if q.shape != (n,):
         raise ShapeMismatchError(f"query has shape {q.shape}, graph has {n} nodes")
     if not (q >= 0).all() or not abs(float(q.sum()) - 1.0) <= 1e-12:  # NaN fails both

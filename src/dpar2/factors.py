@@ -51,12 +51,18 @@ def as_real(name, value, rule="finite and >= 0", holds=lambda x: 0.0 <= x < math
     return real
 
 
-def as_matrix(name, value):
-    """``value`` as a finite 2-D float64 array; complex input raises ``ValueError``,
-    another ndim :class:`ShapeMismatchError`, NaN or inf :class:`NonFiniteInputError`."""
-    if np.iscomplexobj(value):  # the float64 conversion would drop its imaginary part
+def as_float_array(name, value):
+    """``value`` as a float64 array; complex input raises ``ValueError``
+    naming ``name``, since the conversion would drop its imaginary part."""
+    if np.iscomplexobj(value):
         raise ValueError(f"{name} is complex, got dtype {np.asarray(value).dtype}")
-    value = np.asarray(value, dtype=np.float64)
+    return np.asarray(value, dtype=np.float64)
+
+
+def as_matrix(name, value):
+    """``value`` as a finite 2-D float64 array (:func:`as_float_array`); another ndim
+    raises :class:`ShapeMismatchError`, NaN or inf :class:`NonFiniteInputError`."""
+    value = as_float_array(name, value)
     if value.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got ndim={value.ndim}")
     if not np.isfinite(value).all():
@@ -264,18 +270,9 @@ def load_factors(path):
 
 
 def write_csv_rows(path, header, rows):
-    """Small CSV writer used by reports; floats are emitted with repr
-    precision so equal values always serialize to equal bytes."""
+    """Small CSV writer used by reports; ``csv`` writes None as an empty cell and
+    a float as its shortest repr, so equal values always serialize to equal bytes."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(c) for c in row])
-
-
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return value
+        writer.writerows(rows)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure, RankTooLargeError, ShapeMismatchError
-from .factors import as_integer, as_matrix
+from .factors import as_float_array, as_integer, as_matrix
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's counter increment, 2^64 / phi
@@ -58,10 +58,6 @@ class SvdTriple:
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-
-    @property
-    def rank(self):
-        return self.S.shape[-1]
 
     def reconstruct(self):
         return (self.U * self.S[..., None, :]) @ np.swapaxes(self.V, -1, -2)
@@ -152,9 +148,7 @@ def randomized_svd(a, params: RsvdParams, seeds=None):
     above ``min(m, n)`` raises :class:`RankTooLargeError`, and ``seeds``
     given with a single matrix ``ValueError``.
     """
-    if np.iscomplexobj(a):  # the float64 conversion would drop its imaginary part
-        raise ValueError(f"input is complex, got dtype {np.asarray(a).dtype}")
-    a = np.asarray(a, dtype=np.float64)
+    a = as_float_array("input", a)
     single = a.ndim == 2
     if single:
         if seeds is not None:

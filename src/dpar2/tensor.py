@@ -78,8 +78,7 @@ class IrregularTensor:
             for k in ks:
                 tensor.slices[k][...] = arrays[k]
 
-        built = _built([x.shape[0] for x in arrays], arrays[0].shape[1], copy,
-                       contiguous_runs(len(arrays), 1))
+        built = _built([x.shape[0] for x in arrays], arrays[0].shape[1], copy, 1)
         vars(self).update(vars(built))  # its slices, norms and layout
 
     @property
@@ -135,18 +134,19 @@ def _checked_sq_norm(x, k):
     return sq
 
 
-def _built(row_counts, cols, fill, plan):
+def _built(row_counts, cols, fill, threads):
     """The tensor of slices ``row_counts[k]`` x ``cols``, filled on the workers.
 
     The slices are views of one little-endian float64 buffer placed in
     ``scheduler.height_order``, so every stack of ``equal_height_stacks``
-    is one view (:meth:`IrregularTensor.stack`).  Each worker of ``plan``
-    (``scheduler.contiguous_runs``) calls ``fill(tensor, ks)`` to write its
-    slices ``ks`` through ``tensor.slices`` or ``tensor.stack``, then takes
+    is one view (:meth:`IrregularTensor.stack`).  Each worker of ``threads``
+    fills one run of ``scheduler.contiguous_runs``: ``fill(tensor, ks)`` writes
+    slices ``ks`` through ``tensor.slices`` or ``tensor.stack``, then it takes
     each slice's ||X_k||^2, its finiteness check, under one ``np.errstate``.
     NaN or inf raises naming the lowest such slice.  The buffer and slices
     are frozen once every run is filled.
     """
+    plan = contiguous_runs(len(row_counts), threads)
     starts, start = [0] * len(row_counts), 0
     for k in height_order(row_counts):
         starts[k], start = start, start + row_counts[k] * cols
@@ -248,13 +248,11 @@ def generate(spec: SyntheticSpec, threads=None):
     ``spec`` checked itself when it was made (see :class:`SyntheticSpec`),
     so the one check here is of ``threads`` (``scheduler.resolve_threads``).
     """
-    plan = contiguous_runs(spec.num_slices, threads)
     rng = np.random.Generator(np.random.PCG64(spec.seed & _MASK64))
     rows = _resolve_rows(spec, rng)
     if spec.mode == MODE_UNIFORM:
-        return _built(rows, spec.cols, _uniform_fill(spec.seed, rows[0] * spec.cols), plan)
-    return _built(rows, spec.cols, _planted_fill(spec, rows, rng, threads),
-                  contiguous_runs(spec.num_slices, 1))
+        return _built(rows, spec.cols, _uniform_fill(spec.seed, rows[0] * spec.cols), threads)
+    return _built(rows, spec.cols, _planted_fill(spec, rows, rng, threads), 1)
 
 
 def _norms(x):
@@ -283,6 +281,7 @@ def _planted_fill(spec, rows, rng, threads):
        no noise the signal overwrites it.
     """
     r, cols = spec.true_rank, spec.cols
+    stacks, groups = equal_height_stacks(rows, cols, threads)  # a bad thread count fails here
     core = _random_orthonormal(rng, r, r)
     v = _random_orthonormal(rng, cols, r)
     # Geometrically separated component magnitudes keep the instance easy
@@ -312,7 +311,7 @@ def _planted_fill(spec, rows, rng, threads):
                            out=np.zeros_like(denom), where=denom > 0)
             x += signal
 
-        map_stacks(build, *equal_height_stacks(rows, cols, threads))
+        map_stacks(build, stacks, groups)
 
     return fill
 
@@ -438,7 +437,7 @@ def load_archive(path, threads=None):
                     i += 1
 
         try:
-            return _built(row_counts, cols, read, contiguous_runs(num_slices, threads))
+            return _built(row_counts, cols, read, threads)
         except NonFiniteInputError as exc:
             raise ArchiveFormatError(f"{path}: {exc}") from exc
 

@@ -287,6 +287,11 @@ class TestKnn:
         with pytest.raises(error):
             knn(scores, target=0, k=1)
 
+    def test_complex_scores_raise(self):
+        # [1+5j, 2, 0.5] ranked as [1, 2, 0.5], with only a ComplexWarning.
+        with pytest.raises(ValueError, match="^scores is complex"):
+            knn(np.array([1 + 5j, 2, 0.5]), 2, 2)
+
     def test_bool_k_is_no_count(self):
         # True counted as one neighbour.
         graph = ring_graph(3)
@@ -412,6 +417,11 @@ class TestRwr:
             rwr(graph, RwrParams(query=np.array([np.nan, 1.0, 0.0])))  # gave NaN scores
         with pytest.raises(ShapeMismatchError):
             rwr(graph, RwrParams(query=np.array([1.0, 0.0])))
+
+    def test_complex_query_raises(self):
+        # [1+1j, 0] walked as [1, 0], with only a ComplexWarning.
+        with pytest.raises(ValueError, match="^query is complex"):
+            rwr(ring_graph(2), RwrParams(query=np.array([1 + 1j, 0])))
 
     @pytest.mark.parametrize("iters", [0, -3])
     def test_rejects_fewer_than_one_step(self, iters):

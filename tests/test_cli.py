@@ -12,7 +12,7 @@ import pytest
 from dpar2 import cli
 from dpar2.analysis import knn
 from dpar2.errors import ArchiveFormatError, NumericFailure, ShapeMismatchError
-from dpar2.factors import load_factors
+from dpar2.factors import load_factors, write_csv_rows
 from dpar2.tensor import (
     MODE_PLANTED,
     MODE_UNIFORM,
@@ -40,6 +40,14 @@ def make_archive(tmp_path, name="t.irt", seed=3, rows=14, cols=8, slices=5, rank
     ])
     assert code == 0
     return path
+
+
+def test_report_cells_keep_their_bytes(tmp_path):
+    # None is an empty cell and a float its shortest repr, so equal values
+    # always give equal report bytes.
+    path = tmp_path / "cells.csv"
+    write_csv_rows(path, ["a"], [[None, 0.1, np.float64(1 / 3), 7, -0.0, np.inf]])
+    assert path.read_bytes() == b"a\r\n,0.1,0.3333333333333333,7,-0.0,inf\r\n"
 
 
 class TestGenerate:

@@ -1,5 +1,5 @@
 """Package surface: the public exports, the settable sketch options, how
-settings and matrix arguments are checked and how array containers
+settings, matrix arguments and complex input are checked, how array containers
 compare, the runtime dependencies and unused imports, where worker threads
 start, that no pass goes slice by slice, that DPar2 iterates through its
 public steps, the one way round the tensor constructor and into its
@@ -115,6 +115,20 @@ def test_every_matrix_argument_is_checked_by_one_rule(function):
 def test_the_matrix_rule_lives_in_factors():
     assert issubclass(NonFiniteInputError, ValueError)
     assert not hasattr(dpar2.linalg, "_as_matrix")
+
+
+def test_complex_input_is_checked_in_factors():
+    # factors.as_float_array is the one complex check of an array argument.
+    # IrregularTensor keeps its own: converting there would hold a float64
+    # copy of every non-float64 slice before the buffer copy.
+    found = []
+    for name, tree in parsed_sources():
+        owner = top_level_owners(tree)
+        found += [f"{name}:{node.lineno} in {owner.get(id(node))}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.iscomplexobj"
+                  and name != "factors.py"
+                  and (name, owner.get(id(node))) != ("tensor.py", "IrregularTensor.__post_init__")]
+    assert found == []
 
 
 def test_settings_keep_numpy_scalars_as_python_numbers():

@@ -373,6 +373,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             generate(SyntheticSpec(rows=4, cols=3, num_slices=2, mode=mode), threads=0)
 
+    def test_bad_thread_count_fails_before_any_planted_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(dpar2.tensor, "_random_orthonormal", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            generate(SyntheticSpec(rows=4, cols=3, num_slices=2, mode=MODE_PLANTED), threads=0)
+        assert drawn == []
+
 
 UNIFORM_SPEC = SyntheticSpec(rows=13, cols=7, num_slices=6, seed=21)
 PLANTED_SPEC = SyntheticSpec(rows=14, cols=8, num_slices=5, mode=MODE_PLANTED, true_rank=2,
