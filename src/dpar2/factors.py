@@ -186,7 +186,10 @@ def _write_matrix(path, arr):
 
 
 def _read_matrix(path):
-    matrix = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    lines = Path(path).read_text().splitlines()
+    if not any(line.strip() for line in lines):  # loadtxt would warn and give (0, 1)
+        raise ArchiveFormatError(f"{path}: no values")
+    matrix = np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64)
     if not np.isfinite(matrix).all():
         raise ArchiveFormatError(f"{path}: non-finite values")
     return matrix
@@ -242,7 +245,8 @@ def load_factors(path):
 
     Reads ``U_{k:04d}.csv`` for k below the manifest's ``num_slices``, so
     files left by an earlier, larger save are ignored.  A missing manifest,
-    ``num_slices`` or U file, or a file holding NaN or inf, raises
+    ``num_slices`` or U file, a manifest that is no JSON object, or a
+    matrix file that is empty or holds NaN or inf, raises
     :class:`ArchiveFormatError` naming it.
     """
     path = Path(path)
@@ -251,7 +255,7 @@ def load_factors(path):
         raise ArchiveFormatError(f"{path}: missing manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    num_slices = manifest.get("num_slices")
+    num_slices = manifest.get("num_slices") if isinstance(manifest, dict) else None
     if type(num_slices) is not int or num_slices < 1:  # JSON true is no count
         raise ArchiveFormatError(f"{path}: manifest.json has no positive integer num_slices")
     h = _read_matrix(path / "H.csv")

@@ -38,7 +38,6 @@ from .linalg import _MASK64
 from .scheduler import contiguous_runs, equal_height_stacks, height_order, map_stacks
 
 _MAGIC = b"IRT1"
-_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one preadv call may take
 
 MODE_UNIFORM = "uniform_random"
 MODE_PLANTED = "planted_parafac2"
@@ -370,19 +369,18 @@ def load_archive(path, threads=None):
 
     The headers are walked first, so a bad magic, dimension or row count,
     a truncated header or payload and trailing bytes all raise before any
-    slice is allocated.  The tensor is then made by :func:`_built`: each
-    worker reads one contiguous run of the slices, so one run of the file,
-    with scatter ``os.preadv`` calls of at most ``SC_IOV_MAX`` buffers.
-    The payloads go straight into their slices' places in the tensor's
-    height-ordered buffer, and each row-count header after the first into
-    a 4-byte scratch buffer.  A short read resumes at the exact byte it
-    reached.  The payload is copied once, peak memory is
-    the tensor's size, and ``preadv`` releases the GIL, so the page faults
-    of filling the buffer are shared by the workers.  Once its run is read,
-    the worker takes each slice's ||X_k||^2, which is also the slice's
-    finiteness check, and the tensor keeps it.  NaN or inf raises naming
-    the lowest such slice.  The bytes and norms loaded do not depend on
-    the thread count.
+    slice is allocated, and record each payload's offset.  The tensor is
+    then made by :func:`_built`: each worker reads the slices of one
+    contiguous run, each with one ``os.preadv`` call at its payload's
+    offset, straight into the slice's place in the tensor's height-ordered
+    buffer; a short read resumes at the exact byte it reached.  Only
+    payload bytes are read, so slices can be read in any order.  The
+    payload is copied once, peak memory is the tensor's size, and
+    ``preadv`` releases the GIL, so the page faults of filling the buffer
+    are shared by the workers.  Once its run is read, the worker takes
+    each slice's ||X_k||^2, which is also the slice's finiteness check, and
+    the tensor keeps it.  NaN or inf raises naming the lowest such slice.
+    The bytes and norms loaded do not depend on the thread count.
     """
     with open(path, "rb") as fh:
         fd = fh.fileno()
@@ -414,27 +412,13 @@ def load_archive(path, threads=None):
             raise ArchiveFormatError(f"{path}: {size - off} trailing bytes after last slice")
 
         def read(tensor, ks):
-            # The run's file bytes as (buffer, slice, is payload) pieces in
-            # file order: a header after the first lands in scratch, a
-            # payload in its slice.
-            scratch = memoryview(bytearray(4))
-            pieces = [piece for k in ks for piece in (
-                (scratch, k, False), (memoryview(tensor.slices[k]).cast("B"), k, True))][1:]
-            pos, i = offsets[ks[0]], 0
-            while i < len(pieces):
-                got = os.preadv(fd, [buf for buf, _, _ in pieces[i : i + _IOV_MAX]], pos)
-                if got == 0:
-                    _, k, payload = pieces[i]
-                    raise ArchiveFormatError(f"{path}: truncated " + (
-                        f"payload in slice {k}" if payload else f"at slice {k} header"))
-                pos += got
-                while got:
-                    buf, k, payload = pieces[i]
-                    if got < len(buf):  # a short read stopped inside this piece
-                        pieces[i] = (buf[got:], k, payload)
-                        break
-                    got -= len(buf)
-                    i += 1
+            for k in ks:
+                view, pos = memoryview(tensor.slices[k]).cast("B"), offsets[k]
+                while view:
+                    got = os.preadv(fd, [view], pos)
+                    if got == 0:
+                        raise ArchiveFormatError(f"{path}: truncated payload in slice {k}")
+                    view, pos = view[got:], pos + got
 
         try:
             return _built(row_counts, cols, read, threads)

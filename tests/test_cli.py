@@ -536,18 +536,17 @@ class TestAnalyze:
         assert cli.main(["analyze", str(factors), "--target", "0",
                          "--out-dir", str(tmp_path / "a")]) == 3
         assert "missing U_0002.csv" in capsys.readouterr().err
-        # Missing, or JSON true, which reads as the count 1 in Python.
-        for count in (None, True):
-            if count is None:
-                del manifest["num_slices"]
-            else:
-                manifest["num_slices"] = count
-            (factors / "manifest.json").write_text(json.dumps(manifest))
+        # Missing, JSON true, which reads as the count 1 in Python, or a
+        # manifest that is a JSON array, not an object.
+        del manifest["num_slices"]
+        for i, bad in enumerate([manifest, {**manifest, "num_slices": True},
+                                 [{**manifest, "num_slices": 6}]]):
+            (factors / "manifest.json").write_text(json.dumps(bad))
             with pytest.raises(ArchiveFormatError, match="no positive integer num_slices"):
                 load_factors(factors)
             assert cli.main(["analyze", str(factors), "--target", "0",
-                             "--out-dir", str(tmp_path / f"b{count}")]) == 3
-            assert "num_slices" in capsys.readouterr().err
+                             "--out-dir", str(tmp_path / f"b{i}")]) == 3
+            assert "manifest.json has no positive integer num_slices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, value", [("U_0001.csv", "nan"), ("V.csv", "inf")])
     def test_non_finite_factor_file_exits_3_with_no_output(self, tmp_path, capsys, name,
@@ -561,6 +560,16 @@ class TestAnalyze:
                          "--pcc", "--out-dir", str(out)]) == 3
         assert f"{name}: non-finite values" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["H.csv", "U_0001.csv"])
+    def test_empty_factor_file_exits_3_naming_it(self, tmp_path, capsys, recwarn, name):
+        # numpy's loadtxt warned and read a (0, 1) matrix, so the error blamed its shape.
+        factors = self.fitted_dir(tmp_path)
+        (factors / name).write_text("")
+        out = tmp_path / "a"
+        assert cli.main(["analyze", str(factors), "--target", "0", "--out-dir", str(out)]) == 3
+        assert f"{name}: no values" in capsys.readouterr().err
+        assert not recwarn.list and not out.exists()
 
     def test_default_knn_fits_a_small_factor_set(self, tmp_path):
         factors = self.fitted_dir(tmp_path, num_slices=4)

@@ -609,6 +609,31 @@ class TestParallelLoad:
         for a, b in zip(back.slices, t.slices):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_preadv_call_reads_inside_one_payload(self, tmp_path, monkeypatch, threads):
+        t = irregular_tensor(seed=5)
+        path = tmp_path / "t.irt"
+        save_archive(t, path)
+        payloads, off = [], 12  # [start, end) of each slice's payload in the file
+        for x in t.slices:
+            payloads.append((off + 4, off + 4 + x.nbytes))
+            off += 4 + x.nbytes
+        real = os.preadv
+        calls = []
+
+        def spy(fd, buffers, offset):
+            calls.append((offset, offset + sum(memoryview(b).nbytes for b in buffers)))
+            return real(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", spy)
+        back = load_archive(path, threads=threads)
+        inside = [[k for k, (a, b) in enumerate(payloads) if a <= lo and hi <= b]
+                  for lo, hi in calls]
+        assert all(inside)  # no call reads a row-count header
+        assert sorted({ks[0] for ks in inside}) == list(range(len(payloads)))
+        for a, b in zip(back.slices, t.slices):
+            assert a.tobytes() == b.tobytes()
+
     def test_file_shrinking_during_read_is_truncation(self, tmp_path, monkeypatch):
         t = irregular_tensor(seed=4)
         path = tmp_path / "t.irt"
